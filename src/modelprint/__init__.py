@@ -27,7 +27,6 @@ from .tinylearn import (
     SyntheticTaskSpec,
     TrainConfig,
     generate_task,
-    input_gradient,
     load_weights,
     save_weights,
     train,
@@ -52,12 +51,7 @@ from .samplers import (
     QuerySet,
     Subsampler,
     UniformSampler,
-    adversarial_sampler,
-    chain_sampler,
-    negative_sampler,
     projected_gradient_ascent,
-    subsampler,
-    uniform_sampler,
 )
 from .fingerprints import (
     CalibrationPool,

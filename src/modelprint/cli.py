@@ -16,14 +16,24 @@ from pathlib import Path
 from . import __version__
 from .errors import ModelprintError
 from .harness import (
+    TPR_CSV_HEADER,
     BenchmarkConfig,
     budget_sweep,
     build_benchmark,
     evaluate,
     load_benchmark,
     save_benchmark,
+    write_csv_rows,
 )
 from .schemes import SchemeSpec
+
+
+def _seed(text: str) -> int:
+    """The ``--seed`` type: a nonnegative integer, as ``SeedSequence`` needs."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _load_json(path: Path) -> dict:
@@ -67,7 +77,7 @@ def cmd_evaluate(args) -> int:
         bench,
         budget=args.budget,
         n_runs=args.runs,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         workers=args.workers,
     )
     report.run_config["cli"] = {
@@ -94,14 +104,13 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid_path = out / "sweep.csv"
     with grid_path.open("w") as fh:
-        fh.write("scheme,task,budget,run,seed,tpr_at_cap\n")
+        write_csv_rows(fh, [("scheme", *TPR_CSV_HEADER)])
         for scheme_path in args.scheme:
             spec = _load_scheme(Path(scheme_path))
             label = spec.label()
 
             def flush(budget, report, label=label, fh=fh):
-                for row in report.csv_rows():
-                    fh.write(label + "," + ",".join(str(v) for v in row) + "\n")
+                write_csv_rows(fh, ((label, *row) for row in report.csv_rows()))
                 fh.flush()
 
             budget_sweep(
@@ -109,7 +118,7 @@ def cmd_sweep(args) -> int:
                 bench,
                 budgets,
                 n_runs=args.runs,
-                seed=args.seed if args.seed is not None else 0,
+                seed=args.seed,
                 workers=args.workers,
                 cell_callback=flush,
             )
@@ -130,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="build a benchmark from a JSON config")
     gen.add_argument("--config", required=True, help="benchmark config JSON")
     gen.add_argument("--out", required=True, help="output benchmark directory")
-    gen.add_argument("--seed", type=int, default=None, help="override the config seed")
+    gen.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     gen.set_defaults(fn=cmd_generate)
 
     ev = sub.add_parser("evaluate", help="run one scheme against a benchmark")
@@ -138,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--scheme", required=True, help="scheme spec JSON")
     ev.add_argument("--budget", type=int, default=None, help="query budget override")
     ev.add_argument("--runs", type=int, default=5, help="number of seeded runs")
-    ev.add_argument("--seed", type=int, default=None, help="root seed (runs use seed..seed+runs-1)")
+    ev.add_argument("--seed", type=_seed, default=0, help="root seed (runs use seed..seed+runs-1)")
     ev.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     ev.add_argument("--out", required=True, help="report output directory")
     ev.set_defaults(fn=cmd_evaluate)
@@ -148,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--scheme", required=True, nargs="+", help="scheme spec JSON files")
     sw.add_argument("--budgets", required=True, help="comma-separated ascending budgets")
     sw.add_argument("--runs", type=int, default=5)
-    sw.add_argument("--seed", type=int, default=None)
+    sw.add_argument("--seed", type=_seed, default=0)
     sw.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     sw.add_argument("--out", required=True)
     sw.set_defaults(fn=cmd_sweep)

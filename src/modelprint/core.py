@@ -214,10 +214,15 @@ class LookupClassifier(Classifier):
         return np.array([self._table[row.tobytes()] for row in X], dtype=np.int64)
 
     def _probits(self, X: np.ndarray) -> np.ndarray:
-        labels = self._predict(X)
-        P = np.zeros((X.shape[0], self.num_classes))
-        P[np.arange(X.shape[0]), labels - 1] = 1.0
-        return P
+        return one_hot(self._predict(X), self.num_classes)
+
+
+def one_hot(labels, num_classes: int) -> np.ndarray:
+    """``(n, num_classes)`` float64 rows with a 1 at each label in ``{1..C}``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    T = np.zeros((labels.size, num_classes))
+    T[np.arange(labels.size), labels - 1] = 1.0
+    return T
 
 
 SPLITS = ("train", "test")

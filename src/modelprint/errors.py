@@ -106,3 +106,9 @@ class EmptyPairSet(ModelprintError):
 
 class ManifestError(ModelprintError):
     code = "corrupt-manifest"
+
+
+class CorruptWeights(ModelprintError, ValueError):
+    """A weight file that is not exactly what ``save_weights`` writes."""
+
+    code = "corrupt-weights"

@@ -82,12 +82,6 @@ class Fingerprint:
         object.__setattr__(self, "payload", payload)
 
 
-def _pair_distance_fn(inner: str, probit_based: bool):
-    if inner == "cosine":
-        return cosine_distance
-    return lambda a, b: float(a != b)
-
-
 def represent(
     query_set: QuerySet,
     answers: np.ndarray,
@@ -142,7 +136,7 @@ def represent(
                 f"pairwise representation needs s/2 pairs, query set has "
                 f"{len(query_set.pairing)} for s={s}"
             )
-        d = _pair_distance_fn(inner_distance, probit_based)
+        d = cosine_distance if probit_based else lambda a, b: float(a != b)
         payload = np.array([d(answers[i], answers[j]) for i, j in query_set.pairing])
         return Fingerprint("pairwise", payload, prov, s)
 
@@ -212,12 +206,19 @@ def calibrate_threshold(
     whose distance to the victim falls strictly below it is at most
     ``target_fpr``.
     """
+    members = pool.fingerprints if isinstance(pool, CalibrationPool) else tuple(pool)
+    return quantile_threshold(
+        [fingerprint_distance(victim_fp, fp) for fp in members], target_fpr
+    )
+
+
+def quantile_threshold(distances, target_fpr: float) -> float:
+    """``calibrate_threshold`` on the pool members' distances to the victim."""
     if not 0.0 <= target_fpr <= 1.0:
         raise ValueError("target_fpr must lie in [0, 1]")
-    members = pool.fingerprints if isinstance(pool, CalibrationPool) else tuple(pool)
-    if len(members) == 0:
+    if len(distances) == 0:
         raise EmptyCalibrationPool("cannot calibrate against an empty pool")
-    dists = np.sort([fingerprint_distance(victim_fp, fp) for fp in members])
+    dists = np.sort(distances)
     m = dists.size
     allowed = int(target_fpr * m + 1e-9)
     if allowed >= m:

@@ -29,8 +29,9 @@ from .errors import (
     ManifestError,
     ModelprintError,
 )
-from .schemes import FingerprintScheme, SchemeSpec, assemble_scheme
-from .fingerprints import fingerprint_distance
+from .schemes import FingerprintScheme, SchemeSpec
+# Unused here, but the benchmark's tracer patches this name in this module.
+from .fingerprints import fingerprint_distance  # noqa: F401
 from .tinylearn import (
     MLPClassifier,
     MLPSpec,
@@ -42,6 +43,7 @@ from .tinylearn import (
     train,
 )
 from .variants import (
+    EXTRACTION_MODES,
     TaskTag,
     extract,
     finetune,
@@ -108,6 +110,10 @@ class BenchmarkConfig:
     stolen: tuple[TaskTag, ...] = ()
     n_unrelated: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_record(self) -> dict:
         return {
@@ -240,18 +246,13 @@ def _build_stolen(
             learning_rate=params.get("learning_rate", 0.02),
         )
         out = transfer(model, new_train, cfg, seed=seed)
-    elif tag.method in ("label_extraction", "probit_extraction",
-                        "adversarial_label_extraction"):
+    elif tag.method in EXTRACTION_MODES.values():
         pool = victim.train_data
         pool_size = params.get("pool_size")
         if pool_size and pool_size < len(pool):
             rng = np.random.default_rng(derive_seed(seed, STREAM_POOL))
             pool = pool.take(rng.choice(len(pool), pool_size, replace=False))
-        mode = {
-            "label_extraction": "labels",
-            "probit_extraction": "probits",
-            "adversarial_label_extraction": "adversarial_labels",
-        }[tag.method]
+        mode = next(m for m, method in EXTRACTION_MODES.items() if method == tag.method)
         out = extract(
             model, pool, config.arch, config.train, mode=mode, seed=seed,
             n_adversarial=params.get("n_adversarial"),
@@ -321,25 +322,15 @@ def save_benchmark(bench: BenchmarkTriplet, out_dir) -> Path:
         vid = victim.model.identity
         vfile = f"victim-{i}.mpw"
         save_weights(victim.model, out_dir / vfile)
-        ventry = {
-            "id": vid,
-            "file": vfile,
-            "task": dataclasses.asdict(victim.task),
-            "stolen": [],
-            "unrelated": [],
-        }
-        for k, (model, tag) in enumerate(bench.stolen[vid]):
-            fname = f"victim-{i}_stolen-{k}.mpw"
-            save_weights(model, out_dir / fname)
-            ventry["stolen"].append(
-                {"id": model.identity, "file": fname, "tag": tag.to_record()}
-            )
-        for j, (model, tag) in enumerate(bench.unrelated[vid]):
-            fname = f"victim-{i}_unrelated-{j}.mpw"
-            save_weights(model, out_dir / fname)
-            ventry["unrelated"].append(
-                {"id": model.identity, "file": fname, "tag": tag.to_record()}
-            )
+        ventry = {"id": vid, "file": vfile, "task": dataclasses.asdict(victim.task)}
+        for group in ("stolen", "unrelated"):
+            ventry[group] = []
+            for k, (model, tag) in enumerate(getattr(bench, group)[vid]):
+                fname = f"victim-{i}_{group}-{k}.mpw"
+                save_weights(model, out_dir / fname)
+                ventry[group].append(
+                    {"id": model.identity, "file": fname, "tag": tag.to_record()}
+                )
         manifest["victims"].append(ventry)
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
@@ -363,28 +354,14 @@ def load_benchmark(bench_dir) -> BenchmarkTriplet:
             train_data, test_data = generate_task(task)
             model = load_weights(bench_dir / ventry["file"], identity=ventry["id"])
             victims.append(Victim(model, train_data, test_data, task))
-            stolen[ventry["id"]] = tuple(
-                (
-                    load_weights(
-                        bench_dir / e["file"],
-                        identity=e["id"],
-                        tag=TaskTag.from_record(e["tag"]),
-                    ),
-                    TaskTag.from_record(e["tag"]),
-                )
-                for e in ventry["stolen"]
-            )
-            unrelated_map[ventry["id"]] = tuple(
-                (
-                    load_weights(
-                        bench_dir / e["file"],
-                        identity=e["id"],
-                        tag=TaskTag.from_record(e["tag"]),
-                    ),
-                    TaskTag.from_record(e["tag"]),
-                )
-                for e in ventry["unrelated"]
-            )
+            for group, table in (("stolen", stolen), ("unrelated", unrelated_map)):
+                entries = []
+                for e in ventry[group]:
+                    tag = TaskTag.from_record(e["tag"])
+                    entries.append(
+                        (load_weights(bench_dir / e["file"], identity=e["id"], tag=tag), tag)
+                    )
+                table[ventry["id"]] = tuple(entries)
         config = (
             BenchmarkConfig.from_record(manifest["config"])
             if "config" in manifest
@@ -392,7 +369,7 @@ def load_benchmark(bench_dir) -> BenchmarkTriplet:
         )
         return BenchmarkTriplet(tuple(victims), stolen, unrelated_map, config)
     except (KeyError, TypeError, ValueError, FileNotFoundError) as err:
-        if isinstance(err, ManifestError):
+        if isinstance(err, ModelprintError):
             raise
         raise ManifestError(f"{path}: {err}") from err
 
@@ -481,6 +458,23 @@ def tpr_at_fpr(curve: RocCurve, fpr_cap: float = 0.05) -> float:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+TPR_CSV_HEADER = ("task", "budget", "run", "seed", "tpr_at_cap")
+
+
+def write_csv_rows(fh, rows) -> None:
+    """Write each row as its ``str`` values joined by commas, one per line."""
+    for row in rows:
+        fh.write(",".join(str(v) for v in row) + "\n")
+
+
+def _all_pair_stats(benchmark: BenchmarkTriplet, split: str):
+    """Yield (victim id, suspect, tag, PairStats) for every benchmark pair."""
+    for victim in benchmark.victims:
+        vid = victim.model.identity
+        data = victim.data(split)
+        for model, tag in benchmark.stolen[vid] + benchmark.unrelated[vid]:
+            yield vid, model, tag, pair_stats(victim.model, model, data)
+
 
 def _mean_std(values) -> dict:
     arr = np.asarray(list(values), dtype=np.float64)
@@ -547,33 +541,28 @@ class EvalReport:
         jpath.write_text(self.to_json() + "\n")
         cpath = out_dir / f"{stem}.csv"
         with cpath.open("w") as fh:
-            fh.write("task,budget,run,seed,tpr_at_cap\n")
-            for row in self.csv_rows():
-                fh.write(",".join(str(v) for v in row) + "\n")
+            write_csv_rows(fh, [TPR_CSV_HEADER, *self.csv_rows()])
         return jpath, cpath
 
 
-def _score_cell(scheme_rec: dict, victim: Victim, suspects, run: int, qseed: int):
-    """Score one (run, victim) cell; returns PairScores or a skip record."""
-    scheme = assemble_scheme(SchemeSpec.from_record(scheme_rec))
-    seed_set = victim.data(scheme.spec.seed_split)
+def _score_cell(spec: SchemeSpec, victim: Victim, suspects, run: int, qseed: int):
+    """Score one (run, victim) cell; returns PairScores or a skip record.
+
+    Only a failure in sampling or in the victim's fingerprint skips the
+    cell; a suspect-side error propagates.
+    """
+    scheme = FingerprintScheme(spec)
     vid = victim.model.identity
     try:
-        qs = scheme.query_set(victim.model, seed_set, qseed)
+        qs = scheme.query_set(victim.model, victim.data(spec.seed_split), qseed)
         fp_v = scheme.fingerprint(victim.model, qs)
     except ModelprintError as err:
         return None, {"run": run, "victim": vid, "error": err.code, "detail": str(err)}
-    out = []
-    for model, tag in suspects:
-        dist = fingerprint_distance(fp_v, scheme.fingerprint(model, qs))
-        out.append(
-            PairScore(run, vid, model.identity, tag.method, tag.is_positive, -dist)
-        )
-    return out, None
-
-
-def _eval_cell_star(args):
-    return _score_cell(*args)
+    dists = scheme.distances(fp_v, [model for model, _ in suspects], qs)
+    return [
+        PairScore(run, vid, model.identity, tag.method, tag.is_positive, -dist)
+        for (model, tag), dist in zip(suspects, dists)
+    ], None
 
 
 def evaluate(
@@ -606,14 +595,13 @@ def evaluate(
         for vi, victim in enumerate(benchmark.victims):
             vid = victim.model.identity
             suspects = benchmark.stolen[vid] + benchmark.unrelated[vid]
-            cells.append((spec_rec, victim, suspects, run, derive_seed(rseed, STREAM_QUERY, vi)))
+            cells.append((spec, victim, suspects, run, derive_seed(rseed, STREAM_QUERY, vi)))
 
-    results = []
-    if workers > 1:
+    if workers > 1 and cells:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_cell_star, cells))
+            results = list(pool.map(_score_cell, *zip(*cells)))
     else:
         results = [_score_cell(*cell) for cell in cells]
 
@@ -655,20 +643,16 @@ def evaluate(
 
     pair_statistics = {}
     if compute_pair_stats:
-        for victim in benchmark.victims:
-            vid = victim.model.identity
-            data = victim.data(spec.seed_split)
-            for model, tag in benchmark.stolen[vid] + benchmark.unrelated[vid]:
-                st = pair_stats(victim.model, model, data)
-                pair_statistics[f"{vid}|{model.identity}"] = {
-                    "task": tag.method,
-                    "positive": tag.is_positive,
-                    "alpha": st.alpha,
-                    "alpha_prime": st.alpha_prime,
-                    "delta": st.delta,
-                    "delta_c": st.delta_c,
-                    "n_eval": st.n_eval,
-                }
+        for vid, model, tag, st in _all_pair_stats(benchmark, spec.seed_split):
+            pair_statistics[f"{vid}|{model.identity}"] = {
+                "task": tag.method,
+                "positive": tag.is_positive,
+                "alpha": st.alpha,
+                "alpha_prime": st.alpha_prime,
+                "delta": st.delta,
+                "delta_c": st.delta_c,
+                "n_eval": st.n_eval,
+            }
 
     sample_victim = benchmark.victims[0]
     model_scale = {
@@ -722,9 +706,7 @@ class SweepReport:
     def save_csv(self, path) -> Path:
         path = Path(path)
         with path.open("w") as fh:
-            fh.write("task,budget,run,seed,tpr_at_cap\n")
-            for row in self.csv_rows():
-                fh.write(",".join(str(v) for v in row) + "\n")
+            write_csv_rows(fh, [TPR_CSV_HEADER, *self.csv_rows()])
         return path
 
 
@@ -797,9 +779,8 @@ class DistanceReport:
     def save_csv(self, path) -> Path:
         path = Path(path)
         with path.open("w") as fh:
-            fh.write("victim,suspect,task,positive,delta_c\n")
-            for row in self.csv_rows():
-                fh.write(",".join(str(v) for v in row) + "\n")
+            header = ("victim", "suspect", "task", "positive", "delta_c")
+            write_csv_rows(fh, [header, *self.csv_rows()])
         return path
 
 
@@ -807,21 +788,16 @@ def pair_distance_report(
     benchmark: BenchmarkTriplet, split: str = "test"
 ) -> DistanceReport:
     """Distribution of conditioned Hamming distances across benchmark pairs."""
-    rows: list[dict] = []
-    for victim in benchmark.victims:
-        vid = victim.model.identity
-        data = victim.data(split)
-        for model, tag in benchmark.stolen[vid] + benchmark.unrelated[vid]:
-            st = pair_stats(victim.model, model, data)
-            rows.append(
-                {
-                    "victim": vid,
-                    "suspect": model.identity,
-                    "task": tag.method,
-                    "positive": tag.is_positive,
-                    "delta_c": st.delta_c,
-                }
-            )
+    rows = [
+        {
+            "victim": vid,
+            "suspect": model.identity,
+            "task": tag.method,
+            "positive": tag.is_positive,
+            "delta_c": st.delta_c,
+        }
+        for vid, model, tag, st in _all_pair_stats(benchmark, split)
+    ]
     defined = [r for r in rows if r["delta_c"] is not None]
     pos = [r["delta_c"] for r in defined if r["positive"]]
     neg = [r["delta_c"] for r in defined if not r["positive"]]

@@ -221,7 +221,7 @@ class AdversarialSampler(Sampler):
                 "sampler": self.name,
                 "budget": budget,
                 "seed": int(seed),
-                "eps": None if self.eps is None else float(self.eps),
+                "eps": None if self.eps is None else np.asarray(self.eps, float).tolist(),
                 "steps": int(self.steps),
                 "step_size": None if self.step_size is None else float(self.step_size),
             },
@@ -397,41 +397,3 @@ def sampler_from_record(rec: dict) -> Sampler:
         )
     return SAMPLER_KINDS[kind](**rec)
 
-
-# Functional forms of the samplers, for direct use.
-
-
-def uniform_sampler(seed_set: LabeledDataset, s: int, seed: int) -> QuerySet:
-    return UniformSampler().sample(seed_set, None, s, seed)
-
-
-def negative_sampler(
-    seed_set: LabeledDataset, h: Classifier, s: int, seed: int
-) -> QuerySet:
-    return NegativeSampler().sample(seed_set, h, s, seed)
-
-
-def adversarial_sampler(
-    seed_set: LabeledDataset,
-    h: Classifier,
-    eps,
-    steps: int,
-    step_size,
-    s: int,
-    seed: int,
-) -> QuerySet:
-    return AdversarialSampler(eps=eps, steps=steps, step_size=step_size).sample(
-        seed_set, h, s, seed
-    )
-
-
-def subsampler(
-    seed_set: LabeledDataset, k_variants: int, vicinity_scale: float, s: int, seed: int
-) -> QuerySet:
-    return Subsampler(k_variants=k_variants, vicinity_scale=vicinity_scale).sample(
-        seed_set, None, s, seed
-    )
-
-
-def chain_sampler(first: Sampler, second: Sampler) -> ChainSampler:
-    return ChainSampler(first=first, second=second)

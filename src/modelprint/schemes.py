@@ -24,10 +24,9 @@ from .errors import IncompatibleScheme, InsufficientNegatives
 from .fingerprints import (
     INNER_DISTANCES,
     KINDS,
-    CalibrationPool,
     Fingerprint,
-    calibrate_threshold,
     fingerprint_distance,
+    quantile_threshold,
     represent,
 )
 from .samplers import (
@@ -36,7 +35,6 @@ from .samplers import (
     Sampler,
     UniformSampler,
     sampler_from_record,
-    uniform_sampler,
 )
 
 log = logging.getLogger(__name__)
@@ -164,6 +162,15 @@ class FingerprintScheme:
             self.spec.inner_distance,
         )
 
+    def distances(self, victim, models, qs: QuerySet) -> list[float]:
+        """Fingerprint distance from the victim to each model on one query set.
+
+        ``victim`` is the victim's fingerprint on ``qs`` or the victim itself.
+        """
+        if not isinstance(victim, Fingerprint):
+            victim = self.fingerprint(victim, qs)
+        return [fingerprint_distance(victim, self.fingerprint(m, qs)) for m in models]
+
     def score(
         self,
         victim: Classifier,
@@ -173,9 +180,7 @@ class FingerprintScheme:
     ) -> float:
         """Fingerprint distance between victim and suspect; lower = more suspicious."""
         qs = self.query_set(victim, seed_set, seed)
-        return fingerprint_distance(
-            self.fingerprint(victim, qs), self.fingerprint(suspect, qs)
-        )
+        return self.distances(victim, (suspect,), qs)[0]
 
     def flag(
         self,
@@ -191,15 +196,10 @@ class FingerprintScheme:
         ``calibration_models`` (unrelated models) over the same query set.
         """
         qs = self.query_set(victim, seed_set, seed)
-        fp_v = self.fingerprint(victim, qs)
-        dist = fingerprint_distance(fp_v, self.fingerprint(suspect, qs))
-        if self.spec.detector.kind == "majority":
-            threshold = 0.5
-        else:
-            pool = CalibrationPool(
-                tuple(self.fingerprint(m, qs) for m in calibration_models)
-            )
-            threshold = calibrate_threshold(fp_v, pool, self.spec.detector.target_fpr)
+        majority = self.spec.detector.kind == "majority"
+        pool_models = () if majority else tuple(calibration_models)
+        dist, *pool = self.distances(victim, (suspect, *pool_models), qs)
+        threshold = 0.5 if majority else quantile_threshold(pool, self.spec.detector.target_fpr)
         return int(dist < threshold), dist, threshold
 
 
@@ -249,7 +249,7 @@ def mistake_match_test(
                 "uniform sampling",
                 h.identity,
             )
-            qs = uniform_sampler(data, min(k_queries, len(data)), seed)
+            qs = UniformSampler().sample(data, None, min(k_queries, len(data)), seed)
         else:
             log.warning(
                 "only %d negatives available for %s; lowering budget from %d",
@@ -258,8 +258,9 @@ def mistake_match_test(
                 k_queries,
             )
             qs = NegativeSampler().sample(data, h, err.available, seed)
-    match = float(np.mean(h.predict(qs.points) == h_sus.predict(qs.points)))
-    return int(match > 0.5), match
+    scheme = FingerprintScheme(mistake_match_scheme(qs.size))
+    dist = scheme.distances(h, (h_sus,), qs)[0]
+    return int(dist < 0.5), 1.0 - dist
 
 
 def standard_scheme_grid(

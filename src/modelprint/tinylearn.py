@@ -9,13 +9,14 @@ bit-reproducible from its seeds; there is no adaptive-optimizer state.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Access, Classifier, LabeledDataset
+from .core import Access, Classifier, LabeledDataset, one_hot
 from .errors import (
+    CorruptWeights,
     IncompatibleTask,
     InfeasibleTask,
     TrainingDiverged,
@@ -210,14 +211,16 @@ def _forward(weights, activation: str, X: np.ndarray):
     return A, A[-1] @ W + b
 
 
-def init_weights(spec: MLPSpec, rng: np.random.Generator):
+def init_layer(fan_in: int, fan_out: int, rng: np.random.Generator):
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-    weights = []
-    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        weights.append((W, np.zeros(fan_out)))
-    return weights
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros(fan_out)
+
+
+def init_weights(spec: MLPSpec, rng: np.random.Generator):
+    """``init_layer`` for every layer, in order."""
+    widths = spec.layer_widths
+    return [init_layer(i, o, rng) for i, o in zip(widths[:-1], widths[1:])]
 
 
 def _sgd_epochs(
@@ -404,8 +407,7 @@ def train(
         if T.shape != (n, C):
             raise ValueError(f"soft_targets must have shape ({n}, {C}), got {T.shape}")
     else:
-        T = np.zeros((n, C))
-        T[np.arange(n), dataset.labels - 1] = 1.0
+        T = one_hot(dataset.labels, C)
 
     rng = np.random.default_rng(arch.seed)
     weights = init_weights(arch, rng)
@@ -431,17 +433,10 @@ def continue_training(
             f"dataset has {dataset.num_classes} classes, model has {model.num_classes}"
         )
     weights = [(W.copy(), b.copy()) for W, b in model.weights]
-    n = len(dataset)
-    T = np.zeros((n, model.num_classes))
-    T[np.arange(n), dataset.labels - 1] = 1.0
+    T = one_hot(dataset.labels, model.num_classes)
     rng = np.random.default_rng(seed)
     history = _sgd_epochs(weights, model.spec.activation, dataset.points, T, cfg, rng)
     return MLPClassifier(model.spec, weights, identity=identity, tag=tag, train_loss=history)
-
-
-def input_gradient(h: Classifier, x, class_index: int) -> np.ndarray:
-    """Gradient of the chosen logit with respect to the input point."""
-    return h.input_gradient(x, class_index)
 
 
 # ---------------------------------------------------------------------------
@@ -473,17 +468,32 @@ def save_weights(model: MLPClassifier, path) -> None:
 
 
 def load_weights(path, identity: str | None = None, tag=None) -> MLPClassifier:
+    """Inverse of ``save_weights``; any other byte string raises ``CorruptWeights``."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a model weight file")
+        raise CorruptWeights(f"{path}: not a model weight file")
+    offset = 4 + struct.calcsize("<HHQI")
+    if len(raw) < offset:
+        raise CorruptWeights(f"{path}: header is {len(raw)} bytes, needs {offset}")
     version, act_code, seed, n_widths = struct.unpack_from("<HHQI", raw, 4)
     if version != _VERSION:
-        raise ValueError(f"{path}: unsupported weight file version {version}")
-    offset = 4 + struct.calcsize("<HHQI")
+        raise CorruptWeights(f"{path}: unsupported weight file version {version}")
+    if act_code not in _ACT_NAMES:
+        raise CorruptWeights(f"{path}: unknown activation code {act_code}")
+    if len(raw) < offset + 4 * n_widths:
+        raise CorruptWeights(f"{path}: header ends before its {n_widths} layer widths")
     widths = struct.unpack_from(f"<{n_widths}I", raw, offset)
     offset += 4 * n_widths
-    spec = MLPSpec(widths, _ACT_NAMES[act_code], seed=seed)
+    try:
+        spec = MLPSpec(widths, _ACT_NAMES[act_code], seed=seed)
+    except ValueError as err:
+        raise CorruptWeights(f"{path}: {err}") from err
+    n_bytes = 8 * sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
+    if len(raw) - offset != n_bytes:
+        raise CorruptWeights(
+            f"{path}: payload is {len(raw) - offset} bytes, widths {widths} need {n_bytes}"
+        )
     weights = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         W = np.frombuffer(raw, "<f8", fan_in * fan_out, offset).reshape(fan_in, fan_out)
@@ -493,7 +503,3 @@ def load_weights(path, identity: str | None = None, tag=None) -> MLPClassifier:
         weights.append((W.copy(), b.copy()))
     return MLPClassifier(spec, weights, identity=identity, tag=tag)
 
-
-def reseed(arch: MLPSpec, seed: int) -> MLPSpec:
-    """The same architecture with a different training seed."""
-    return replace(arch, seed=int(seed))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Access, Classifier, LabeledDataset
+from .core import Access, Classifier, LabeledDataset, one_hot
 from .errors import (
     DegeneratePrune,
     DegenerateQuantization,
@@ -27,6 +27,7 @@ from .tinylearn import (
     MLPSpec,
     TrainConfig,
     continue_training,
+    init_layer,
     train,
     _sgd_epochs,
 )
@@ -169,13 +170,9 @@ def transfer(
     widths = h.spec.layer_widths[:-1] + (new_c,)
     spec = MLPSpec(widths, h.spec.activation, seed=int(seed))
     rng = np.random.default_rng(seed)
-    fan_in = widths[-2]
-    bound = 1.0 / np.sqrt(fan_in)
-    head = (rng.uniform(-bound, bound, size=(fan_in, new_c)), np.zeros(new_c))
+    head = init_layer(widths[-2], new_c, rng)
     weights = [(W.copy(), b.copy()) for W, b in h.weights[:-1]] + [head]
-    n = len(new_task_data)
-    T = np.zeros((n, new_c))
-    T[np.arange(n), new_task_data.labels - 1] = 1.0
+    T = one_hot(new_task_data.labels, new_c)
     history = _sgd_epochs(
         weights, spec.activation, new_task_data.points, T, cfg, rng
     )

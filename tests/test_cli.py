@@ -6,7 +6,7 @@ import json
 import pytest
 
 import modelprint as mp
-from modelprint.cli import main
+from modelprint.cli import build_parser, main
 from modelprint.schemes import mistake_match_scheme
 from modelprint.samplers import UniformSampler
 from modelprint.schemes import SchemeSpec
@@ -153,6 +153,42 @@ class TestSweep:
                 "--scheme", "--budgets", "8", "--out", str(tmp_path / "x"),
             ])
         assert err.value.code == 2
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("command", ["generate", "evaluate", "sweep"])
+    def test_negative_seed_flag_is_usage_error(self, command, workspace, tmp_path, capsys):
+        args = {
+            "generate": ["--config", str(workspace / "config.json")],
+            "evaluate": [
+                "--benchmark", str(workspace / "bench"),
+                "--scheme", str(workspace / "baseline.json"),
+            ],
+            "sweep": [
+                "--benchmark", str(workspace / "bench"),
+                "--scheme", str(workspace / "baseline.json"), "--budgets", "8",
+            ],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            main([command, *args, "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_config_seed_is_corrupt_manifest(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(MICRO_CONFIG | {"seed": -3}))
+        rc = main(["generate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "corrupt-manifest" in capsys.readouterr().err
+        with pytest.raises(mp.errors.ManifestError):
+            mp.BenchmarkConfig.from_record(MICRO_CONFIG | {"seed": -3})
+
+    def test_seed_defaults_to_zero(self):
+        parser = build_parser()
+        for command in (["evaluate", "--benchmark", "b", "--scheme", "s"],
+                        ["sweep", "--benchmark", "b", "--scheme", "s", "--budgets", "8"]):
+            assert parser.parse_args([*command, "--out", "o"]).seed == 0
 
 
 class TestVersion:

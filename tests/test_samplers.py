@@ -31,20 +31,20 @@ def sorted_rows(arr):
 class TestUniform:
     def test_full_budget_is_permutation(self, quick_task):
         _, test = quick_task
-        qs = mp.uniform_sampler(test, len(test), seed=0)
+        qs = UniformSampler().sample(test, None, len(test), seed=0)
         np.testing.assert_array_equal(sorted_rows(qs.points), sorted_rows(test.points))
         assert qs.pairing is None
 
     def test_deterministic(self, quick_task):
         _, test = quick_task
-        a = mp.uniform_sampler(test, 50, seed=4)
-        b = mp.uniform_sampler(test, 50, seed=4)
+        a = UniformSampler().sample(test, None, 50, seed=4)
+        b = UniformSampler().sample(test, None, 50, seed=4)
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_budget_exceeds_pool(self, quick_task):
         _, test = quick_task
         with pytest.raises(BudgetExceedsPool):
-            mp.uniform_sampler(test, len(test) + 1, seed=0)
+            UniformSampler().sample(test, None, len(test) + 1, seed=0)
 
     def test_class_histogram_tracks_pool(self):
         # aggregate 50 seeded draws of 100 from 1000; counts stay within
@@ -55,7 +55,7 @@ class TestUniform:
         pool = make_indexed_dataset(labels, num_classes=4)
         counts = np.zeros(4)
         for seed in range(50):
-            qs = mp.uniform_sampler(pool, 100, seed=seed)
+            qs = UniformSampler().sample(pool, None, 100, seed=seed)
             drawn = labels[qs.source_indices]
             counts += np.bincount(drawn, minlength=5)[1:]
         total = 50 * 100
@@ -67,14 +67,14 @@ class TestUniform:
 class TestNegative:
     def test_defining_property(self, quick_model, quick_task):
         _, test = quick_task
-        qs = mp.negative_sampler(test, quick_model, 20, seed=1)
+        qs = NegativeSampler().sample(test, quick_model, 20, seed=1)
         labels = test.labels[qs.source_indices]
         assert (quick_model.predict(qs.points) != labels).all()
 
     def test_perfect_model_has_no_negatives(self, quick_task):
         _, test = quick_task
         with pytest.raises(InsufficientNegatives) as err:
-            mp.negative_sampler(test, test.as_lookup_classifier(), 1, seed=0)
+            NegativeSampler().sample(test, test.as_lookup_classifier(), 1, seed=0)
         assert err.value.available == 0
 
     def test_available_count_enumerated(self):
@@ -85,16 +85,17 @@ class TestNegative:
         pool = make_indexed_dataset(concept, num_classes=2)
         h = indexed_classifier(answers, 2)
         with pytest.raises(InsufficientNegatives) as err:
-            mp.negative_sampler(pool, h, 150, seed=0)
+            NegativeSampler().sample(pool, h, 150, seed=0)
         assert err.value.available == 100
-        qs = mp.negative_sampler(pool, h, 100, seed=0)
+        qs = NegativeSampler().sample(pool, h, 100, seed=0)
         assert sorted(qs.source_indices) == list(range(100))
 
 
 class TestAdversarial:
     def test_zero_radius_returns_seeds_exactly(self, quick_model, quick_task):
         _, test = quick_task
-        qs = mp.adversarial_sampler(test, quick_model, 0.0, 5, 0.1, 20, seed=2)
+        sampler = AdversarialSampler(eps=0.0, steps=5, step_size=0.1)
+        qs = sampler.sample(test, quick_model, 20, seed=2)
         np.testing.assert_array_equal(qs.points[:10], qs.points[10:])
 
     def test_ball_membership(self, quick_model, quick_task):
@@ -107,7 +108,8 @@ class TestAdversarial:
 
     def test_pairing_structure(self, quick_model, quick_task):
         _, test = quick_task
-        qs = mp.adversarial_sampler(test, quick_model, 0.5, 5, 0.1, 8, seed=0)
+        sampler = AdversarialSampler(eps=0.5, steps=5, step_size=0.1)
+        qs = sampler.sample(test, quick_model, 8, seed=0)
         assert qs.pairing == tuple((i, i + 4) for i in range(4))
 
     def test_label_flip_matches_closed_form_margin(self):
@@ -120,7 +122,8 @@ class TestAdversarial:
         gap = (W[0] - W[1]) @ x[0]  # logit_1 - logit_2 at the seed point
         l1 = np.abs(W[1] - W[0]).sum()
         for eps in (0.2, 0.6):
-            qs = mp.adversarial_sampler(pool, model, eps, 20, eps / 8, 2, seed=0)
+            sampler = AdversarialSampler(eps=eps, steps=20, step_size=eps / 8)
+            qs = sampler.sample(pool, model, 2, seed=0)
             adv_label = model.predict(qs.points[1:])[0]
             flips_analytically = eps * l1 > gap
             assert (adv_label != 1) == flips_analytically
@@ -134,32 +137,43 @@ class TestAdversarial:
     def test_odd_budget_rejected(self, quick_model, quick_task):
         _, test = quick_task
         with pytest.raises(BudgetShapeMismatch):
-            mp.adversarial_sampler(test, quick_model, 0.1, 5, 0.01, 7, seed=0)
+            sampler = AdversarialSampler(eps=0.1, steps=5, step_size=0.01)
+            sampler.sample(test, quick_model, 7, seed=0)
+
+    def test_vector_eps_equals_constant_scalar(self, quick_model, quick_task):
+        _, test = quick_task
+        scalar = AdversarialSampler(eps=0.3, steps=5, step_size=0.05)
+        vector = AdversarialSampler(eps=np.full(test.dim, 0.3), steps=5, step_size=0.05)
+        a = scalar.sample(test, quick_model, 20, seed=4)
+        b = vector.sample(test, quick_model, 20, seed=4)
+        np.testing.assert_array_equal(a.points, b.points)
+        assert a.provenance["eps"] == 0.3
+        assert b.provenance["eps"] == [0.3] * test.dim
 
 
 class TestSubsampler:
     def test_counts_and_pairing(self, quick_task):
         _, test = quick_task
-        qs = mp.subsampler(test, k_variants=9, vicinity_scale=0.5, s=100, seed=1)
+        qs = Subsampler(k_variants=9, vicinity_scale=0.5).sample(test, None, 100, seed=1)
         assert qs.size == 100
         assert len(qs.pairing) == 90
         assert all(i < 10 <= j for i, j in qs.pairing)
 
     def test_zero_variants_returns_seeds_only(self, quick_task):
         _, test = quick_task
-        qs = mp.subsampler(test, 0, 0.5, 25, seed=1)
+        qs = Subsampler(k_variants=0, vicinity_scale=0.5).sample(test, None, 25, seed=1)
         assert qs.size == 25 and qs.pairing is None
         np.testing.assert_array_equal(qs.points, test.points[qs.source_indices])
 
     def test_full_vicinity_copies_seeds(self, quick_task):
         _, test = quick_task
-        qs = mp.subsampler(test, 2, 1.0, 30, seed=1)
+        qs = Subsampler(k_variants=2, vicinity_scale=1.0).sample(test, None, 30, seed=1)
         for i, j in qs.pairing:
             np.testing.assert_array_equal(qs.points[i], qs.points[j])
 
     def test_variants_are_masked_seeds(self, quick_task):
         _, test = quick_task
-        qs = mp.subsampler(test, 3, 0.6, 40, seed=7)
+        qs = Subsampler(k_variants=3, vicinity_scale=0.6).sample(test, None, 40, seed=7)
         for i, j in qs.pairing:
             seed_pt, var = qs.points[i], qs.points[j]
             kept = var != 0.0
@@ -168,7 +182,7 @@ class TestSubsampler:
     def test_budget_shape_mismatch(self, quick_task):
         _, test = quick_task
         with pytest.raises(BudgetShapeMismatch):
-            mp.subsampler(test, 3, 0.5, 41, seed=0)
+            Subsampler(k_variants=3, vicinity_scale=0.5).sample(test, None, 41, seed=0)
 
 
 class TestChain:
@@ -223,7 +237,7 @@ class TestRecords:
         _, test = quick_task
         pool_rows = {row.tobytes() for row in test.points}
         for qs in (
-            mp.uniform_sampler(test, 30, seed=2),
-            mp.negative_sampler(test, quick_model, 15, seed=2),
+            UniformSampler().sample(test, None, 30, seed=2),
+            NegativeSampler().sample(test, quick_model, 15, seed=2),
         ):
             assert all(row.tobytes() in pool_rows for row in qs.points)

@@ -1,10 +1,12 @@
 """Tests for synthetic tasks and the hand-rolled MLP training stack."""
 
+import struct
+
 import numpy as np
 import pytest
 
 import modelprint as mp
-from modelprint.errors import InfeasibleTask, TrainingDiverged
+from modelprint.errors import CorruptWeights, InfeasibleTask, TrainingDiverged
 from modelprint.tinylearn import (
     LinearClassifier,
     MLPClassifier,
@@ -202,3 +204,32 @@ class TestWeightFiles:
         path.write_bytes(b"not a weight file")
         with pytest.raises(ValueError):
             load_weights(path)
+
+
+class TestCorruptWeights:
+    @pytest.fixture
+    def raw(self, quick_model, tmp_path):
+        path = tmp_path / "model.mpw"
+        save_weights(quick_model, path)
+        return path.read_bytes()
+
+    def load(self, data: bytes, tmp_path):
+        path = tmp_path / "bad.mpw"
+        path.write_bytes(data)
+        with pytest.raises(CorruptWeights) as err:
+            load_weights(path)
+        assert err.value.code == "corrupt-weights"
+        return str(err.value)
+
+    def test_short_header(self, raw, tmp_path):
+        assert "header" in self.load(raw[:10], tmp_path)
+
+    def test_unknown_activation_code(self, raw, tmp_path):
+        bad = raw[:6] + struct.pack("<H", 7) + raw[8:]
+        assert "activation code 7" in self.load(bad, tmp_path)
+
+    def test_truncated_payload(self, raw, tmp_path):
+        assert "payload" in self.load(raw[:-8], tmp_path)
+
+    def test_trailing_bytes(self, raw, tmp_path):
+        assert "payload" in self.load(raw + b"\x00", tmp_path)
