@@ -112,3 +112,9 @@ class CorruptWeights(ModelprintError, ValueError):
     """A weight file that is not exactly what ``save_weights`` writes."""
 
     code = "corrupt-weights"
+
+
+class CorruptFingerprint(ModelprintError, ValueError):
+    """A fingerprint file that is not exactly what ``save_fingerprint`` writes."""
+
+    code = "corrupt-fingerprint"

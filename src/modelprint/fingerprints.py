@@ -11,6 +11,7 @@ detection threshold at a target false-positive rate.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,7 @@ import numpy as np
 
 from .errors import (
     AccessInsufficient,
+    CorruptFingerprint,
     EmptyCalibrationPool,
     IncomparableFingerprints,
     PairingRequired,
@@ -252,14 +254,28 @@ def save_fingerprint(fp: Fingerprint, path) -> None:
 
 
 def load_fingerprint(path) -> Fingerprint:
+    """Inverse of ``save_fingerprint``; any other byte string raises ``CorruptFingerprint``."""
     raw = Path(path).read_bytes()
-    if raw[:4] != _FP_MAGIC:
-        raise ValueError(f"{path}: not a fingerprint file")
-    (hlen,) = struct.unpack_from("<I", raw, 4)
-    header = json.loads(raw[8 : 8 + hlen].decode())
-    payload = np.frombuffer(raw, header["dtype"], offset=8 + hlen).reshape(
-        header["shape"]
-    )
-    return Fingerprint(
-        header["kind"], payload.copy(), header["query_provenance"], header["n_queries"]
-    )
+    if raw[:4] != _FP_MAGIC or len(raw) < 8 or len(raw) < 8 + struct.unpack_from("<I", raw, 4)[0]:
+        raise CorruptFingerprint(f"{path}: not a fingerprint file, or cut inside its header")
+    offset = 8 + struct.unpack_from("<I", raw, 4)[0]
+    try:
+        header = json.loads(raw[8:offset])
+        kind, n_queries, shape, provenance = (
+            header[key] for key in ("kind", "n_queries", "shape", "query_provenance")
+        )
+        dtype = np.dtype(header["dtype"])
+    except (KeyError, TypeError, ValueError, RecursionError) as err:
+        raise CorruptFingerprint(f"{path}: bad header: {err!r}") from err
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
+            and type(n_queries) is int and isinstance(provenance, dict) and dtype.kind in "biuf"):
+        raise CorruptFingerprint(f"{path}: header has a field of the wrong type or dtype {dtype}")
+    size = math.prod(shape)
+    if len(raw) - offset != size * dtype.itemsize:
+        raise CorruptFingerprint(f"{path}: payload is {len(raw) - offset} bytes, "
+                                 f"shape {shape} of {dtype} needs {size * dtype.itemsize}")
+    payload = np.frombuffer(raw, dtype, size, offset).reshape(shape)
+    try:
+        return Fingerprint(kind, payload, provenance, n_queries)
+    except ValueError as err:
+        raise CorruptFingerprint(f"{path}: {err}") from err

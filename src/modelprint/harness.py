@@ -30,28 +30,34 @@ from .errors import (
     ModelprintError,
 )
 from .schemes import FingerprintScheme, SchemeSpec
-# Unused here, but the benchmark's tracer patches this name in this module.
+# Names marked F401 are unused here, but the benchmark's tracer patches them in this module.
 from .fingerprints import fingerprint_distance  # noqa: F401
 from .tinylearn import (
     MLPClassifier,
     MLPSpec,
     SyntheticTaskSpec,
     TrainConfig,
+    TrainJob,
+    fit_stack,
     generate_task,
     load_weights,
     save_weights,
-    train,
+    train,  # noqa: F401
+    train_job,
 )
 from .variants import (
     EXTRACTION_MODES,
     TaskTag,
-    extract,
-    finetune,
+    extract,  # noqa: F401
+    extract_job,
+    finetune,  # noqa: F401
+    finetune_job,
     prune,
     quantize,
     same_copy,
-    transfer,
-    unrelated,
+    transfer_job,
+    unrelated,  # noqa: F401
+    unrelated_job,
 )
 
 log = logging.getLogger(__name__)
@@ -219,22 +225,23 @@ class BenchmarkTriplet:
 
 def _build_stolen(
     victim: Victim, tag: TaskTag, config: BenchmarkConfig, seed: int
-) -> tuple[Classifier, TaskTag]:
+) -> Classifier | TrainJob:
+    """The stolen model of ``tag``, or the job that trains it for SGD-trained methods."""
     params = tag.params
     model = victim.model
     if tag.method == "same":
-        out = same_copy(model, identity=f"{model.identity}#same{params.get('index', 0)}")
-    elif tag.method == "prune":
-        out = prune(model, params["fraction"], seed=seed)
-    elif tag.method == "quantize":
-        out = quantize(model, params["bits"])
-    elif tag.method == "finetune":
+        return same_copy(model, identity=f"{model.identity}#same{params.get('index', 0)}")
+    if tag.method == "prune":
+        return prune(model, params["fraction"], seed=seed)
+    if tag.method == "quantize":
+        return quantize(model, params["bits"])
+    if tag.method == "finetune":
         cfg = TrainConfig(
             epochs=params.get("epochs", 5),
             learning_rate=params.get("learning_rate", 0.01),
         )
-        out = finetune(model, victim.train_data, cfg, seed=seed)
-    elif tag.method == "transfer":
+        return finetune_job(model, victim.train_data, cfg, seed=seed)
+    if tag.method == "transfer":
         new_task = replace(
             config.task,
             seed=derive_seed(config.seed, STREAM_TRANSFER, seed),
@@ -245,64 +252,60 @@ def _build_stolen(
             epochs=params.get("epochs", 20),
             learning_rate=params.get("learning_rate", 0.02),
         )
-        out = transfer(model, new_train, cfg, seed=seed)
-    elif tag.method in EXTRACTION_MODES.values():
+        return transfer_job(model, new_train, cfg, seed=seed)
+    if tag.method in EXTRACTION_MODES.values():
         pool = victim.train_data
         pool_size = params.get("pool_size")
         if pool_size and pool_size < len(pool):
             rng = np.random.default_rng(derive_seed(seed, STREAM_POOL))
             pool = pool.take(rng.choice(len(pool), pool_size, replace=False))
         mode = next(m for m, method in EXTRACTION_MODES.items() if method == tag.method)
-        out = extract(
+        return extract_job(
             model, pool, config.arch, config.train, mode=mode, seed=seed,
             n_adversarial=params.get("n_adversarial"),
         )
-    else:
-        raise ValueError(f"cannot build stolen model for method {tag.method!r}")
-    return out, out.tag
+    raise ValueError(f"cannot build stolen model for method {tag.method!r}")
 
 
 def build_benchmark(config: BenchmarkConfig) -> BenchmarkTriplet:
     """Train victims, derive their stolen sets, and train unrelated models.
 
     Fully reproducible from the config: every task draw and training run
-    is keyed by seeds derived from ``config.seed``.
+    is keyed by seeds derived from ``config.seed``.  Each victim trains in
+    one ``fit_stack`` with its unrelated models, then each stolen tag's
+    models across victims; stacking never changes a model's bits.
     """
     if not config.stolen:
         raise EmptyTaskList("benchmark config lists no stolen-model tags")
     victims: list[Victim] = []
-    stolen: dict[str, tuple] = {}
     unrelated_map: dict[str, tuple] = {}
     for i in range(config.n_victims):
         task = replace(config.task, seed=derive_seed(config.seed, STREAM_VICTIM_TASK, i))
         train_data, test_data = generate_task(task)
         arch = replace(config.arch, seed=derive_seed(config.seed, STREAM_VICTIM_MODEL, i))
-        model = train(train_data, arch, config.train, identity=f"victim-{i}")
-        victim = Victim(model, train_data, test_data, task)
-        victims.append(victim)
-
-        entries = []
-        for k, tag in enumerate(config.stolen):
-            entries.append(
-                _build_stolen(victim, tag, config, derive_seed(config.seed, STREAM_STOLEN, i, k))
-            )
-        stolen[model.identity] = tuple(entries)
-
-        negatives = []
+        jobs = [train_job(train_data, arch, config.train, identity=f"victim-{i}")]
         for j in range(config.n_unrelated):
-            utask = replace(
-                config.task, seed=derive_seed(config.seed, STREAM_UNRELATED_TASK, i, j)
-            )
+            utask = replace(config.task, seed=derive_seed(config.seed, STREAM_UNRELATED_TASK, i, j))
             utrain, _ = generate_task(utask)
-            neg = unrelated(
-                utrain,
-                config.arch,
-                config.train,
-                seed=derive_seed(config.seed, STREAM_UNRELATED_MODEL, i, j),
-                identity=f"victim-{i}/unrelated-{j}",
-            )
-            negatives.append((neg, neg.tag))
-        unrelated_map[model.identity] = tuple(negatives)
+            useed = derive_seed(config.seed, STREAM_UNRELATED_MODEL, i, j)
+            jobs.append(unrelated_job(
+                utrain, config.arch, config.train, useed, identity=f"victim-{i}/unrelated-{j}"
+            ))
+        model, *negatives = fit_stack(jobs)
+        victims.append(Victim(model, train_data, test_data, task))
+        unrelated_map[model.identity] = tuple((neg, neg.tag) for neg in negatives)
+
+    columns = []
+    for k, tag in enumerate(config.stolen):
+        column = [
+            _build_stolen(victim, tag, config, derive_seed(config.seed, STREAM_STOLEN, i, k))
+            for i, victim in enumerate(victims)
+        ]
+        if column and isinstance(column[0], TrainJob):
+            column = fit_stack(column)
+        columns.append(column)
+    rows = zip(victims, zip(*columns))
+    stolen = {v.model.identity: tuple((out, out.tag) for out in row) for v, row in rows}
     return BenchmarkTriplet(tuple(victims), stolen, unrelated_map, config)
 
 
@@ -583,6 +586,8 @@ def evaluate(
     Two aggregates are reported per run and labeled explicitly: the mean
     of per-task TPRs and the TPR of all pairs pooled across tasks.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     spec = scheme.spec if isinstance(scheme, FingerprintScheme) else scheme
     if budget is not None and budget != spec.budget:
         spec = replace(spec, budget=int(budget))

@@ -175,10 +175,17 @@ class AdversarialSampler(Sampler):
     per-dimension range of the seed pool, and the step size to eps / 8.
     """
 
-    eps: float | None = None
+    eps: float | tuple[float, ...] | None = None
     steps: int = 20
     step_size: float | None = None
     name = "adversarial"
+
+    def __post_init__(self):
+        if self.eps is not None:
+            eps = np.asarray(self.eps, dtype=np.float64)
+            if eps.ndim > 1:
+                raise ValueError(f"eps must be a scalar or a vector, got shape {eps.shape}")
+            object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else tuple(eps.tolist()))
 
     def seed_budget(self, budget):
         return budget // 2

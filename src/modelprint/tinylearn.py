@@ -8,8 +8,9 @@ bit-reproducible from its seeds; there is no adaptive-optimizer state.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,18 +198,18 @@ def _act_grad_from_output(name: str, A: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    Z = logits - logits.max(axis=1, keepdims=True)
+    Z = logits - logits.max(axis=-1, keepdims=True)
     E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+    return E / E.sum(axis=-1, keepdims=True)
 
 
 def _forward(weights, activation: str, X: np.ndarray):
-    """Activations per layer plus final logits."""
+    """Activations per layer plus final logits; works on one model or a stack."""
     A = [X]
     for W, b in weights[:-1]:
-        A.append(_act(activation, A[-1] @ W + b))
+        A.append(_act(activation, A[-1] @ W + b[..., None, :]))
     W, b = weights[-1]
-    return A, A[-1] @ W + b
+    return A, A[-1] @ W + b[..., None, :]
 
 
 def init_layer(fan_in: int, fan_out: int, rng: np.random.Generator):
@@ -223,47 +224,43 @@ def init_weights(spec: MLPSpec, rng: np.random.Generator):
     return [init_layer(i, o, rng) for i, o in zip(widths[:-1], widths[1:])]
 
 
-def _sgd_epochs(
-    weights,
-    activation: str,
-    X: np.ndarray,
-    T: np.ndarray,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> list[float]:
-    """Run ``cfg.epochs`` of SGD in place on ``weights``; return epoch losses.
+def _sgd_epochs(weights, activation: str, X, T, cfg: TrainConfig, rngs, names):
+    """Run ``cfg.epochs`` of SGD in place on K stacked models; return K loss histories.
 
-    ``T`` holds per-point target distributions (one-hot for hard labels).
-    The recorded loss is mean cross-entropy of the targets, which for
-    distillation differs from the KL objective only by the constant
-    target entropy; the gradients coincide.
+    Layers are ``(W (K, i, o), b (K, o))``, ``X`` is ``(K, n, d)``, ``T`` holds ``(K, n, C)``
+    target distributions and ``rngs[k]`` alone shuffles model k.  Products are one
+    BLAS call per model and reductions stay within a model, so each model is
+    bit-identical to training it alone.  The loss is mean cross-entropy of the
+    targets (for distillation, KL plus the constant target entropy: same gradients).
     """
-    n = X.shape[0]
+    K, n = X.shape[:2]
     lr, wd = cfg.learning_rate, cfg.weight_decay
+    rows = np.arange(K)[:, None]
     history = []
     for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        loss_sum = 0.0
+        perms = np.stack([rng.permutation(n) for rng in rngs])
+        Xp, Tp = X[rows, perms], T[rows, perms]
+        loss_sum = np.zeros(K)
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            Xb, Tb = X[idx], T[idx]
+            Xb, Tb = Xp[:, start : start + cfg.batch_size], Tp[:, start : start + cfg.batch_size]
             A, logits = _forward(weights, activation, Xb)
             P = softmax(logits)
-            loss_sum += -np.sum(Tb * np.log(np.maximum(P, 1e-300)))
-            g = (P - Tb) / len(idx)
+            loss_sum += -np.sum(Tb * np.log(np.maximum(P, 1e-300)), axis=(1, 2))
+            g = (P - Tb) / Xb.shape[1]
             for layer in reversed(range(len(weights))):
                 W, b = weights[layer]
-                dW = A[layer].T @ g + wd * W
-                db = g.sum(axis=0)
+                dW = np.swapaxes(A[layer], 1, 2) @ g + wd * W
+                db = g.sum(axis=1)
                 if layer > 0:
-                    g = (g @ W.T) * _act_grad_from_output(activation, A[layer])
+                    g = (g @ np.swapaxes(W, 1, 2)) * _act_grad_from_output(activation, A[layer])
                 W -= lr * dW
                 b -= lr * db
         epoch_loss = loss_sum / n
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(f"non-finite loss {epoch_loss} during SGD")
-        history.append(float(epoch_loss))
-    return history
+        if not np.isfinite(epoch_loss).all():
+            k = int(np.argmin(np.isfinite(epoch_loss)))
+            raise TrainingDiverged(f"non-finite loss {epoch_loss[k]} during SGD of {names[k]}")
+        history.append(epoch_loss)
+    return np.array(history).T.tolist()
 
 
 class MLPClassifier(Classifier):
@@ -375,30 +372,61 @@ class LinearClassifier(Classifier):
         return D @ self.W
 
 
-def train(
-    dataset: LabeledDataset,
-    arch: MLPSpec,
-    cfg: TrainConfig = TrainConfig(),
-    soft_targets=None,
-    identity: str | None = None,
-    tag=None,
-) -> MLPClassifier:
-    """Train an MLP; deterministic given (dataset, arch, cfg).
+@dataclass
+class TrainJob:
+    """One model's SGD run before fitting; ``rng`` shuffles its epochs, ``weights`` start it."""
 
-    ``arch.seed`` drives both initialization and epoch shuffling.  With
-    ``loss="distillation-kl"`` the per-point target distributions must be
-    supplied via ``soft_targets`` (shape ``(n, C)``); otherwise targets
-    are one-hot on the dataset labels.
+    weights: list
+    X: np.ndarray
+    T: np.ndarray
+    rng: np.random.Generator
+    spec: MLPSpec
+    cfg: TrainConfig
+    identity: str | None = None
+    tag: object = None
+
+
+def fit_stack(jobs) -> list[MLPClassifier]:
+    """Fit jobs as one stacked SGD pass; each model is bit-identical to fitting it alone.
+
+    The jobs must share layer widths, activation, data shapes and ``TrainConfig``
+    apart from ``loss``, which only says where the targets came from.
     """
-    if dataset.dim != arch.layer_widths[0]:
-        raise IncompatibleTask(
-            f"dataset dimension {dataset.dim} != input width {arch.layer_widths[0]}"
-        )
-    if dataset.num_classes != arch.layer_widths[-1]:
-        raise IncompatibleTask(
-            f"dataset has {dataset.num_classes} classes, output width is "
-            f"{arch.layer_widths[-1]}"
-        )
+    shapes = [(job.spec.layer_widths, job.spec.activation, replace(job.cfg, loss=LOSSES[0]),
+               job.X.shape, job.T.shape) for job in jobs]
+    for shape in shapes:
+        if shape != shapes[0]:
+            raise ValueError(f"cannot stack {shape} with {shapes[0]}")
+    # per layer, the jobs' (W, b) pairs become one (W (K, i, o), b (K, o)) pair
+    weights = [tuple(map(np.stack, zip(*layer))) for layer in zip(*[job.weights for job in jobs])]
+    histories = _sgd_epochs(
+        weights, jobs[0].spec.activation, np.stack([job.X for job in jobs]),
+        np.stack([job.T for job in jobs]), jobs[0].cfg, [job.rng for job in jobs],
+        [job.identity or f"model {k}" for k, job in enumerate(jobs)],
+    )
+    return [
+        MLPClassifier(job.spec, [(W[k], b[k]) for W, b in weights], identity=job.identity,
+                      tag=job.tag, train_loss=history)
+        for k, (job, history) in enumerate(zip(jobs, histories))
+    ]
+
+
+def fitted(job_fn):
+    """Builds ``job_fn``'s job and fits it alone; named without the ``_job`` suffix."""
+    @functools.wraps(job_fn)
+    def fit(*args, **kwargs) -> MLPClassifier:
+        return fit_stack([job_fn(*args, **kwargs)])[0]
+    fit.__name__ = fit.__qualname__ = job_fn.__name__.removesuffix("_job")
+    return fit
+
+
+def make_job(weights, dataset: LabeledDataset, spec: MLPSpec, cfg: TrainConfig, rng,
+             identity=None, tag=None, soft_targets=None) -> TrainJob:
+    """A job fitting ``spec``-shaped ``weights`` to ``dataset``, once they match."""
+    widths = spec.layer_widths
+    if (dataset.dim, dataset.num_classes) != (widths[0], widths[-1]):
+        raise IncompatibleTask(f"a dataset of dimension {dataset.dim} with "
+                               f"{dataset.num_classes} classes does not fit layer widths {widths}")
     n, C = len(dataset), dataset.num_classes
     if cfg.loss == "distillation-kl":
         if soft_targets is None:
@@ -408,35 +436,43 @@ def train(
             raise ValueError(f"soft_targets must have shape ({n}, {C}), got {T.shape}")
     else:
         T = one_hot(dataset.labels, C)
+    return TrainJob(weights, dataset.points, T, rng, spec, cfg, identity, tag)
 
+
+def train_job(
+    dataset: LabeledDataset,
+    arch: MLPSpec,
+    cfg: TrainConfig = TrainConfig(),
+    soft_targets=None,
+    identity: str | None = None,
+    tag=None,
+) -> TrainJob:
+    """Train an MLP (``train`` fits this job); deterministic given (dataset, arch, cfg).
+
+    ``arch.seed`` drives both initialization and epoch shuffling.  With
+    ``loss="distillation-kl"`` the per-point target distributions must be
+    supplied via ``soft_targets`` (shape ``(n, C)``); otherwise targets
+    are one-hot on the dataset labels.
+    """
     rng = np.random.default_rng(arch.seed)
-    weights = init_weights(arch, rng)
-    history = _sgd_epochs(weights, arch.activation, dataset.points, T, cfg, rng)
-    return MLPClassifier(arch, weights, identity=identity, tag=tag, train_loss=history)
+    return make_job(init_weights(arch, rng), dataset, arch, cfg, rng, identity, tag, soft_targets)
 
 
-def continue_training(
+def continue_training_job(
     model: MLPClassifier,
     dataset: LabeledDataset,
     cfg: TrainConfig,
     seed: int,
     identity: str,
     tag=None,
-) -> MLPClassifier:
-    """More SGD epochs from an existing model's weights; the source is untouched."""
-    if dataset.dim != model.input_dim:
-        raise IncompatibleTask(
-            f"dataset dimension {dataset.dim} != model input {model.input_dim}"
-        )
-    if dataset.num_classes != model.num_classes:
-        raise IncompatibleTask(
-            f"dataset has {dataset.num_classes} classes, model has {model.num_classes}"
-        )
-    weights = [(W.copy(), b.copy()) for W, b in model.weights]
-    T = one_hot(dataset.labels, model.num_classes)
+) -> TrainJob:
+    """More SGD epochs from a model's weights (``continue_training`` fits this job)."""
     rng = np.random.default_rng(seed)
-    history = _sgd_epochs(weights, model.spec.activation, dataset.points, T, cfg, rng)
-    return MLPClassifier(model.spec, weights, identity=identity, tag=tag, train_loss=history)
+    return make_job(list(model.weights), dataset, model.spec, cfg, rng, identity, tag)
+
+
+train = fitted(train_job)
+continue_training = fitted(continue_training_job)
 
 
 # ---------------------------------------------------------------------------

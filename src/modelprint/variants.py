@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Access, Classifier, LabeledDataset, one_hot
+from .core import Access, Classifier, LabeledDataset
 from .errors import (
     DegeneratePrune,
     DegenerateQuantization,
@@ -26,10 +26,14 @@ from .tinylearn import (
     MLPClassifier,
     MLPSpec,
     TrainConfig,
-    continue_training,
+    TrainJob,
+    continue_training,  # noqa: F401  (patched by the benchmark's tracer)
+    continue_training_job,
+    fitted,
     init_layer,
+    make_job,
     train,
-    _sgd_epochs,
+    train_job,
 )
 
 STEALING_METHODS = (
@@ -138,51 +142,37 @@ def quantize(h: Classifier, bits: int) -> MLPClassifier:
     return h.clone(f"{h.identity}#q{bits}", weights=weights, tag=tag)
 
 
-def finetune(
+def finetune_job(
     h: Classifier,
     data: LabeledDataset,
     cfg: TrainConfig | None = None,
     seed: int = 0,
-) -> MLPClassifier:
-    """A few more SGD epochs from the victim's weights."""
+) -> TrainJob:
+    """A few more SGD epochs from the victim's weights (``finetune`` fits this job)."""
     h = _require_mlp(h)
     cfg = cfg or TrainConfig(epochs=5, learning_rate=0.01)
     tag = TaskTag("finetune", {"epochs": cfg.epochs, "seed": int(seed)})
-    return continue_training(
-        h, data, cfg, seed, identity=f"{h.identity}#ft{seed}", tag=tag
-    )
+    return continue_training_job(h, data, cfg, seed, identity=f"{h.identity}#ft{seed}", tag=tag)
 
 
-def transfer(
+def transfer_job(
     h: Classifier,
     new_task_data: LabeledDataset,
     cfg: TrainConfig | None = None,
     seed: int = 0,
-) -> MLPClassifier:
-    """Reinitialize the output layer, then train on a different task."""
+) -> TrainJob:
+    """Reinitialize the output layer, then train on another task (``transfer`` fits this job)."""
     h = _require_mlp(h)
     cfg = cfg or TrainConfig(epochs=20, learning_rate=0.02)
-    if new_task_data.dim != h.input_dim:
-        raise IncompatibleTask(
-            f"new task dimension {new_task_data.dim} != model input {h.input_dim}"
-        )
-    new_c = new_task_data.num_classes
-    widths = h.spec.layer_widths[:-1] + (new_c,)
+    widths = h.spec.layer_widths[:-1] + (new_task_data.num_classes,)
     spec = MLPSpec(widths, h.spec.activation, seed=int(seed))
     rng = np.random.default_rng(seed)
-    head = init_layer(widths[-2], new_c, rng)
-    weights = [(W.copy(), b.copy()) for W, b in h.weights[:-1]] + [head]
-    T = one_hot(new_task_data.labels, new_c)
-    history = _sgd_epochs(
-        weights, spec.activation, new_task_data.points, T, cfg, rng
-    )
+    weights = list(h.weights[:-1]) + [init_layer(widths[-2], widths[-1], rng)]
     tag = TaskTag("transfer", {"epochs": cfg.epochs, "seed": int(seed)})
-    return MLPClassifier(
-        spec, weights, identity=f"{h.identity}#tr{seed}", tag=tag, train_loss=history
-    )
+    return make_job(weights, new_task_data, spec, cfg, rng, f"{h.identity}#tr{seed}", tag)
 
 
-def extract(
+def extract_job(
     h_victim: Classifier,
     query_pool: LabeledDataset,
     arch: MLPSpec,
@@ -191,7 +181,7 @@ def extract(
     seed: int = 0,
     n_adversarial: int | None = None,
     adv_steps: int = 20,
-) -> MLPClassifier:
+) -> TrainJob:
     """Train a substitute model from the victim's answers on a query pool.
 
     ``labels`` fits a fresh model to the victim's labels with
@@ -199,7 +189,7 @@ def extract(
     a KL objective; ``adversarial_labels`` first trains an interim model
     on the victim's labels, generates gradient-ascent queries against
     that interim model, labels them with the victim, and finishes
-    training on the augmented pool.
+    training on the augmented pool: the job is that run (``extract`` fits it).
     """
     if mode not in EXTRACTION_MODES:
         raise ValueError(f"mode must be one of {sorted(EXTRACTION_MODES)}")
@@ -211,18 +201,14 @@ def extract(
     X = query_pool.points
     victim_labels = h_victim.predict(X)
     tag = TaskTag(method, {"pool_size": len(query_pool), "seed": int(seed)})
+    ds = LabeledDataset(X, victim_labels, h_victim.num_classes, np.full(len(X), "train"))
 
     if mode == "probits":
-        targets = h_victim.probits(X)
-        ds = LabeledDataset(
-            X, victim_labels, h_victim.num_classes, np.full(len(X), "train")
-        )
         kl_cfg = replace(cfg, loss="distillation-kl")
-        return train(ds, arch, kl_cfg, soft_targets=targets, identity=identity, tag=tag)
-
-    ds = LabeledDataset(X, victim_labels, h_victim.num_classes, np.full(len(X), "train"))
+        targets = h_victim.probits(X)
+        return train_job(ds, arch, kl_cfg, soft_targets=targets, identity=identity, tag=tag)
     if mode == "labels":
-        return train(ds, arch, cfg, identity=identity, tag=tag)
+        return train_job(ds, arch, cfg, identity=identity, tag=tag)
 
     # adversarial label extraction: warmup, attack own interim model,
     # ask the victim for labels on the attack points, finish training
@@ -252,22 +238,26 @@ def extract(
         method,
         {"pool_size": len(query_pool), "n_adversarial": int(n_adv), "seed": int(seed)},
     )
-    return continue_training(interim, aug, rest_cfg, s_rest, identity, tag=tag)
+    return continue_training_job(interim, aug, rest_cfg, s_rest, identity, tag=tag)
 
 
-def unrelated(
+def unrelated_job(
     task_data: LabeledDataset,
     arch: MLPSpec,
     cfg: TrainConfig,
     seed: int = 0,
     identity: str | None = None,
-) -> MLPClassifier:
-    """An independently initialized and trained model (negative-pair source)."""
+) -> TrainJob:
+    """An independently trained model, a negative-pair source (``unrelated`` fits this job)."""
     arch = replace(arch, seed=int(seed))
     tag = TaskTag("unrelated", {"seed": int(seed)})
-    return train(
-        task_data, arch, cfg, identity=identity or f"unrelated-{seed}", tag=tag
-    )
+    return train_job(task_data, arch, cfg, identity=identity or f"unrelated-{seed}", tag=tag)
+
+
+finetune = fitted(finetune_job)
+transfer = fitted(transfer_job)
+extract = fitted(extract_job)
+unrelated = fitted(unrelated_job)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for fingerprint representations, distances, and calibration."""
 
+import json
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +12,8 @@ from hypothesis import strategies as st
 
 from modelprint.errors import (
     AccessInsufficient,
+    CorruptFingerprint,
+    ModelprintError,
     EmptyCalibrationPool,
     IncomparableFingerprints,
     PairingRequired,
@@ -225,3 +232,103 @@ class TestSerialization:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Fingerprint("pairwise", np.zeros(3), {"sampler": "x"}, 8)
+
+
+def fingerprint_bytes(header: dict, payload: bytes) -> bytes:
+    head = json.dumps(header).encode()
+    return b"FPR1" + struct.pack("<I", len(head)) + head + payload
+
+
+def mutated_label_fingerprint(n, at, value, keep):
+    """A valid raw-label fingerprint of n queries, one byte set to value, cut to keep bytes."""
+    header = {"kind": "raw_labels", "n_queries": n, "shape": [n], "dtype": "<i8",
+              "query_provenance": {"sampler": "uniform"}}
+    data = bytearray(fingerprint_bytes(header, np.arange(n, dtype="<i8").tobytes()))
+    data[at % len(data)] = value
+    return bytes(data[: max(keep, len(data) - 8)])
+
+
+class TestCorruptFingerprint:
+    @pytest.fixture
+    def raw(self, tmp_path):
+        qs = paired_query_set(8)
+        fp = represent(qs, random_probits(np.random.default_rng(5), 8), "raw_probits")
+        path = tmp_path / "fp.bin"
+        save_fingerprint(fp, path)
+        return path.read_bytes()
+
+    def load(self, data: bytes, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(data)
+        with pytest.raises(CorruptFingerprint) as err:
+            load_fingerprint(path)
+        assert err.value.code == "corrupt-fingerprint"
+        return str(err.value)
+
+    def header(self, raw):
+        (hlen,) = struct.unpack_from("<I", raw, 4)
+        return json.loads(raw[8 : 8 + hlen]), raw[8 + hlen :]
+
+    def test_foreign_file(self, tmp_path):
+        assert "not a fingerprint" in self.load(b"junk", tmp_path)
+
+    @pytest.mark.parametrize("keep", [4, 6, 20])
+    def test_short_header(self, raw, tmp_path, keep):
+        assert "header" in self.load(raw[:keep], tmp_path)
+
+    def test_bad_header_json(self, raw, tmp_path):
+        head = b"{not json"
+        assert "bad header" in self.load(b"FPR1" + struct.pack("<I", len(head)) + head, tmp_path)
+
+    @pytest.mark.parametrize("key", ["kind", "n_queries", "shape", "dtype", "query_provenance"])
+    def test_missing_header_key(self, raw, tmp_path, key):
+        header, payload = self.header(raw)
+        del header[key]
+        assert key in self.load(fingerprint_bytes(header, payload), tmp_path)
+
+    @pytest.mark.parametrize("dtype", ["|O", "<U4", "complex128", "nonsense"])
+    def test_unknown_dtype(self, raw, tmp_path, dtype):
+        header, payload = self.header(raw)
+        header["dtype"] = dtype
+        self.load(fingerprint_bytes(header, payload), tmp_path)
+
+    def test_truncated_payload(self, raw, tmp_path):
+        assert "payload" in self.load(raw[:-3], tmp_path)
+
+    def test_trailing_bytes(self, raw, tmp_path):
+        assert "payload" in self.load(raw + b"\x00", tmp_path)
+
+    def test_shape_disagrees_with_payload(self, raw, tmp_path):
+        header, payload = self.header(raw)
+        header["shape"] = header["shape"][::-1]
+        self.load(fingerprint_bytes(header, payload), tmp_path)
+
+    @given(data=st.one_of(
+        st.builds(mutated_label_fingerprint, st.integers(0, 6), st.integers(0, 300),
+                  st.integers(0, 255), st.integers(0, 300)),
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda tail: b"FPR1" + tail),
+        st.builds(
+            lambda header, payload: fingerprint_bytes(header, payload),
+            st.fixed_dictionaries({
+                "kind": st.sampled_from(["raw_labels", "raw_probits", "pairwise", "listwise", 3]),
+                "n_queries": st.one_of(st.integers(-2, 6), st.booleans(), st.text(max_size=2)),
+                "shape": st.one_of(st.lists(st.integers(-1, 6), max_size=3), st.integers()),
+                "dtype": st.sampled_from(["<f8", "<i8", ">f4", "|b1", "|O", "<U2", "x", 7]),
+                "query_provenance": st.one_of(st.dictionaries(st.text(max_size=3), st.integers()),
+                                              st.none()),
+            }),
+            st.binary(max_size=96),
+        ),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_load_or_raise_modelprint_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.bin"
+            path.write_bytes(data)
+            try:
+                fp = load_fingerprint(path)
+            except ModelprintError:
+                return
+        assert isinstance(fp, Fingerprint)
+        assert fp.payload.dtype.kind in "biuf"

@@ -1,15 +1,25 @@
 """Tests for benchmark construction, metrics, evaluation, and reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import modelprint as mp
 from modelprint.errors import EmptyPairSet, EmptyTaskList
 from modelprint.harness import (
+    STREAM_POOL,
+    STREAM_STOLEN,
+    STREAM_TRANSFER,
+    STREAM_UNRELATED_MODEL,
+    STREAM_UNRELATED_TASK,
+    STREAM_VICTIM_MODEL,
+    STREAM_VICTIM_TASK,
     BenchmarkConfig,
     PairScore,
     budget_sweep,
     build_benchmark,
+    derive_seed,
     evaluate,
     load_benchmark,
     pair_distance_report,
@@ -20,7 +30,8 @@ from modelprint.harness import (
 )
 from modelprint.samplers import Subsampler
 from modelprint.schemes import SchemeSpec, mistake_match_scheme
-from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig
+from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig, generate_task, train
+from modelprint.variants import extract, finetune, same_copy, transfer, unrelated
 
 
 def micro_config(**overrides):
@@ -93,6 +104,71 @@ class TestBuildBenchmark:
         bench = build_benchmark(micro_config(n_victims=1, stolen=tags, n_unrelated=1))
         methods = [tag.method for _, tag in bench.stolen["victim-0"]]
         assert methods == ["transfer", "adversarial_label_extraction"]
+
+
+def one_at_a_time(config: BenchmarkConfig, i: int) -> list:
+    """Victim i, its stolen models and its unrelated models, each trained alone."""
+    root = config.seed
+    task = replace(config.task, seed=derive_seed(root, STREAM_VICTIM_TASK, i))
+    train_data, _ = generate_task(task)
+    arch = replace(config.arch, seed=derive_seed(root, STREAM_VICTIM_MODEL, i))
+    victim = train(train_data, arch, config.train, identity=f"victim-{i}")
+    models = [victim]
+    for k, tag in enumerate(config.stolen):
+        seed, params = derive_seed(root, STREAM_STOLEN, i, k), tag.params
+        if tag.method == "same":
+            models.append(same_copy(victim, identity=f"victim-{i}#same0"))
+        elif tag.method == "finetune":
+            cfg = TrainConfig(epochs=params["epochs"], learning_rate=0.01)
+            models.append(finetune(victim, train_data, cfg, seed=seed))
+        elif tag.method == "transfer":
+            new_task = replace(
+                config.task,
+                seed=derive_seed(root, STREAM_TRANSFER, seed),
+                concept_seed=derive_seed(root, STREAM_TRANSFER, seed, 1),
+            )
+            cfg = TrainConfig(epochs=params["epochs"], learning_rate=0.02)
+            models.append(transfer(victim, generate_task(new_task)[0], cfg, seed=seed))
+        else:
+            rng = np.random.default_rng(derive_seed(seed, STREAM_POOL))
+            pool = train_data.take(rng.choice(len(train_data), params["pool_size"], replace=False))
+            mode = {"label_extraction": "labels", "probit_extraction": "probits",
+                    "adversarial_label_extraction": "adversarial_labels"}[tag.method]
+            models.append(extract(victim, pool, config.arch, config.train, mode=mode, seed=seed,
+                                  n_adversarial=params.get("n_adversarial")))
+    for j in range(config.n_unrelated):
+        utask = replace(config.task, seed=derive_seed(root, STREAM_UNRELATED_TASK, i, j))
+        models.append(unrelated(
+            generate_task(utask)[0], config.arch, config.train,
+            seed=derive_seed(root, STREAM_UNRELATED_MODEL, i, j),
+            identity=f"victim-{i}/unrelated-{j}",
+        ))
+    return models
+
+
+class TestStackedBuild:
+    def test_models_byte_equal_to_one_at_a_time(self):
+        tags = (
+            mp.TaskTag("same"),
+            mp.TaskTag("finetune", {"epochs": 3}),
+            mp.TaskTag("transfer", {"epochs": 4}),
+            mp.TaskTag("label_extraction", {"pool_size": 60}),
+            mp.TaskTag("probit_extraction", {"pool_size": 80}),
+            mp.TaskTag("adversarial_label_extraction", {"pool_size": 60, "n_adversarial": 20}),
+        )
+        config = micro_config(n_victims=3, stolen=tags, n_unrelated=3)
+        bench = build_benchmark(config)
+        for i, victim in enumerate(bench.victims):
+            vid = victim.model.identity
+            built = [victim.model] + [m for m, _ in bench.stolen[vid] + bench.unrelated[vid]]
+            expected = one_at_a_time(config, i)
+            assert [m.identity for m in built] == [m.identity for m in expected]
+            for got, want in zip(built, expected):
+                assert got.tag == want.tag
+                assert got.spec == want.spec
+                assert got.train_loss == want.train_loss
+                for (W, b), (We, be) in zip(got.weights, want.weights):
+                    assert W.tobytes() == We.tobytes() and b.tobytes() == be.tobytes()
 
 
 class TestManifest:
@@ -323,6 +399,14 @@ class TestEvaluate:
 
 
 class TestBudgetSweep:
+    def test_negative_seed_rejected_before_any_cell(self, mini_benchmark):
+        for run in (
+            lambda: evaluate(mistake_match_scheme(), mini_benchmark, n_runs=1, seed=-1),
+            lambda: budget_sweep(mistake_match_scheme(), mini_benchmark, [10], seed=-3),
+        ):
+            with pytest.raises(ValueError, match="seed must be >= 0, got -"):
+                run()
+
     def test_ascending_budgets_enforced(self, mini_benchmark):
         with pytest.raises(ValueError):
             budget_sweep(mistake_match_scheme(), mini_benchmark, [50, 10], n_runs=1)

@@ -1,5 +1,7 @@
 """Tests for scheme assembly and the mistake-matching baseline."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -166,6 +168,19 @@ class TestSchemeSpec:
             seed_split="train",
         )
         assert SchemeSpec.from_record(spec.to_record()) == spec
+
+    def test_vector_eps_json_round_trip(self):
+        spec = SchemeSpec(
+            sampler=AdversarialSampler(eps=np.array([0.1, 0.2, 0.3, 0.4]), steps=5),
+            representation="raw_labels",
+            budget=20,
+        )
+        back = SchemeSpec.from_record(json.loads(json.dumps(spec.to_record())))
+        assert back == spec
+        assert back.sampler.eps == (0.1, 0.2, 0.3, 0.4)
+        assert AdversarialSampler(eps=np.float64(0.3)).eps == 0.3
+        with pytest.raises(ValueError, match="eps"):
+            AdversarialSampler(eps=np.ones((2, 2)))
 
     def test_probit_requirement_derived(self):
         assert SchemeSpec(sampler=UniformSampler(), representation="raw_probits").needs_probits

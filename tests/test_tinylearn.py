@@ -1,24 +1,37 @@
 """Tests for synthetic tasks and the hand-rolled MLP training stack."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modelprint as mp
-from modelprint.errors import CorruptWeights, InfeasibleTask, TrainingDiverged
+from modelprint.errors import (
+    CorruptWeights,
+    InfeasibleTask,
+    ModelprintError,
+    TrainingDiverged,
+)
 from modelprint.tinylearn import (
     LinearClassifier,
     MLPClassifier,
     MLPSpec,
     SyntheticTaskSpec,
     TrainConfig,
+    TrainJob,
     _blob_centers,
+    _sgd_epochs,
+    fit_stack,
     generate_task,
     init_weights,
     load_weights,
     save_weights,
     train,
+    train_job,
 )
 
 from conftest import QUICK_ARCH, QUICK_CFG, QUICK_TASK
@@ -146,6 +159,153 @@ class TestTraining:
             train(train_ds, QUICK_ARCH, TrainConfig(loss="distillation-kl"))
 
 
+def reference_sgd_epochs(weights, activation, X, T, cfg, rng):
+    """One model at a time, on 2-D arrays: the loop that stacked SGD replaced."""
+
+    def act(Z):
+        return np.maximum(Z, 0.0) if activation == "relu" else np.tanh(Z)
+
+    def act_grad(A):
+        return (A > 0.0).astype(np.float64) if activation == "relu" else 1.0 - A * A
+
+    def forward(Xb):
+        A = [Xb]
+        for W, b in weights[:-1]:
+            A.append(act(A[-1] @ W + b))
+        W, b = weights[-1]
+        return A, A[-1] @ W + b
+
+    def softmax(logits):
+        Z = logits - logits.max(axis=1, keepdims=True)
+        E = np.exp(Z)
+        return E / E.sum(axis=1, keepdims=True)
+
+    n = X.shape[0]
+    lr, wd = cfg.learning_rate, cfg.weight_decay
+    history = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            Xb, Tb = X[idx], T[idx]
+            A, logits = forward(Xb)
+            P = softmax(logits)
+            loss_sum += -np.sum(Tb * np.log(np.maximum(P, 1e-300)))
+            g = (P - Tb) / len(idx)
+            for layer in reversed(range(len(weights))):
+                W, b = weights[layer]
+                dW = A[layer].T @ g + wd * W
+                db = g.sum(axis=0)
+                if layer > 0:
+                    g = (g @ W.T) * act_grad(A[layer])
+                W -= lr * dW
+                b -= lr * db
+        epoch_loss = loss_sum / n
+        if not np.isfinite(epoch_loss):
+            raise TrainingDiverged(f"non-finite loss {epoch_loss} during SGD")
+        history.append(float(epoch_loss))
+    return history
+
+
+def random_job(k, spec, n, cfg, soft=False):
+    """Model k of a stack: its own data, targets, initial weights and shuffle stream."""
+    data_rng = np.random.default_rng(1000 + k)
+    C = spec.layer_widths[-1]
+    X = data_rng.normal(size=(n, spec.layer_widths[0]))
+    if soft:
+        T = data_rng.dirichlet(np.ones(C), size=n)
+    else:
+        T = np.eye(C)[data_rng.integers(0, C, n)]
+    rng = np.random.default_rng(k)
+    return TrainJob(init_weights(spec, rng), X, T, rng, spec, cfg, identity=f"model-{k}")
+
+
+class TestStackedSGD:
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize(
+        "activation, cfg, soft",
+        [
+            ("relu", TrainConfig(epochs=4, batch_size=16), False),
+            ("tanh", TrainConfig(epochs=4, batch_size=16), False),
+            ("relu", TrainConfig(epochs=4, batch_size=16, loss="distillation-kl"), True),
+            ("tanh", TrainConfig(epochs=4, batch_size=16, weight_decay=0.01), False),
+            ("relu", TrainConfig(epochs=3, batch_size=32, weight_decay=0.001), True),
+        ],
+    )
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_bit_identical_to_one_at_a_time(self, K, activation, cfg, soft, n):
+        spec = MLPSpec((5, 12, 7, 4), activation=activation)
+        jobs = [random_job(k, spec, n, cfg, soft) for k in range(K)]
+        expected = []
+        for k in range(K):
+            ref = random_job(k, spec, n, cfg, soft)
+            weights = [(W.copy(), b.copy()) for W, b in ref.weights]
+            history = reference_sgd_epochs(weights, activation, ref.X, ref.T, cfg, ref.rng)
+            expected.append((weights, history))
+
+        weights = [
+            tuple(np.stack([job.weights[layer][part] for job in jobs]) for part in (0, 1))
+            for layer in range(3)
+        ]
+        X = np.stack([job.X for job in jobs])
+        T = np.stack([job.T for job in jobs])
+        histories = _sgd_epochs(
+            weights, activation, X, T, cfg, [job.rng for job in jobs], ["a", "b", "c"]
+        )
+        assert len(histories) == K
+        for k, (ref_weights, ref_history) in enumerate(expected):
+            assert histories[k] == ref_history
+            for (W, b), (We, be) in zip(weights, ref_weights):
+                assert W[k].tobytes() == We.tobytes()
+                assert b[k].tobytes() == be.tobytes()
+
+    def test_fit_stack_matches_train(self, quick_task):
+        train_ds, _ = quick_task
+        one = train(train_ds, QUICK_ARCH, QUICK_CFG, identity="one")
+        other = random_job(9, QUICK_ARCH, len(train_ds), QUICK_CFG)
+        stacked, _ = fit_stack([train_job(train_ds, QUICK_ARCH, QUICK_CFG, identity="one"), other])
+        assert stacked.identity == "one"
+        assert stacked.train_loss == one.train_loss
+        for (W, b), (We, be) in zip(stacked.weights, one.weights):
+            assert W.tobytes() == We.tobytes() and b.tobytes() == be.tobytes()
+
+    def test_one_diverging_model_raises_naming_it(self):
+        spec = MLPSpec((5, 8, 3))
+        cfg = TrainConfig(epochs=3, batch_size=16)
+        jobs = [random_job(k, spec, 40, cfg) for k in range(3)]
+        jobs[1].X = jobs[1].X * 1e300
+        with pytest.raises(TrainingDiverged, match="model-1"), np.errstate(all="ignore"):
+            fit_stack(jobs)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda job: TrainJob(job.weights[:1], job.X, job.T, job.rng,
+                                 MLPSpec((5, 8, 3), "tanh"), job.cfg),
+            lambda job: TrainJob(job.weights, job.X[:30], job.T[:30], job.rng, job.spec, job.cfg),
+            lambda job: TrainJob(job.weights, job.X, job.T, job.rng, job.spec,
+                                 TrainConfig(epochs=4, batch_size=16)),
+            lambda job: TrainJob(job.weights, job.X, job.T, job.rng, job.spec,
+                                 TrainConfig(epochs=3, batch_size=8)),
+        ],
+        ids=["activation", "n", "epochs", "batch_size"],
+    )
+    def test_mismatched_jobs_rejected(self, change):
+        spec = MLPSpec((5, 8, 3))
+        cfg = TrainConfig(epochs=3, batch_size=16)
+        jobs = [random_job(k, spec, 40, cfg) for k in range(2)]
+        with pytest.raises(ValueError, match="cannot stack"):
+            fit_stack([jobs[0], change(jobs[1])])
+
+    def test_loss_alone_may_differ(self):
+        spec = MLPSpec((5, 8, 3))
+        cfg = TrainConfig(epochs=2, batch_size=16)
+        a = random_job(0, spec, 40, cfg)
+        b = random_job(1, spec, 40, TrainConfig(epochs=2, batch_size=16, loss="distillation-kl"))
+        assert len(fit_stack([a, b])) == 2
+
+
 class TestGradients:
     def test_matches_central_finite_differences(self, quick_task):
         train_ds, _ = quick_task
@@ -206,6 +366,13 @@ class TestWeightFiles:
             load_weights(path)
 
 
+def weight_file(widths, act_code, tail):
+    """A weight file of the given widths with an all-zero payload, then tail bytes."""
+    n_params = sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
+    head = b"MPW1" + struct.pack("<HHQI", 1, act_code, 0, len(widths))
+    return head + struct.pack(f"<{len(widths)}I", *widths) + bytes(8 * n_params) + tail
+
+
 class TestCorruptWeights:
     @pytest.fixture
     def raw(self, quick_model, tmp_path):
@@ -233,3 +400,21 @@ class TestCorruptWeights:
 
     def test_trailing_bytes(self, raw, tmp_path):
         assert "payload" in self.load(raw + b"\x00", tmp_path)
+
+    @given(data=st.one_of(
+        st.binary(max_size=80),
+        st.binary(max_size=80).map(lambda tail: b"MPW1" + tail),
+        st.builds(weight_file, st.lists(st.integers(0, 3), max_size=4), st.integers(0, 2),
+                  st.binary(max_size=10)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_load_or_raise_modelprint_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.mpw"
+            path.write_bytes(data)
+            try:
+                model = load_weights(path)
+            except ModelprintError:
+                return
+        assert isinstance(model, MLPClassifier)
+        assert [W.shape[0] for W, _ in model.weights] == list(model.spec.layer_widths[:-1])
