@@ -60,7 +60,7 @@ pool_models = [
 ]
 qs = scheme.query_set(victim, test_ds, seed=1)
 fp_victim = scheme.fingerprint(victim, qs)
-pool = mp.CalibrationPool(tuple(scheme.fingerprint(m, qs) for m in pool_models))
+pool = tuple(scheme.fingerprint(m, qs) for m in pool_models)
 threshold = mp.calibrate_threshold(fp_victim, pool, target_fpr=0.05)
 for name, suspect in [("copy", copycat), ("stranger", stranger)]:
     d = mp.fingerprint_distance(fp_victim, scheme.fingerprint(suspect, qs))

@@ -54,7 +54,6 @@ from .samplers import (
     projected_gradient_ascent,
 )
 from .fingerprints import (
-    CalibrationPool,
     Fingerprint,
     calibrate_threshold,
     cosine_distance,

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -28,12 +29,31 @@ from .harness import (
 from .schemes import SchemeSpec
 
 
+def _at_least(lo: int, text: str) -> int:
+    value = int(text)
+    if value < lo:
+        raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+    return value
+
+
 def _seed(text: str) -> int:
     """The ``--seed`` type: a nonnegative integer, as ``SeedSequence`` needs."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _at_least(0, text)
+
+
+def _count(text: str) -> int:
+    """The ``--budget`` and ``--runs`` type: a positive integer."""
+    return _at_least(1, text)
+
+
+def _budgets(text: str) -> list[int]:
+    """The ``--budgets`` type: a nonempty ascending comma-separated list of counts."""
+    budgets = [_count(b) for b in text.split(",") if b.strip()]
+    if not budgets:
+        raise argparse.ArgumentTypeError("no budgets given")
+    if budgets != sorted(budgets):
+        raise argparse.ArgumentTypeError(f"must be ascending, got {text}")
+    return budgets
 
 
 def _load_json(path: Path) -> dict:
@@ -56,9 +76,7 @@ def _load_scheme(path: Path) -> SchemeSpec:
 def cmd_generate(args) -> int:
     config = BenchmarkConfig.from_record(_load_json(Path(args.config)))
     if args.seed is not None:
-        config = BenchmarkConfig.from_record(
-            config.to_record() | {"seed": int(args.seed)}
-        )
+        config = replace(config, seed=args.seed)
     bench = build_benchmark(config)
     manifest = save_benchmark(bench, args.out)
     n_models = sum(
@@ -97,9 +115,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     bench = load_benchmark(args.benchmark)
-    budgets = [int(b) for b in args.budgets.split(",") if b.strip()]
-    if not budgets:
-        raise ModelprintError("no budgets given")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid_path = out / "sweep.csv"
@@ -116,13 +131,13 @@ def cmd_sweep(args) -> int:
             budget_sweep(
                 spec,
                 bench,
-                budgets,
+                args.budgets,
                 n_runs=args.runs,
                 seed=args.seed,
                 workers=args.workers,
                 cell_callback=flush,
             )
-            print(f"swept {label} over budgets {budgets}")
+            print(f"swept {label} over budgets {args.budgets}")
     print(f"wrote {grid_path}")
     return 0
 
@@ -145,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="run one scheme against a benchmark")
     ev.add_argument("--benchmark", required=True, help="benchmark directory")
     ev.add_argument("--scheme", required=True, help="scheme spec JSON")
-    ev.add_argument("--budget", type=int, default=None, help="query budget override")
-    ev.add_argument("--runs", type=int, default=5, help="number of seeded runs")
+    ev.add_argument("--budget", type=_count, default=None, help="query budget override")
+    ev.add_argument("--runs", type=_count, default=5, help="number of seeded runs")
     ev.add_argument("--seed", type=_seed, default=0, help="root seed (runs use seed..seed+runs-1)")
     ev.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     ev.add_argument("--out", required=True, help="report output directory")
@@ -155,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="budget sweep for one or more schemes")
     sw.add_argument("--benchmark", required=True)
     sw.add_argument("--scheme", required=True, nargs="+", help="scheme spec JSON files")
-    sw.add_argument("--budgets", required=True, help="comma-separated ascending budgets")
-    sw.add_argument("--runs", type=int, default=5)
+    sw.add_argument("--budgets", type=_budgets, required=True,
+                    help="comma-separated ascending budgets")
+    sw.add_argument("--runs", type=_count, default=5)
     sw.add_argument("--seed", type=_seed, default=0)
     sw.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     sw.add_argument("--out", required=True)

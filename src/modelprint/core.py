@@ -21,6 +21,7 @@ from .errors import (
     AccessInsufficient,
     BadClass,
     EmptyEvaluationSet,
+    NonFiniteAnswer,
 )
 
 
@@ -116,7 +117,7 @@ class Classifier(abc.ABC):
     def probits(self, X) -> np.ndarray:
         """Probability vectors, shape ``(n, C)``; rows are >= 0 and sum to 1."""
         self._require(Access.PROBITS, "probit queries")
-        return self._probits(self._as_batch(X))
+        return self._finite_probits(self._as_batch(X))
 
     def input_gradient(self, x, label: int) -> np.ndarray:
         """Gradient of the logit for ``label`` with respect to the input."""
@@ -155,12 +156,19 @@ class Classifier(abc.ABC):
                 f"class index {label} out of range 1..{self.num_classes}"
             )
 
+    def _finite_probits(self, X: np.ndarray) -> np.ndarray:
+        """``_probits``, raising ``NonFiniteAnswer`` on any NaN or inf entry."""
+        P = self._probits(X)
+        if not np.isfinite(P).all():
+            raise NonFiniteAnswer(f"{self.identity}: probits hold NaN or inf")
+        return P
+
     def _predict(self, X: np.ndarray) -> np.ndarray:
         # argmax picks the lowest index on ties, matching the top-k rule
-        return np.argmax(self._probits(X), axis=1).astype(np.int64) + 1
+        return np.argmax(self._finite_probits(X), axis=1).astype(np.int64) + 1
 
     def _top_k(self, X: np.ndarray, k: int) -> np.ndarray:
-        P = self._probits(X)
+        P = self._finite_probits(X)
         order = np.argsort(-P, axis=1, kind="stable")
         return order[:, :k].astype(np.int64) + 1
 
@@ -357,8 +365,7 @@ def accuracy(h: Classifier, data: LabeledDataset) -> float:
 
 def hamming_distance(h: Classifier, g: Classifier, data: LabeledDataset) -> float:
     """Relative Hamming distance: fraction of points where the models differ."""
-    _check_nonempty(data)
-    return float(np.mean(h.predict(data.points) != g.predict(data.points)))
+    return pair_stats(h, g, data).delta
 
 
 def conditioned_hamming(

@@ -104,6 +104,12 @@ class EmptyPairSet(ModelprintError):
     code = "empty-pair-set"
 
 
+class NonFiniteAnswer(ModelprintError):
+    """A model answered with NaN or infinite probits, which no verdict may use."""
+
+    code = "non-finite-answer"
+
+
 class ManifestError(ModelprintError):
     code = "corrupt-manifest"
 

@@ -179,38 +179,15 @@ def fingerprint_distance(a: Fingerprint, b: Fingerprint) -> float:
     return cosine_distance(a.payload, b.payload)
 
 
-@dataclass(frozen=True)
-class CalibrationPool:
-    """Fingerprints of unrelated models, all built from one query set."""
-
-    fingerprints: tuple[Fingerprint, ...]
-
-    def __post_init__(self):
-        fps = tuple(self.fingerprints)
-        for fp in fps[1:]:
-            if fp.kind != fps[0].kind or fp.query_provenance != fps[0].query_provenance:
-                raise IncomparableFingerprints(
-                    "calibration pool must be homogeneous in kind and query set"
-                )
-        object.__setattr__(self, "fingerprints", fps)
-
-    def __len__(self) -> int:  # noqa: D105
-        return len(self.fingerprints)
-
-
-def calibrate_threshold(
-    victim_fp: Fingerprint, pool, target_fpr: float
-) -> float:
+def calibrate_threshold(victim_fp: Fingerprint, pool, target_fpr: float) -> float:
     """Largest threshold flagging at most ``target_fpr`` of the pool.
 
-    The flag rule is ``distance < threshold  =>  stolen``; the returned
-    threshold therefore guarantees that the fraction of pool members
-    whose distance to the victim falls strictly below it is at most
-    ``target_fpr``.
+    ``pool`` is any iterable of fingerprints comparable with the victim's.
+    The flag rule is ``distance < threshold  =>  stolen``, and at most
+    ``target_fpr`` of the pool lies strictly below the returned threshold.
     """
-    members = pool.fingerprints if isinstance(pool, CalibrationPool) else tuple(pool)
     return quantile_threshold(
-        [fingerprint_distance(victim_fp, fp) for fp in members], target_fpr
+        [fingerprint_distance(victim_fp, fp) for fp in pool], target_fpr
     )
 
 

@@ -216,12 +216,6 @@ class BenchmarkTriplet:
                     seen.append(tag.method)
         return tuple(seen)
 
-    def victim_by_id(self, vid: str) -> Victim:
-        for v in self.victims:
-            if v.model.identity == vid:
-                return v
-        raise KeyError(vid)
-
 
 def _build_stolen(
     victim: Victim, tag: TaskTag, config: BenchmarkConfig, seed: int
@@ -409,12 +403,10 @@ def tpr_fpr_at_threshold(
 
     Every victim contributes its own flag fraction, and victims are then
     averaged with equal weight regardless of how many pairs each has.
-    ``victims`` may be a list of victim ids or a benchmark triplet;
+    ``victims`` lists victim ids (default: every victim in ``scores``);
     victims missing positive or negative pairs raise ``EmptyPairSet``.
     """
     scores = list(scores)
-    if isinstance(victims, BenchmarkTriplet):
-        victims = [v.model.identity for v in victims.victims]
     if victims is None:
         victims = sorted({s.victim for s in scores})
     if not victims:
@@ -569,7 +561,7 @@ def _score_cell(spec: SchemeSpec, victim: Victim, suspects, run: int, qseed: int
 
 
 def evaluate(
-    scheme,
+    spec: SchemeSpec,
     benchmark: BenchmarkTriplet,
     budget: int | None = None,
     n_runs: int = 5,
@@ -580,15 +572,16 @@ def evaluate(
 ) -> EvalReport:
     """Score every pair over ``n_runs`` seeded runs and report TPR@cap.
 
-    ``scheme`` is a SchemeSpec or an assembled scheme.  Run r uses root
-    seed ``seed + r``; query seeds are derived per victim.  Victims whose
-    sampler is infeasible at this budget are skipped (logged, not fatal).
-    Two aggregates are reported per run and labeled explicitly: the mean
-    of per-task TPRs and the TPR of all pairs pooled across tasks.
+    Run r uses root seed ``seed + r``; query seeds are derived per victim.
+    Victims whose sampler is infeasible at this budget, or that answer with
+    NaN or inf, are skipped (logged, not fatal).  Two aggregates are
+    reported per run and labeled explicitly: the mean of per-task TPRs and
+    the TPR of all pairs pooled across tasks.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    spec = scheme.spec if isinstance(scheme, FingerprintScheme) else scheme
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
     if budget is not None and budget != spec.budget:
         spec = replace(spec, budget=int(budget))
     budget = spec.budget
@@ -650,13 +643,7 @@ def evaluate(
     if compute_pair_stats:
         for vid, model, tag, st in _all_pair_stats(benchmark, spec.seed_split):
             pair_statistics[f"{vid}|{model.identity}"] = {
-                "task": tag.method,
-                "positive": tag.is_positive,
-                "alpha": st.alpha,
-                "alpha_prime": st.alpha_prime,
-                "delta": st.delta,
-                "delta_c": st.delta_c,
-                "n_eval": st.n_eval,
+                "task": tag.method, "positive": tag.is_positive, **dataclasses.asdict(st)
             }
 
     sample_victim = benchmark.victims[0]
@@ -716,7 +703,7 @@ class SweepReport:
 
 
 def budget_sweep(
-    scheme,
+    spec: SchemeSpec,
     benchmark: BenchmarkTriplet,
     budgets,
     n_runs: int = 5,
@@ -725,7 +712,7 @@ def budget_sweep(
     workers: int = 1,
     cell_callback=None,
 ) -> SweepReport:
-    """Evaluate the scheme at each budget (ascending); shared run seeds.
+    """Evaluate the scheme spec at each budget (ascending); shared run seeds.
 
     ``cell_callback(budget, report)`` fires after each completed budget so
     callers can stream partial grids to disk.
@@ -736,7 +723,7 @@ def budget_sweep(
     reports = {}
     for budget in budgets:
         report = evaluate(
-            scheme,
+            spec,
             benchmark,
             budget=budget,
             n_runs=n_runs,

@@ -7,7 +7,7 @@ samplers are pure functions of their inputs and an integer seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -72,14 +72,13 @@ class Sampler:
         """How many seed-pool points a run at ``budget`` consumes."""
         return budget
 
-    def produces_pairing(self, budget: int) -> bool:
-        return False
-
     def pairing_length(self, budget: int) -> int:
+        """How many (seed, derived) couples a run at ``budget`` pairs up."""
         return 0
 
     def to_record(self) -> dict:
-        raise NotImplementedError
+        """The kind and every parameter field; ``sampler_from_record`` inverts it."""
+        return {"kind": self.name} | {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _check_budget(budget: int) -> int:
@@ -108,9 +107,6 @@ class UniformSampler(Sampler):
             source_indices=idx,
         )
 
-    def to_record(self):
-        return {"kind": self.name}
-
 
 @dataclass(frozen=True)
 class NegativeSampler(Sampler):
@@ -136,9 +132,6 @@ class NegativeSampler(Sampler):
             provenance={"sampler": self.name, "budget": budget, "seed": int(seed)},
             source_indices=idx,
         )
-
-    def to_record(self):
-        return {"kind": self.name}
 
 
 def projected_gradient_ascent(
@@ -190,9 +183,6 @@ class AdversarialSampler(Sampler):
     def seed_budget(self, budget):
         return budget // 2
 
-    def produces_pairing(self, budget):
-        return True
-
     def pairing_length(self, budget):
         return budget // 2
 
@@ -236,14 +226,6 @@ class AdversarialSampler(Sampler):
             source_indices=np.concatenate([idx, np.full(half, -1, dtype=np.int64)]),
         )
 
-    def to_record(self):
-        return {
-            "kind": self.name,
-            "eps": self.eps,
-            "steps": self.steps,
-            "step_size": self.step_size,
-        }
-
 
 @dataclass(frozen=True)
 class Subsampler(Sampler):
@@ -267,9 +249,6 @@ class Subsampler(Sampler):
 
     def seed_budget(self, budget):
         return budget // (1 + self.k_variants)
-
-    def produces_pairing(self, budget):
-        return self.k_variants > 0
 
     def pairing_length(self, budget):
         n_seeds = budget // (1 + self.k_variants)
@@ -313,13 +292,6 @@ class Subsampler(Sampler):
             source_indices=src,
         )
 
-    def to_record(self):
-        return {
-            "kind": self.name,
-            "k_variants": self.k_variants,
-            "vicinity_scale": self.vicinity_scale,
-        }
-
 
 @dataclass(frozen=True)
 class ChainSampler(Sampler):
@@ -337,9 +309,6 @@ class ChainSampler(Sampler):
 
     def seed_budget(self, budget):
         return self.first.seed_budget(self.second.seed_budget(budget))
-
-    def produces_pairing(self, budget):
-        return self.second.produces_pairing(budget)
 
     def pairing_length(self, budget):
         return self.second.pairing_length(budget)

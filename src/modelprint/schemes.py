@@ -90,7 +90,7 @@ class SchemeSpec:
         if self.seed_split not in ("train", "test"):
             raise ValueError("seed_split must be 'train' or 'test'")
         if self.representation == "pairwise":
-            if not self.sampler.produces_pairing(self.budget):
+            if self.sampler.pairing_length(self.budget) == 0:
                 raise IncompatibleScheme(
                     "pairwise representation needs a pairing-producing sampler"
                 )
@@ -208,7 +208,7 @@ def assemble_scheme(spec: SchemeSpec) -> FingerprintScheme:
     return FingerprintScheme(spec)
 
 
-def mistake_match_scheme(budget: int = 100, seed_split: str = "test") -> SchemeSpec:
+def mistake_match_scheme(budget: int = 100) -> SchemeSpec:
     """The baseline as a scheme: negative sampling, raw labels, majority vote."""
     return SchemeSpec(
         sampler=NegativeSampler(),
@@ -216,7 +216,6 @@ def mistake_match_scheme(budget: int = 100, seed_split: str = "test") -> SchemeS
         inner_distance="labels",
         detector=DetectorSpec(kind="majority"),
         budget=budget,
-        seed_split=seed_split,
     )
 
 
@@ -263,11 +262,7 @@ def mistake_match_test(
     return int(dist < 0.5), 1.0 - dist
 
 
-def standard_scheme_grid(
-    budget: int = 100,
-    include_pairwise: bool = True,
-    adversarial_kwargs: dict | None = None,
-) -> list[SchemeSpec]:
+def standard_scheme_grid(budget: int = 100) -> list[SchemeSpec]:
     """Cartesian sweep over samplers x representations x detectors.
 
     Enumerates every compatible combination of the four base samplers
@@ -276,7 +271,7 @@ def standard_scheme_grid(
     """
     from .samplers import AdversarialSampler, ChainSampler, Subsampler
 
-    adv = AdversarialSampler(**(adversarial_kwargs or {}))
+    adv = AdversarialSampler()
     samplers: list[Sampler] = [
         UniformSampler(),
         NegativeSampler(),
@@ -288,8 +283,6 @@ def standard_scheme_grid(
     specs = []
     for sampler in samplers:
         for representation in KINDS:
-            if representation == "pairwise" and not include_pairwise:
-                continue
             inner = "cosine" if representation != "raw_labels" else "labels"
             for detector in detectors:
                 try:

@@ -48,6 +48,8 @@ STEALING_METHODS = (
     "unrelated",
 )
 
+ADV_STEPS = 20
+
 EXTRACTION_MODES = {
     "labels": "label_extraction",
     "probits": "probit_extraction",
@@ -180,7 +182,6 @@ def extract_job(
     mode: str = "labels",
     seed: int = 0,
     n_adversarial: int | None = None,
-    adv_steps: int = 20,
 ) -> TrainJob:
     """Train a substitute model from the victim's answers on a query pool.
 
@@ -190,6 +191,7 @@ def extract_job(
     on the victim's labels, generates gradient-ascent queries against
     that interim model, labels them with the victim, and finishes
     training on the augmented pool: the job is that run (``extract`` fits it).
+    The attack takes ``ADV_STEPS`` sign-gradient steps of size eps / 8.
     """
     if mode not in EXTRACTION_MODES:
         raise ValueError(f"mode must be one of {sorted(EXTRACTION_MODES)}")
@@ -226,7 +228,7 @@ def extract_job(
     span = X.max(axis=0) - X.min(axis=0)
     eps = 0.1 * span
     U = projected_gradient_ascent(
-        interim, X[idx], interim.predict(X[idx]), eps, adv_steps, eps / 8.0
+        interim, X[idx], interim.predict(X[idx]), eps, ADV_STEPS, eps / 8.0
     )
     aug_X = np.concatenate([X, U], axis=0)
     aug_y = np.concatenate([victim_labels, h_victim.predict(U)])
@@ -310,7 +312,7 @@ class OutputNoiseWrapper(Classifier):
     def _predict(self, X: np.ndarray) -> np.ndarray:
         if isinstance(self.mode, TopKOnly):
             return self.inner.predict(X)
-        return np.argmax(self._probits(X), axis=1).astype(np.int64) + 1
+        return super()._predict(X)
 
     def _top_k(self, X: np.ndarray, k: int) -> np.ndarray:
         if isinstance(self.mode, TopKOnly):

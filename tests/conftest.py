@@ -81,3 +81,10 @@ def indexed_classifier(labels, num_classes, identity="indexed"):
         return table[X[:, 0].astype(np.int64)]
 
     return mp.FunctionClassifier(fn, num_classes, 1, identity=identity)
+
+
+def nan_copy(model, identity=None):
+    """A clone of an MLP with NaN first-layer weights, which a valid weight file can hold."""
+    (W, b), *rest = model.weights
+    weights = [(np.full_like(W, np.nan), b), *rest]
+    return model.clone(identity or f"{model.identity}#nan", weights=weights)

@@ -191,6 +191,37 @@ class TestSeeds:
             assert parser.parse_args([*command, "--out", "o"]).seed == 0
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("sweep", ["--budgets", "10,x"], "invalid _budgets value: '10,x'"),
+            ("sweep", ["--budgets", "50,10"], "--budgets: must be ascending, got 50,10"),
+            ("sweep", ["--budgets", "0"], "--budgets: must be >= 1, got 0"),
+            ("sweep", ["--budgets", ","], "--budgets: no budgets given"),
+            ("sweep", ["--budgets", "8", "--runs", "0"], "--runs: must be >= 1, got 0"),
+            ("evaluate", ["--budget", "0"], "--budget: must be >= 1, got 0"),
+            ("evaluate", ["--runs", "0"], "--runs: must be >= 1, got 0"),
+            ("evaluate", ["--runs", "-2"], "--runs: must be >= 1, got -2"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, command, flags, message, workspace, tmp_path, capsys):
+        args = ["--benchmark", str(workspace / "bench"), "--scheme", str(workspace / "baseline.json")]
+        with pytest.raises(SystemExit) as err:
+            main([command, *args, *flags, "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage:") and message in stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_good_values_parse(self):
+        args = build_parser().parse_args([
+            "sweep", "--benchmark", "b", "--scheme", "s", "--budgets", "8, 16,16,",
+            "--runs", "1", "--out", "o",
+        ])
+        assert args.budgets == [8, 16, 16] and args.runs == 1
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -19,7 +19,6 @@ from modelprint.errors import (
     PairingRequired,
 )
 from modelprint.fingerprints import (
-    CalibrationPool,
     Fingerprint,
     calibrate_threshold,
     cosine_distance,
@@ -165,14 +164,14 @@ class TestCalibration:
             answers = np.ones(s, dtype=np.int64)
             answers[: int(round(d * s))] = 2
             members.append(represent(qs, answers, "raw_labels", "labels"))
-        return victim, CalibrationPool(tuple(members))
+        return victim, tuple(members)
 
     def test_hand_quantile(self):
         distances = [k / 10 for k in range(1, 11)]
         victim, pool = self.build_pool(distances)
         thr = calibrate_threshold(victim, pool, 0.05)
         assert thr <= 0.1
-        flagged = [fingerprint_distance(victim, fp) < thr for fp in pool.fingerprints]
+        flagged = [fingerprint_distance(victim, fp) < thr for fp in pool]
         assert sum(flagged) == 0
 
     def test_target_one_flags_everything(self):
@@ -188,13 +187,13 @@ class TestCalibration:
         qs = plain_query_set(4)
         victim = represent(qs, np.ones(4, dtype=np.int64), "raw_labels", "labels")
         with pytest.raises(EmptyCalibrationPool):
-            calibrate_threshold(victim, CalibrationPool(()), 0.1)
+            calibrate_threshold(victim, (), 0.1)
 
     def test_heterogeneous_pool_rejected(self):
         a = represent(plain_query_set(4, 0), np.ones(4, dtype=np.int64), "raw_labels", "labels")
         b = represent(plain_query_set(4, 1), np.ones(4, dtype=np.int64), "raw_labels", "labels")
         with pytest.raises(IncomparableFingerprints):
-            CalibrationPool((a, b))
+            calibrate_threshold(a, (a, b), 0.1)
 
     @given(
         mism=st.lists(st.integers(0, 20), min_size=1, max_size=25),
@@ -209,10 +208,10 @@ class TestCalibration:
             answers = np.ones(20, dtype=np.int64)
             answers[:m] = 2
             members.append(represent(qs, answers, "raw_labels", "labels"))
-        pool = CalibrationPool(tuple(members))
+        pool = tuple(members)
         thr = calibrate_threshold(victim, pool, target)
         fpr = np.mean(
-            [fingerprint_distance(victim, fp) < thr for fp in pool.fingerprints]
+            [fingerprint_distance(victim, fp) < thr for fp in pool]
         )
         assert fpr <= target + 1e-9
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import modelprint as mp
-from modelprint.errors import EmptyPairSet, EmptyTaskList
+from modelprint.errors import EmptyPairSet, EmptyTaskList, NonFiniteAnswer
 from modelprint.harness import (
     STREAM_POOL,
     STREAM_STOLEN,
@@ -28,10 +28,12 @@ from modelprint.harness import (
     tpr_at_fpr,
     tpr_fpr_at_threshold,
 )
-from modelprint.samplers import Subsampler
+from modelprint.samplers import Subsampler, UniformSampler
 from modelprint.schemes import SchemeSpec, mistake_match_scheme
 from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig, generate_task, train
 from modelprint.variants import extract, finetune, same_copy, transfer, unrelated
+
+from conftest import nan_copy
 
 
 def micro_config(**overrides):
@@ -229,13 +231,6 @@ class TestPerVictimAveraging:
         assert tpr_fpr_at_threshold(scores, -np.inf) == (1.0, 1.0)
         assert tpr_fpr_at_threshold(scores, np.inf) == (0.0, 0.0)
 
-    def test_accepts_benchmark_as_victim_source(self, mini_benchmark):
-        report = evaluate(mistake_match_scheme(budget=10), mini_benchmark, n_runs=1, seed=0,
-                          compute_pair_stats=False)
-        via_bench = tpr_fpr_at_threshold(report.scores, 0.0, victims=mini_benchmark)
-        via_ids = tpr_fpr_at_threshold(report.scores, 0.0)
-        assert via_bench == via_ids
-
     def test_victim_without_pairs_rejected(self):
         scores = hand_scores({"A": ([1], [0])})
         with pytest.raises(EmptyPairSet):
@@ -396,6 +391,34 @@ class TestEvaluate:
         assert len(report.skipped) == len(mini_benchmark.victims)
         assert all(s["error"] in ("insufficient-negatives", "budget-exceeds-pool")
                    for s in report.skipped)
+
+    def test_run_count_below_one_rejected(self, mini_benchmark):
+        for n_runs in (0, -2):
+            with pytest.raises(ValueError, match=f"n_runs must be >= 1, got {n_runs}"):
+                evaluate(mistake_match_scheme(), mini_benchmark, n_runs=n_runs)
+
+    def test_nan_victim_cell_is_skipped(self, mini_benchmark):
+        first, *rest = mini_benchmark.victims
+        broken = replace(first, model=nan_copy(first.model, first.model.identity))
+        bench = replace(mini_benchmark, victims=(broken, *rest))
+        uniform = SchemeSpec(sampler=UniformSampler(), representation="raw_labels",
+                             inner_distance="labels", budget=20)
+        report = evaluate(uniform, bench, n_runs=2, seed=0, compute_pair_stats=False)
+        assert [(s["run"], s["victim"], s["error"]) for s in report.skipped] == [
+            (run, first.model.identity, "non-finite-answer") for run in (0, 1)
+        ]
+        assert {s.victim for s in report.scores} == {v.model.identity for v in rest}
+        with pytest.raises(NonFiniteAnswer):  # pair statistics query the victim directly
+            evaluate(uniform, bench, n_runs=1, seed=0)
+
+    def test_nan_suspect_raises(self, mini_benchmark):
+        vid = mini_benchmark.victims[0].model.identity
+        (model, tag), *others = mini_benchmark.stolen[vid]
+        stolen = mini_benchmark.stolen | {vid: ((nan_copy(model), tag), *others)}
+        bench = replace(mini_benchmark, stolen=stolen)
+        with pytest.raises(NonFiniteAnswer):
+            evaluate(mistake_match_scheme(budget=20), bench, n_runs=1, seed=0,
+                     compute_pair_stats=False)
 
 
 class TestBudgetSweep:

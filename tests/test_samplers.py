@@ -1,5 +1,7 @@
 """Tests for the query samplers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -218,18 +220,46 @@ class TestChain:
             chain.sample(test, perfect, 10, seed=0)
 
 
+ADVERSARIAL_DEFAULTS = {"kind": "adversarial", "eps": None, "steps": 20, "step_size": None}
+
+RECORDS = [
+    (UniformSampler(), {"kind": "uniform"}),
+    (NegativeSampler(), {"kind": "negative"}),
+    (
+        AdversarialSampler(eps=0.25, steps=7, step_size=0.05),
+        {"kind": "adversarial", "eps": 0.25, "steps": 7, "step_size": 0.05},
+    ),
+    (
+        Subsampler(k_variants=4, vicinity_scale=0.3),
+        {"kind": "subsample", "k_variants": 4, "vicinity_scale": 0.3},
+    ),
+    (
+        ChainSampler(NegativeSampler(), AdversarialSampler()),
+        {"kind": "chain", "first": {"kind": "negative"}, "second": ADVERSARIAL_DEFAULTS},
+    ),
+    (
+        AdversarialSampler(eps=np.array([0.1, 0.2, 0.3, 0.4])),
+        ADVERSARIAL_DEFAULTS | {"eps": (0.1, 0.2, 0.3, 0.4)},
+    ),
+    (
+        ChainSampler(ChainSampler(UniformSampler(), NegativeSampler()), Subsampler(k_variants=1)),
+        {
+            "kind": "chain",
+            "first": {"kind": "chain", "first": {"kind": "uniform"}, "second": {"kind": "negative"}},
+            "second": {"kind": "subsample", "k_variants": 1, "vicinity_scale": 0.8},
+        },
+    ),
+]
+
+
 class TestRecords:
     @pytest.mark.parametrize(
-        "sampler",
-        [
-            UniformSampler(),
-            NegativeSampler(),
-            AdversarialSampler(eps=0.25, steps=7, step_size=0.05),
-            Subsampler(k_variants=4, vicinity_scale=0.3),
-            ChainSampler(NegativeSampler(), AdversarialSampler()),
-        ],
+        "sampler, record", RECORDS, ids=[f"sampler{i}" for i in range(len(RECORDS))]
     )
-    def test_round_trip(self, sampler):
+    def test_round_trip(self, sampler, record):
+        assert sampler.to_record() == record
+        # key order and value types reach the JSON that reports embed
+        assert json.dumps(sampler.to_record()) == json.dumps(record)
         assert sampler_from_record(sampler.to_record()) == sampler
 
     def test_membership_of_pool_samplers(self, quick_model, quick_task):

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import modelprint as mp
-from modelprint.errors import IncompatibleScheme, InsufficientNegatives
+from modelprint.errors import IncompatibleScheme, InsufficientNegatives, NonFiniteAnswer
 from modelprint.samplers import (
     AdversarialSampler,
     ChainSampler,
@@ -24,7 +24,7 @@ from modelprint.schemes import (
     standard_scheme_grid,
 )
 
-from conftest import indexed_classifier, make_indexed_dataset
+from conftest import indexed_classifier, make_indexed_dataset, nan_copy
 
 
 def constructed_pair(n, match_prob, num_classes=3):
@@ -212,3 +212,38 @@ class TestEnumeration:
         spec = SchemeSpec(sampler=UniformSampler(), representation="raw_probits", budget=10)
         with pytest.raises(mp.errors.AccessInsufficient):
             assemble_scheme(spec).score(quick_model, wrapped, test, 0)
+
+
+class TestNonFiniteAnswers:
+    def test_handle_queries_raise(self, quick_model, quick_task, tmp_path):
+        # NaN weights survive a weight file; every probit-based query refuses them
+        mp.save_weights(nan_copy(quick_model), tmp_path / "nan.mpw")
+        loaded = mp.load_weights(tmp_path / "nan.mpw")
+        X = quick_task[1].points[:5]
+        for query in (loaded.probits, loaded.predict, lambda X: loaded.top_k(X, 2)):
+            with pytest.raises(NonFiniteAnswer, match="non-finite-answer"):
+                query(X)
+
+    @pytest.mark.parametrize(
+        "sampler, representation, inner",
+        [
+            (UniformSampler(), "raw_labels", "labels"),
+            (UniformSampler(), "raw_probits", "cosine"),
+            (Subsampler(k_variants=1), "pairwise", "cosine"),
+            (Subsampler(k_variants=1), "pairwise", "labels"),
+            (UniformSampler(), "listwise", "cosine"),
+            (UniformSampler(), "listwise", "labels"),
+        ],
+    )
+    def test_nan_suspect_gets_no_verdict(
+        self, sampler, representation, inner, quick_model, quick_model_b, quick_task
+    ):
+        _, test = quick_task
+        spec = SchemeSpec(sampler=sampler, representation=representation,
+                          inner_distance=inner, budget=20)
+        scheme = assemble_scheme(spec)
+        suspect = nan_copy(quick_model)
+        with pytest.raises(NonFiniteAnswer):
+            scheme.score(quick_model, suspect, test, seed=0)
+        with pytest.raises(NonFiniteAnswer):
+            scheme.flag(quick_model, suspect, test, seed=0, calibration_models=[quick_model_b])
