@@ -47,11 +47,11 @@ def _count(text: str) -> int:
 
 
 def _budgets(text: str) -> list[int]:
-    """The ``--budgets`` type: a nonempty ascending comma-separated list of counts."""
+    """The ``--budgets`` type: a nonempty strictly ascending comma-separated list of counts."""
     budgets = [_count(b) for b in text.split(",") if b.strip()]
     if not budgets:
         raise argparse.ArgumentTypeError("no budgets given")
-    if budgets != sorted(budgets):
+    if any(a >= b for a, b in zip(budgets, budgets[1:])):
         raise argparse.ArgumentTypeError(f"must be ascending, got {text}")
     return budgets
 

@@ -388,14 +388,22 @@ def conditioned_hamming(
 def pair_stats(h: Classifier, g: Classifier, data: LabeledDataset) -> PairStats:
     """Bundle accuracy of both models, Hamming, and conditioned Hamming."""
     _check_nonempty(data)
-    yh = h.predict(data.points)
-    yg = g.predict(data.points)
-    wrong = yh != data.labels
+    return label_pair_stats(h.predict(data.points), g.predict(data.points), data.labels)
+
+
+def label_pair_stats(yh: np.ndarray, yg: np.ndarray, labels: np.ndarray) -> PairStats:
+    """``pair_stats`` from the two models' labels and the concept labels.
+
+    Lets a caller predict one model once and pair it with many others.
+    """
+    if len(labels) == 0:
+        raise EmptyEvaluationSet("evaluation dataset has no points")
+    wrong = yh != labels
     delta_c = float(np.mean(yh[wrong] != yg[wrong])) if wrong.any() else None
     return PairStats(
-        alpha=float(np.mean(yh == data.labels)),
-        alpha_prime=float(np.mean(yg == data.labels)),
+        alpha=float(np.mean(yh == labels)),
+        alpha_prime=float(np.mean(yg == labels)),
         delta=float(np.mean(yh != yg)),
         delta_c=delta_c,
-        n_eval=len(data),
+        n_eval=len(labels),
     )

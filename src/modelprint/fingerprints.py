@@ -31,20 +31,33 @@ KINDS = ("raw_labels", "raw_probits", "pairwise", "listwise")
 INNER_DISTANCES = ("cosine", "labels")
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v), with zero vectors treated as identical to each other.
+def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Dot product of each row pair, one BLAS ``ddot`` per row as ``np.dot`` does."""
+    return np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0]
 
-    Two zero-norm vectors are at distance 0; a zero vector against a
-    nonzero one is at the maximal nonnegative-cone distance 1.
+
+def cosine_rows(U, V) -> np.ndarray:
+    """Row-wise ``1 - cos(u, v)`` of two ``(n, C)`` arrays, as shape ``(n,)``.
+
+    Identical rows (zero rows included) are at distance 0; a zero row
+    against a nonzero one is at the maximal nonnegative-cone distance 1.
+    Every entry is bit-equal to the scalar formula on that row pair.
     """
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if np.array_equal(u, v):
-        return 0.0
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    return max(0.0, float(1.0 - np.dot(u, v) / (nu * nv)))
+    U = np.asarray(U, dtype=np.float64)
+    V = np.asarray(V, dtype=np.float64)
+    nu, nv = np.sqrt(_row_dots(U, U)), np.sqrt(_row_dots(V, V))
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero rows, overwritten below
+        dist = 1.0 - _row_dots(U, V) / (nu * nv)
+    # where, not maximum: a NaN distance clamps to 0 like Python's max(0.0, x)
+    dist = np.where(dist > 0.0, dist, 0.0)
+    dist[(nu == 0.0) | (nv == 0.0)] = 1.0
+    dist[(U == V).all(axis=1)] = 0.0
+    return dist
+
+
+def cosine_distance(u, v) -> float:
+    """``cosine_rows`` of two vectors, each flattened to one row."""
+    return float(cosine_rows(np.ravel(u)[None], np.ravel(v)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -138,8 +151,11 @@ def represent(
                 f"pairwise representation needs s/2 pairs, query set has "
                 f"{len(query_set.pairing)} for s={s}"
             )
-        d = cosine_distance if probit_based else lambda a, b: float(a != b)
-        payload = np.array([d(answers[i], answers[j]) for i, j in query_set.pairing])
+        first, second = np.asarray(query_set.pairing, dtype=np.int64).reshape(-1, 2).T
+        if probit_based:
+            payload = cosine_rows(answers[first], answers[second])
+        else:
+            payload = (answers[first] != answers[second]).astype(np.float64)
         return Fingerprint("pairwise", payload, prov, s)
 
     # listwise: full answer-similarity matrix, zero diagonal by definition
@@ -171,11 +187,14 @@ def fingerprint_distance(a: Fingerprint, b: Fingerprint) -> float:
         raise IncomparableFingerprints(
             f"kinds ({a.kind}, {b.kind}) or query provenances differ"
         )
+    if a.payload.shape != b.payload.shape:
+        raise IncomparableFingerprints(
+            f"payload shapes {a.payload.shape} and {b.payload.shape} differ"
+        )
     if a.kind == "raw_labels":
         return float(np.mean(a.payload != b.payload))
     if a.kind == "raw_probits":
-        rows = [cosine_distance(u, v) for u, v in zip(a.payload, b.payload)]
-        return float(np.mean(rows))
+        return float(np.mean(cosine_rows(a.payload, b.payload)))
     return cosine_distance(a.payload, b.payload)
 
 

@@ -22,15 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Classifier, LabeledDataset, pair_stats
+# Names marked F401 are unused here, but the benchmark's tracer patches them in this module.
+from .core import Classifier, LabeledDataset, label_pair_stats, pair_stats  # noqa: F401
 from .errors import (
     EmptyPairSet,
     EmptyTaskList,
     ManifestError,
     ModelprintError,
+    NonFiniteAnswer,
 )
 from .schemes import FingerprintScheme, SchemeSpec
-# Names marked F401 are unused here, but the benchmark's tracer patches them in this module.
 from .fingerprints import fingerprint_distance  # noqa: F401
 from .tinylearn import (
     MLPClassifier,
@@ -396,6 +397,36 @@ class RocCurve:
     auc: float
 
 
+def _flag_rates(scores: list, thresholds, victims=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-victim-averaged TPR and FPR of ``score >= t`` for each threshold ``t``.
+
+    Each victim's positive and negative scores are sorted once; the count
+    flagged at every threshold is then one ``searchsorted``.  A victim's
+    rate is ``count / n`` and the victims are averaged along the last,
+    contiguous axis, so each rate is bit-equal to a scan of the scores at
+    that single threshold.
+    """
+    if victims is None:
+        victims = sorted({s.victim for s in scores})
+    if not victims:
+        raise EmptyPairSet("no victims to evaluate")
+    groups: dict = {}
+    for s in scores:
+        groups.setdefault((s.victim, s.positive), []).append(s.score)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    tpr = np.empty((thresholds.size, len(victims)))
+    fpr = np.empty_like(tpr)
+    for j, vid in enumerate(victims):
+        pos, neg = groups.get((vid, True)), groups.get((vid, False))
+        if not pos or not neg:
+            raise EmptyPairSet(f"victim {vid} has no scored positive or negative pairs")
+        for rates, values in ((tpr, pos), (fpr, neg)):
+            ordered = np.sort(values)
+            flagged = ordered.size - np.searchsorted(ordered, thresholds, side="left")
+            rates[:, j] = flagged / ordered.size
+    return tpr.mean(axis=1), fpr.mean(axis=1)
+
+
 def tpr_fpr_at_threshold(
     scores, threshold: float, victims=None
 ) -> tuple[float, float]:
@@ -406,20 +437,8 @@ def tpr_fpr_at_threshold(
     ``victims`` lists victim ids (default: every victim in ``scores``);
     victims missing positive or negative pairs raise ``EmptyPairSet``.
     """
-    scores = list(scores)
-    if victims is None:
-        victims = sorted({s.victim for s in scores})
-    if not victims:
-        raise EmptyPairSet("no victims to evaluate")
-    tprs, fprs = [], []
-    for vid in victims:
-        pos = [s.score >= threshold for s in scores if s.victim == vid and s.positive]
-        neg = [s.score >= threshold for s in scores if s.victim == vid and not s.positive]
-        if not pos or not neg:
-            raise EmptyPairSet(f"victim {vid} has no scored positive or negative pairs")
-        tprs.append(np.mean(pos))
-        fprs.append(np.mean(neg))
-    return float(np.mean(tprs)), float(np.mean(fprs))
+    tpr, fpr = _flag_rates(list(scores), [threshold], victims)
+    return float(tpr[0]), float(fpr[0])
 
 
 def roc_curve(scores, victims=None) -> RocCurve:
@@ -427,20 +446,18 @@ def roc_curve(scores, victims=None) -> RocCurve:
 
     Starts at (0, 0) (threshold above every score) and ends at (1, 1)
     (threshold at the minimum score); both rates are non-decreasing along
-    the sweep.
+    the sweep.  Thresholds are the distinct scores of every pair, also of
+    pairs whose victim is not in ``victims``.
     """
     scores = list(scores)
     if not scores:
         raise EmptyPairSet("cannot build a ROC from no scores")
     thresholds = sorted({s.score for s in scores}, reverse=True)
-    points = [(0.0, 0.0)]
-    for t in thresholds:
-        tpr, fpr = tpr_fpr_at_threshold(scores, t, victims)
-        points.append((fpr, tpr))
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    tpr, fpr = _flag_rates(scores, thresholds, victims)
+    xs = np.concatenate(([0.0], fpr))
+    ys = np.concatenate(([0.0], tpr))
     auc = float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") else float(np.trapz(ys, xs))
-    return RocCurve(tuple(points), auc)
+    return RocCurve(tuple(zip(xs.tolist(), ys.tolist())), auc)
 
 
 def tpr_at_fpr(curve: RocCurve, fpr_cap: float = 0.05) -> float:
@@ -462,13 +479,25 @@ def write_csv_rows(fh, rows) -> None:
         fh.write(",".join(str(v) for v in row) + "\n")
 
 
-def _all_pair_stats(benchmark: BenchmarkTriplet, split: str):
-    """Yield (victim id, suspect, tag, PairStats) for every benchmark pair."""
+def _all_pair_stats(benchmark: BenchmarkTriplet, split: str, skip_nonfinite_victims=False):
+    """Yield (victim id, suspect, tag, PairStats) for every benchmark pair.
+
+    Each victim is predicted once and paired with every suspect's labels.
+    A victim whose own answers are NaN or inf raises ``NonFiniteAnswer``,
+    or with ``skip_nonfinite_victims`` yields no pairs.
+    """
     for victim in benchmark.victims:
         vid = victim.model.identity
         data = victim.data(split)
+        try:
+            yh = victim.model.predict(data.points)
+        except NonFiniteAnswer:
+            if not skip_nonfinite_victims:
+                raise
+            log.warning("no pair statistics for victim %s: non-finite answers", vid)
+            continue
         for model, tag in benchmark.stolen[vid] + benchmark.unrelated[vid]:
-            yield vid, model, tag, pair_stats(victim.model, model, data)
+            yield vid, model, tag, label_pair_stats(yh, model.predict(data.points), data.labels)
 
 
 def _mean_std(values) -> dict:
@@ -641,7 +670,9 @@ def evaluate(
 
     pair_statistics = {}
     if compute_pair_stats:
-        for vid, model, tag, st in _all_pair_stats(benchmark, spec.seed_split):
+        for vid, model, tag, st in _all_pair_stats(
+            benchmark, spec.seed_split, skip_nonfinite_victims=True
+        ):
             pair_statistics[f"{vid}|{model.identity}"] = {
                 "task": tag.method, "positive": tag.is_positive, **dataclasses.asdict(st)
             }
@@ -712,14 +743,14 @@ def budget_sweep(
     workers: int = 1,
     cell_callback=None,
 ) -> SweepReport:
-    """Evaluate the scheme spec at each budget (ascending); shared run seeds.
+    """Evaluate the scheme spec at each budget (strictly ascending); shared run seeds.
 
     ``cell_callback(budget, report)`` fires after each completed budget so
     callers can stream partial grids to disk.
     """
     budgets = [int(b) for b in budgets]
-    if budgets != sorted(budgets):
-        raise ValueError("budgets must be ascending")
+    if any(a >= b for a, b in zip(budgets, budgets[1:])):
+        raise ValueError(f"budgets must be strictly ascending, got {budgets}")
     reports = {}
     for budget in budgets:
         report = evaluate(

@@ -88,3 +88,15 @@ def nan_copy(model, identity=None):
     (W, b), *rest = model.weights
     weights = [(np.full_like(W, np.nan), b), *rest]
     return model.clone(identity or f"{model.identity}#nan", weights=weights)
+
+
+def reference_cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """The scalar cosine distance that ``cosine_rows`` replaced, kept as its oracle."""
+    u = np.asarray(u, dtype=np.float64).ravel()
+    v = np.asarray(v, dtype=np.float64).ravel()
+    if np.array_equal(u, v):
+        return 0.0
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 1.0
+    return max(0.0, float(1.0 - np.dot(u, v) / (nu * nv)))

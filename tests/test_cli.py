@@ -203,6 +203,7 @@ class TestNumericFlags:
             ("evaluate", ["--budget", "0"], "--budget: must be >= 1, got 0"),
             ("evaluate", ["--runs", "0"], "--runs: must be >= 1, got 0"),
             ("evaluate", ["--runs", "-2"], "--runs: must be >= 1, got -2"),
+            ("sweep", ["--budgets", "8,8"], "--budgets: must be ascending, got 8,8"),
         ],
     )
     def test_bad_value_is_usage_error(self, command, flags, message, workspace, tmp_path, capsys):
@@ -216,10 +217,10 @@ class TestNumericFlags:
 
     def test_good_values_parse(self):
         args = build_parser().parse_args([
-            "sweep", "--benchmark", "b", "--scheme", "s", "--budgets", "8, 16,16,",
+            "sweep", "--benchmark", "b", "--scheme", "s", "--budgets", "8, 16,32,",
             "--runs", "1", "--out", "o",
         ])
-        assert args.budgets == [8, 16, 16] and args.runs == 1
+        assert args.budgets == [8, 16, 32] and args.runs == 1
 
 
 class TestVersion:

@@ -22,12 +22,15 @@ from modelprint.fingerprints import (
     Fingerprint,
     calibrate_threshold,
     cosine_distance,
+    cosine_rows,
     fingerprint_distance,
     load_fingerprint,
     represent,
     save_fingerprint,
 )
 from modelprint.samplers import QuerySet
+
+from conftest import reference_cosine_distance
 
 
 def paired_query_set(s):
@@ -138,10 +141,71 @@ class TestDistance:
         with pytest.raises(IncomparableFingerprints):
             fingerprint_distance(a, b)
 
+    def test_class_count_mismatch_rejected_before_arithmetic(self):
+        qs = plain_query_set(3)
+        rng = np.random.default_rng(0)
+        a = represent(qs, random_probits(rng, 3, c=4), "raw_probits")
+        b = represent(qs, random_probits(rng, 3, c=3), "raw_probits")
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(IncomparableFingerprints, match="payload shapes") as err:
+                fingerprint_distance(*pair)
+            assert err.value.code == "incomparable-fingerprints"
+
     def test_cosine_zero_vector_convention(self):
         assert cosine_distance(np.zeros(3), np.zeros(3)) == 0.0
         assert cosine_distance(np.zeros(3), np.ones(3)) == 1.0
         assert cosine_distance(np.ones(3), np.ones(3)) == pytest.approx(0.0, abs=1e-12)
+
+
+ROW_KINDS = ("probits", "scaled", "zero_u", "zero_v", "zero_both", "identical", "sign")
+
+
+def oracle_rows(rng, kinds, c):
+    """Row pairs of each kind: probit rows, rows of mixed scale, zero and equal rows."""
+    U, V = rng.random((len(kinds), c)), rng.random((len(kinds), c))
+    for i, kind in enumerate(kinds):
+        if kind == "probits":
+            U[i] /= U[i].sum()
+            V[i] /= V[i].sum()
+        elif kind == "scaled":
+            U[i] *= 10.0 ** rng.uniform(-6, 6)
+            V[i] *= 10.0 ** rng.uniform(-6, 6)
+        elif kind == "sign":
+            U[i] -= 0.5
+            V[i] = -U[i] if rng.random() < 0.5 else V[i] - 0.5
+        if kind in ("zero_u", "zero_both"):
+            U[i] = 0.0
+        if kind in ("zero_v", "zero_both"):
+            V[i] = 0.0
+        if kind == "identical":
+            V[i] = U[i]
+    return U, V
+
+
+class TestCosineMatchesScalarOracle:
+    """``cosine_rows`` and ``cosine_distance`` give the scalar loop's exact bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.integers(2, 100),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=40),
+    )
+    def test_rows_bit_equal(self, seed, c, kinds):
+        U, V = oracle_rows(np.random.default_rng(seed), kinds, c)
+        want = np.array([reference_cosine_distance(u, v) for u, v in zip(U, V)])
+        assert cosine_rows(U, V).tobytes() == want.tobytes()
+        for u, v, w in zip(U, V, want):
+            assert cosine_distance(u, v) == w
+        # the flattened payloads of pairwise and listwise fingerprints
+        assert cosine_distance(U, V) == reference_cosine_distance(U, V)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 99, 100, 2500, 10_000])
+    def test_long_vectors_bit_equal(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            u, v = rng.random(n), rng.random(n)
+            assert cosine_distance(u, v) == reference_cosine_distance(u, v)
 
 
 def labels_fingerprint(qs, mismatches, s):

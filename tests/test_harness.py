@@ -4,8 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modelprint as mp
+from modelprint import fingerprints, harness
+from modelprint.core import pair_stats
 from modelprint.errors import EmptyPairSet, EmptyTaskList, NonFiniteAnswer
 from modelprint.harness import (
     STREAM_POOL,
@@ -17,6 +21,7 @@ from modelprint.harness import (
     STREAM_VICTIM_TASK,
     BenchmarkConfig,
     PairScore,
+    RocCurve,
     budget_sweep,
     build_benchmark,
     derive_seed,
@@ -28,12 +33,12 @@ from modelprint.harness import (
     tpr_at_fpr,
     tpr_fpr_at_threshold,
 )
-from modelprint.samplers import Subsampler, UniformSampler
+from modelprint.samplers import AdversarialSampler, Subsampler, UniformSampler
 from modelprint.schemes import SchemeSpec, mistake_match_scheme
 from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig, generate_task, train
 from modelprint.variants import extract, finetune, same_copy, transfer, unrelated
 
-from conftest import nan_copy
+from conftest import nan_copy, reference_cosine_distance
 
 
 def micro_config(**overrides):
@@ -308,6 +313,152 @@ class TestRocCurve:
             assert tpr_at_fpr(curve, 0.05) == best
 
 
+def reference_tpr_fpr_at_threshold(
+    scores, threshold: float, victims=None
+) -> tuple[float, float]:
+    """The brute-force scan that the sorted-count ROC replaced, kept as its oracle."""
+    scores = list(scores)
+    if victims is None:
+        victims = sorted({s.victim for s in scores})
+    if not victims:
+        raise EmptyPairSet("no victims to evaluate")
+    tprs, fprs = [], []
+    for vid in victims:
+        pos = [s.score >= threshold for s in scores if s.victim == vid and s.positive]
+        neg = [s.score >= threshold for s in scores if s.victim == vid and not s.positive]
+        if not pos or not neg:
+            raise EmptyPairSet(f"victim {vid} has no scored positive or negative pairs")
+        tprs.append(np.mean(pos))
+        fprs.append(np.mean(neg))
+    return float(np.mean(tprs)), float(np.mean(fprs))
+
+
+def reference_roc_curve(scores, victims=None) -> RocCurve:
+    """The threshold-by-threshold sweep that the sorted-count ROC replaced."""
+    scores = list(scores)
+    if not scores:
+        raise EmptyPairSet("cannot build a ROC from no scores")
+    thresholds = sorted({s.score for s in scores}, reverse=True)
+    points = [(0.0, 0.0)]
+    for t in thresholds:
+        tpr, fpr = reference_tpr_fpr_at_threshold(scores, t, victims)
+        points.append((fpr, tpr))
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    auc = float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") else float(np.trapz(ys, xs))
+    return RocCurve(tuple(points), auc)
+
+
+def reference_all_pair_stats(benchmark, split, skip_nonfinite_victims=False):
+    """The per-pair loop that predicted the victim again for every suspect."""
+    for victim in benchmark.victims:
+        vid = victim.model.identity
+        data = victim.data(split)
+        for model, tag in benchmark.stolen[vid] + benchmark.unrelated[vid]:
+            yield vid, model, tag, pair_stats(victim.model, model, data)
+
+
+def reference_cosine_rows(U, V):
+    return np.array([reference_cosine_distance(u, v) for u, v in zip(U, V)])
+
+
+def outcome(fn, *args):
+    """A call's result, or its error's type and message, so errors compare too."""
+    try:
+        return fn(*args)
+    except EmptyPairSet as err:
+        return type(err), str(err)
+
+
+SCORE_VALUES = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0).map(lambda x: round(x, 1)),
+    st.sampled_from([-np.inf, np.inf, 0.0, -0.0]),
+)
+
+
+@st.composite
+def victim_scores(draw):
+    """PairScores of 1-12 victims with uneven pair counts; some victims may lack a side."""
+    tied = draw(st.booleans())
+    values = st.floats(-3.0, 3.0).map(lambda x: round(x, 1)) if tied else SCORE_VALUES
+    scores = []
+    for v in range(draw(st.integers(1, 12))):
+        for positive, side in ((True, "p"), (False, "n")):
+            for i in range(draw(st.integers(0 if draw(st.booleans()) else 1, 9))):
+                task = "t" if positive else "u"
+                scores.append(PairScore(0, f"v{v}", f"{side}{i}", task, positive, draw(values)))
+    return draw(st.permutations(scores))
+
+
+class TestRocMatchesScanOracle:
+    """The sorted-count ROC and TPR/FPR give the threshold scan's exact bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores=victim_scores(), data=st.data())
+    def test_curve_and_rates_equal(self, scores, data):
+        ids = sorted({s.victim for s in scores}) + ["missing"]
+        victims = data.draw(st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(ids), max_size=14),
+            st.permutations(ids[:-1]),
+        ))
+        assert outcome(roc_curve, scores, victims) == outcome(reference_roc_curve, scores, victims)
+        thresholds = [-np.inf, np.inf, *{s.score for s in scores}, data.draw(SCORE_VALUES)]
+        for t in thresholds:
+            assert outcome(tpr_fpr_at_threshold, scores, t, victims) == outcome(
+                reference_tpr_fpr_at_threshold, scores, t, victims
+            )
+
+    def test_empty_inputs_raise_the_same_messages(self):
+        one = [PairScore(0, "A", "p", "task", True, 1.0)]
+        cases = [
+            (roc_curve, reference_roc_curve, ([],)),
+            (roc_curve, reference_roc_curve, (one, [])),
+            (roc_curve, reference_roc_curve, (one,)),
+            (tpr_fpr_at_threshold, reference_tpr_fpr_at_threshold, ([], 0.5)),
+            (tpr_fpr_at_threshold, reference_tpr_fpr_at_threshold, (one, 0.5, ["B"])),
+        ]
+        for fast, slow, args in cases:
+            got = outcome(fast, *args)
+            assert got[0] is EmptyPairSet and got == outcome(slow, *args)
+
+    def test_many_victims_use_the_same_mean(self):
+        # >= 8 victims takes numpy's unrolled pairwise sum; rates 1/3 do not add exactly
+        rng = np.random.default_rng(5)
+        for n_victims in (7, 8, 9, 12, 17):
+            scores = [
+                PairScore(0, f"v{v:02d}", f"s{i}", "t" if i < 3 else "u", i < 3,
+                          float(rng.normal()))
+                for v in range(n_victims) for i in range(3 + int(rng.integers(1, 8)))
+            ]
+            assert roc_curve(scores) == reference_roc_curve(scores)
+
+
+def perfbench_families(budget=20):
+    """The four scheme families of the benchmark, plus label-distance pairwise."""
+    return [
+        mistake_match_scheme(budget),
+        SchemeSpec(sampler=AdversarialSampler(), representation="raw_probits", budget=budget),
+        SchemeSpec(sampler=Subsampler(k_variants=1), representation="pairwise", budget=budget),
+        SchemeSpec(sampler=Subsampler(k_variants=1), representation="pairwise",
+                   inner_distance="labels", budget=budget),
+        SchemeSpec(sampler=UniformSampler(), representation="listwise", budget=budget),
+    ]
+
+
+def test_reports_byte_identical_to_oracles(mini_benchmark, monkeypatch):
+    fast = [evaluate(spec, mini_benchmark, n_runs=2, seed=0).to_json()
+            for spec in perfbench_families()]
+    monkeypatch.setattr(harness, "roc_curve", reference_roc_curve)
+    monkeypatch.setattr(harness, "_all_pair_stats", reference_all_pair_stats)
+    monkeypatch.setattr(fingerprints, "cosine_rows", reference_cosine_rows)
+    slow = [evaluate(spec, mini_benchmark, n_runs=2, seed=0).to_json()
+            for spec in perfbench_families()]
+    assert all('"pair_statistics":{"victim-0|' in report for report in fast)
+    assert fast == slow
+
+
 class TestEvaluate:
     def test_perfect_separation_reports_one(self, mini_benchmark):
         report = evaluate(
@@ -408,8 +559,14 @@ class TestEvaluate:
             (run, first.model.identity, "non-finite-answer") for run in (0, 1)
         ]
         assert {s.victim for s in report.scores} == {v.model.identity for v in rest}
-        with pytest.raises(NonFiniteAnswer):  # pair statistics query the victim directly
-            evaluate(uniform, bench, n_runs=1, seed=0)
+        full = evaluate(uniform, bench, n_runs=2, seed=0)
+        assert full.skipped == report.skipped
+        assert not any(key.startswith(f"{first.model.identity}|") for key in full.pair_statistics)
+        assert {key.split("|")[0] for key in full.pair_statistics} == {
+            v.model.identity for v in rest
+        }
+        with pytest.raises(NonFiniteAnswer):  # no skip list to record the victim in
+            pair_distance_report(bench)
 
     def test_nan_suspect_raises(self, mini_benchmark):
         vid = mini_benchmark.victims[0].model.identity
@@ -433,6 +590,13 @@ class TestBudgetSweep:
     def test_ascending_budgets_enforced(self, mini_benchmark):
         with pytest.raises(ValueError):
             budget_sweep(mistake_match_scheme(), mini_benchmark, [50, 10], n_runs=1)
+
+    def test_repeated_budget_rejected_before_any_cell(self, mini_benchmark):
+        seen = []
+        with pytest.raises(ValueError, match="strictly ascending"):
+            budget_sweep(mistake_match_scheme(), mini_benchmark, [8, 8], n_runs=1,
+                         cell_callback=lambda budget, report: seen.append(budget))
+        assert seen == []
 
     def test_grid_and_streaming_callback(self, mini_benchmark):
         seen = []
