@@ -90,10 +90,11 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     bench = load_benchmark(args.benchmark)
     spec = _load_scheme(Path(args.scheme))
+    if args.budget is not None:
+        spec = replace(spec, budget=args.budget)
     report = evaluate(
         spec,
         bench,
-        budget=args.budget,
         n_runs=args.runs,
         seed=args.seed,
         workers=args.workers,

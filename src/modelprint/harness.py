@@ -16,7 +16,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,13 @@ DESK_ARCH = MLPSpec(layer_widths=(8, 48, 24, 4), activation="relu")
 DESK_TRAIN = TrainConfig(epochs=80, learning_rate=0.05, batch_size=32)
 
 
+# The tag params that ``_build_stolen`` reads without a default: (key, type, wording).
+_TAG_PARAMS = {
+    "prune": ("fraction", numbers.Real, "a numeric"),
+    "quantize": ("bits", numbers.Integral, "an integer"),
+}
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Recipe for a benchmark triplet.
@@ -121,6 +129,16 @@ class BenchmarkConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.n_victims < 1:
+            raise ValueError(f"n_victims must be >= 1, got {self.n_victims}")
+        if self.n_unrelated < 1:
+            raise ValueError(f"n_unrelated must be >= 1, got {self.n_unrelated}")
+        for tag in self.stolen:
+            if tag.method in _TAG_PARAMS:
+                key, kind, what = _TAG_PARAMS[tag.method]
+                value = tag.params.get(key)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{tag.method} tag needs {what} {key!r}, got {value!r}")
 
     def to_record(self) -> dict:
         return {
@@ -195,6 +213,7 @@ class BenchmarkTriplet:
     stolen: dict[str, tuple[tuple[Classifier, TaskTag], ...]]
     unrelated: dict[str, tuple[tuple[Classifier, TaskTag], ...]]
     config: BenchmarkConfig | None = None
+    _pair_stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v in self.victims:
@@ -482,22 +501,36 @@ def write_csv_rows(fh, rows) -> None:
 def _all_pair_stats(benchmark: BenchmarkTriplet, split: str, skip_nonfinite_victims=False):
     """Yield (victim id, suspect, tag, PairStats) for every benchmark pair.
 
-    Each victim is predicted once and paired with every suspect's labels.
-    A victim whose own answers are NaN or inf raises ``NonFiniteAnswer``,
-    or with ``skip_nonfinite_victims`` yields no pairs.
+    Each victim is predicted once per split and paired with every suspect's
+    labels.  ``benchmark._pair_stats`` maps (split, victim model) to (split
+    dataset, suspect models, PairStats list or the victim's NonFiniteAnswer);
+    an entry is reused while the dataset (unhashable, so kept in the value)
+    and the suspect models are the same objects.  A non-finite victim
+    raises, or with ``skip_nonfinite_victims`` yields no pairs.
     """
     for victim in benchmark.victims:
         vid = victim.model.identity
         data = victim.data(split)
-        try:
-            yh = victim.model.predict(data.points)
-        except NonFiniteAnswer:
+        suspects = benchmark.stolen[vid] + benchmark.unrelated[vid]
+        models = tuple(model for model, _ in suspects)
+        key = (split, victim.model)
+        memo = benchmark._pair_stats.get(key)
+        if memo is None or memo[0] is not data or memo[1] != models:
+            try:
+                yh = victim.model.predict(data.points)
+            except NonFiniteAnswer as err:
+                stats = err
+            else:
+                stats = [label_pair_stats(yh, m.predict(data.points), data.labels) for m in models]
+            memo = benchmark._pair_stats[key] = (data, models, stats)
+        stats = memo[2]
+        if isinstance(stats, NonFiniteAnswer):
             if not skip_nonfinite_victims:
-                raise
+                raise stats
             log.warning("no pair statistics for victim %s: non-finite answers", vid)
             continue
-        for model, tag in benchmark.stolen[vid] + benchmark.unrelated[vid]:
-            yield vid, model, tag, label_pair_stats(yh, model.predict(data.points), data.labels)
+        for (model, tag), st in zip(suspects, stats):
+            yield vid, model, tag, st
 
 
 def _mean_std(values) -> dict:

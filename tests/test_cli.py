@@ -80,6 +80,35 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "bad.json:2:" in err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"n_victims": 0}, "n_victims must be >= 1, got 0"),
+            ({"n_unrelated": 0}, "n_unrelated must be >= 1, got 0"),
+            ({"stolen": [{"method": "prune", "params": {}}]},
+             "prune tag needs a numeric 'fraction', got None"),
+            ({"stolen": [{"method": "prune", "params": {"fraction": "0.2"}}]},
+             "prune tag needs a numeric 'fraction', got '0.2'"),
+            ({"stolen": [{"method": "quantize", "params": {}}]},
+             "quantize tag needs an integer 'bits', got None"),
+            ({"stolen": [{"method": "quantize", "params": {"bits": 6.5}}]},
+             "quantize tag needs an integer 'bits', got 6.5"),
+        ],
+        ids=["no-victims", "no-unrelated", "prune-no-fraction", "prune-text-fraction",
+             "quantize-no-bits", "quantize-float-bits"],
+    )
+    def test_config_that_cannot_build_is_corrupt_manifest(
+        self, override, message, tmp_path, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(MICRO_CONFIG | override))
+        rc = main(["generate", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [corrupt-manifest]") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestEvaluate:
     def test_report_files_and_rows(self, workspace, tmp_path):
@@ -114,6 +143,23 @@ class TestEvaluate:
         assert rc == 0
         report = json.loads(next(out.glob("*.json")).read_text())
         assert report["budget"] == 10
+
+    def test_report_file_named_after_effective_budget(self, workspace, tmp_path):
+        scheme = tmp_path / "baseline10.json"
+        scheme.write_text(json.dumps(mistake_match_scheme(budget=10).to_record()))
+        out = tmp_path / "reports3"
+        rc = main([
+            "evaluate", "--benchmark", str(workspace / "bench"), "--scheme", str(scheme),
+            "--budget", "20", "--runs", "1", "--workers", "1", "--out", str(out),
+        ])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "evaluate_negative-raw_labels-majority@20.csv",
+            "evaluate_negative-raw_labels-majority@20.json",
+        ]
+        assert json.loads((out / "evaluate_negative-raw_labels-majority@20.json").read_text())[
+            "budget"
+        ] == 20
 
     def test_corrupt_manifest_exit_code(self, workspace, tmp_path, capsys):
         bad_dir = tmp_path / "corrupt"

@@ -1,5 +1,6 @@
 """Tests for benchmark construction, metrics, evaluation, and reports."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import modelprint as mp
 from modelprint import fingerprints, harness
-from modelprint.core import pair_stats
+from modelprint.core import Classifier, pair_stats
 from modelprint.errors import EmptyPairSet, EmptyTaskList, NonFiniteAnswer
 from modelprint.harness import (
     STREAM_POOL,
@@ -36,7 +37,7 @@ from modelprint.harness import (
 from modelprint.samplers import AdversarialSampler, Subsampler, UniformSampler
 from modelprint.schemes import SchemeSpec, mistake_match_scheme
 from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig, generate_task, train
-from modelprint.variants import extract, finetune, same_copy, transfer, unrelated
+from modelprint.variants import extract, finetune, quantize, same_copy, transfer, unrelated
 
 from conftest import nan_copy, reference_cosine_distance
 
@@ -457,6 +458,95 @@ def test_reports_byte_identical_to_oracles(mini_benchmark, monkeypatch):
             for spec in perfbench_families()]
     assert all('"pair_statistics":{"victim-0|' in report for report in fast)
     assert fast == slow
+
+
+def count_split_predicts(monkeypatch, bench):
+    """A Counter of ``predict`` calls on any victim's test points, by model identity."""
+    counts = Counter()
+    splits = [v.test_data.points for v in bench.victims]
+    original = Classifier.predict
+
+    def counting(self, X):
+        if any(X is points for points in splits):
+            counts[self.identity] += 1
+        return original(self, X)
+
+    monkeypatch.setattr(Classifier, "predict", counting)
+    return counts
+
+
+def suspect_ids(bench, victims=None):
+    return [
+        model.identity
+        for v in victims or bench.victims
+        for model, _ in bench.stolen[v.model.identity] + bench.unrelated[v.model.identity]
+    ]
+
+
+class TestPairStatsMemo:
+    """Pair statistics are computed once per triplet and split and never change an answer."""
+
+    @staticmethod
+    def reports(bench):
+        families = [perfbench_families()[i] for i in (0, 1, 2, 4)]
+        evals = [evaluate(spec, bench, n_runs=2, seed=0).to_json() for spec in families]
+        return evals, repr(pair_distance_report(bench))
+
+    def test_four_evaluations_and_a_report_equal_the_oracle(self, mini_benchmark, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_all_pair_stats", reference_all_pair_stats)
+            slow = self.reports(replace(mini_benchmark))
+        bench = replace(mini_benchmark)  # an empty memo, whatever the fixture has seen
+        counts = count_split_predicts(monkeypatch, bench)
+        fast = self.reports(bench)
+        assert fast == slow
+        assert [counts[i] for i in suspect_ids(bench)] == [1] * len(suspect_ids(bench))
+
+    @pytest.mark.parametrize("swap", ["suspect", "split-data"])
+    def test_swap_recomputes_that_victim_only(self, mini_benchmark, monkeypatch, swap):
+        bench = replace(
+            mini_benchmark,
+            victims=tuple(replace(v) for v in mini_benchmark.victims),
+            stolen=dict(mini_benchmark.stolen),
+        )
+        pair_distance_report(bench)
+        victim = bench.victims[0]
+        vid = victim.model.identity
+        if swap == "suspect":
+            (_, tag), *others = bench.stolen[vid]
+            bench.stolen[vid] = ((quantize(victim.model, 3), tag), *others)
+        else:
+            victim.test_data = victim.test_data.take(np.arange(100))
+        with monkeypatch.context() as patch:
+            counts = count_split_predicts(patch, bench)
+            fast = repr(pair_distance_report(bench))
+        assert counts == Counter([vid, *suspect_ids(bench, [victim])])
+        monkeypatch.setattr(harness, "_all_pair_stats", reference_all_pair_stats)
+        assert fast == repr(pair_distance_report(bench))
+
+    @pytest.mark.parametrize("report_first", [False, True], ids=["evaluate-first", "report-first"])
+    def test_nan_victim_skipped_by_evaluate_raised_by_report(self, mini_benchmark, report_first):
+        first, *rest = mini_benchmark.victims
+        broken = replace(first, model=nan_copy(first.model, first.model.identity))
+        bench = replace(mini_benchmark, victims=(broken, *rest))
+        if report_first:
+            with pytest.raises(NonFiniteAnswer):
+                pair_distance_report(bench)
+        report = evaluate(mistake_match_scheme(budget=20), bench, n_runs=1, seed=0)
+        assert {key.split("|")[0] for key in report.pair_statistics} == {
+            v.model.identity for v in rest
+        }
+        with pytest.raises(NonFiniteAnswer):
+            pair_distance_report(bench)
+
+    def test_nan_suspect_raises_every_time(self, mini_benchmark):
+        vid = mini_benchmark.victims[0].model.identity
+        (model, tag), *others = mini_benchmark.stolen[vid]
+        stolen = mini_benchmark.stolen | {vid: ((nan_copy(model), tag), *others)}
+        bench = replace(mini_benchmark, stolen=stolen)
+        for _ in range(2):
+            with pytest.raises(NonFiniteAnswer):
+                pair_distance_report(bench)
 
 
 class TestEvaluate:
