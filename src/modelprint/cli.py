@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -73,6 +72,13 @@ def _load_scheme(path: Path) -> SchemeSpec:
         raise ModelprintError(f"{path}: invalid scheme spec: {err}")
 
 
+def _skip_line(reports) -> str:
+    """How many of the reports' run x victim cells were skipped."""
+    skipped = sum(len(r.skipped) for r in reports)
+    cells = sum(r.n_runs * r.model_scale["n_victims"] for r in reports)
+    return f"skipped {skipped} of {cells} cells"
+
+
 def cmd_generate(args) -> int:
     config = BenchmarkConfig.from_record(_load_json(Path(args.config)))
     if args.seed is not None:
@@ -97,7 +103,6 @@ def cmd_evaluate(args) -> int:
         bench,
         n_runs=args.runs,
         seed=args.seed,
-        workers=args.workers,
     )
     report.run_config["cli"] = {
         "benchmark": str(args.benchmark),
@@ -110,6 +115,7 @@ def cmd_evaluate(args) -> int:
         print(f"{task}: tpr@{report.fpr_cap:g} = {entry['mean']:.3f} +- {entry['std']:.3f}")
     agg = report.aggregate["mean_over_tasks"]
     print(f"aggregate (mean over tasks): {agg['mean']:.3f} +- {agg['std']:.3f}")
+    print(_skip_line([report]))
     print(f"wrote {jpath} and {cpath}")
     return 0
 
@@ -129,16 +135,16 @@ def cmd_sweep(args) -> int:
                 write_csv_rows(fh, ((label, *row) for row in report.csv_rows()))
                 fh.flush()
 
-            budget_sweep(
+            sweep = budget_sweep(
                 spec,
                 bench,
                 args.budgets,
                 n_runs=args.runs,
                 seed=args.seed,
-                workers=args.workers,
                 cell_callback=flush,
             )
-            print(f"swept {label} over budgets {args.budgets}")
+            print(f"swept {label} over budgets {args.budgets}: "
+                  f"{_skip_line(sweep.reports.values())}")
     print(f"wrote {grid_path}")
     return 0
 
@@ -164,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--budget", type=_count, default=None, help="query budget override")
     ev.add_argument("--runs", type=_count, default=5, help="number of seeded runs")
     ev.add_argument("--seed", type=_seed, default=0, help="root seed (runs use seed..seed+runs-1)")
-    ev.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     ev.add_argument("--out", required=True, help="report output directory")
     ev.set_defaults(fn=cmd_evaluate)
 
@@ -175,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated ascending budgets")
     sw.add_argument("--runs", type=_count, default=5)
     sw.add_argument("--seed", type=_seed, default=0)
-    sw.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     sw.add_argument("--out", required=True)
     sw.set_defaults(fn=cmd_sweep)
     return parser

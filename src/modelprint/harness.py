@@ -101,10 +101,11 @@ DESK_ARCH = MLPSpec(layer_widths=(8, 48, 24, 4), activation="relu")
 DESK_TRAIN = TrainConfig(epochs=80, learning_rate=0.05, batch_size=32)
 
 
-# The tag params that ``_build_stolen`` reads without a default: (key, type, wording).
+# The tag params that ``_build_stolen`` reads without a default, with the ranges
+# ``variants`` enforces after training: (key, type, wording, range check, range wording).
 _TAG_PARAMS = {
-    "prune": ("fraction", numbers.Real, "a numeric"),
-    "quantize": ("bits", numbers.Integral, "an integer"),
+    "prune": ("fraction", numbers.Real, "a numeric", lambda f: 0 <= f < 1, "in [0, 1)"),
+    "quantize": ("bits", numbers.Integral, "an integer", lambda b: b >= 2, ">= 2"),
 }
 
 
@@ -135,10 +136,12 @@ class BenchmarkConfig:
             raise ValueError(f"n_unrelated must be >= 1, got {self.n_unrelated}")
         for tag in self.stolen:
             if tag.method in _TAG_PARAMS:
-                key, kind, what = _TAG_PARAMS[tag.method]
+                key, kind, what, in_range, bound = _TAG_PARAMS[tag.method]
                 value = tag.params.get(key)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{tag.method} tag needs {what} {key!r}, got {value!r}")
+                if not in_range(value):
+                    raise ValueError(f"{tag.method} tag needs {key!r} {bound}, got {value!r}")
 
     def to_record(self) -> dict:
         return {
@@ -355,7 +358,11 @@ def save_benchmark(bench: BenchmarkTriplet, out_dir) -> Path:
 
 
 def load_benchmark(bench_dir) -> BenchmarkTriplet:
-    """Rebuild a benchmark from its manifest: datasets from task specs, weights from files."""
+    """Rebuild a benchmark from its manifest: datasets from task specs, weights from files.
+
+    Each weight file must lie inside ``bench_dir`` and fit its victim's task;
+    otherwise, as for any malformed manifest, ``ManifestError`` is raised.
+    """
     bench_dir = Path(bench_dir)
     path = bench_dir / "manifest.json"
     try:
@@ -364,20 +371,33 @@ def load_benchmark(bench_dir) -> BenchmarkTriplet:
         raise ManifestError(f"no manifest at {path}") from err
     except json.JSONDecodeError as err:
         raise ManifestError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    root = bench_dir.resolve()
+
+    def load_model(entry: dict, task: SyntheticTaskSpec, tag=None) -> MLPClassifier:
+        """The entry's weights, which must lie inside the benchmark and fit ``task``."""
+        file = (root / entry["file"]).resolve()
+        if not file.is_relative_to(root):
+            raise ManifestError(f"{path}: {entry['file']!r} lies outside {bench_dir}")
+        model = load_weights(file, identity=entry["id"], tag=tag)
+        if (model.input_dim, model.num_classes) != (task.dim, task.num_classes):
+            raise ManifestError(
+                f"{path}: {entry['id']} has {model.input_dim} inputs and "
+                f"{model.num_classes} classes, its task {task.dim} and {task.num_classes}"
+            )
+        return model
+
     try:
         victims, stolen, unrelated_map = [], {}, {}
         for ventry in manifest["victims"]:
             task = SyntheticTaskSpec(**ventry["task"])
             train_data, test_data = generate_task(task)
-            model = load_weights(bench_dir / ventry["file"], identity=ventry["id"])
+            model = load_model(ventry, task)
             victims.append(Victim(model, train_data, test_data, task))
             for group, table in (("stolen", stolen), ("unrelated", unrelated_map)):
                 entries = []
                 for e in ventry[group]:
                     tag = TaskTag.from_record(e["tag"])
-                    entries.append(
-                        (load_weights(bench_dir / e["file"], identity=e["id"], tag=tag), tag)
-                    )
+                    entries.append((load_model(e, task, tag), tag))
                 table[ventry["id"]] = tuple(entries)
         config = (
             BenchmarkConfig.from_record(manifest["config"])
@@ -385,7 +405,8 @@ def load_benchmark(bench_dir) -> BenchmarkTriplet:
             else None
         )
         return BenchmarkTriplet(tuple(victims), stolen, unrelated_map, config)
-    except (KeyError, TypeError, ValueError, FileNotFoundError) as err:
+    # RuntimeError: ``Path.resolve`` on a symlink loop before Python 3.13
+    except (KeyError, TypeError, ValueError, OSError, RuntimeError) as err:
         if isinstance(err, ModelprintError):
             raise
         raise ManifestError(f"{path}: {err}") from err
@@ -773,7 +794,6 @@ def budget_sweep(
     n_runs: int = 5,
     seed: int = 0,
     fpr_cap: float = 0.05,
-    workers: int = 1,
     cell_callback=None,
 ) -> SweepReport:
     """Evaluate the scheme spec at each budget (strictly ascending); shared run seeds.
@@ -793,7 +813,6 @@ def budget_sweep(
             n_runs=n_runs,
             seed=seed,
             fpr_cap=fpr_cap,
-            workers=workers,
             compute_pair_stats=False,
         )
         if report.skipped:

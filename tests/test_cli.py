@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import concurrent.futures
 import hashlib
 import json
 
@@ -93,9 +94,16 @@ class TestGenerate:
              "quantize tag needs an integer 'bits', got None"),
             ({"stolen": [{"method": "quantize", "params": {"bits": 6.5}}]},
              "quantize tag needs an integer 'bits', got 6.5"),
+            ({"stolen": [{"method": "prune", "params": {"fraction": -0.1}}]},
+             "prune tag needs 'fraction' in [0, 1), got -0.1"),
+            ({"stolen": [{"method": "prune", "params": {"fraction": 1.0}}]},
+             "prune tag needs 'fraction' in [0, 1), got 1.0"),
+            ({"stolen": [{"method": "quantize", "params": {"bits": 1}}]},
+             "quantize tag needs 'bits' >= 2, got 1"),
         ],
         ids=["no-victims", "no-unrelated", "prune-no-fraction", "prune-text-fraction",
-             "quantize-no-bits", "quantize-float-bits"],
+             "quantize-no-bits", "quantize-float-bits", "prune-negative-fraction",
+             "prune-whole-fraction", "quantize-one-bit"],
     )
     def test_config_that_cannot_build_is_corrupt_manifest(
         self, override, message, tmp_path, capsys
@@ -111,13 +119,12 @@ class TestGenerate:
 
 
 class TestEvaluate:
-    def test_report_files_and_rows(self, workspace, tmp_path):
+    def test_report_files_and_rows(self, workspace, tmp_path, capsys):
         out = tmp_path / "reports"
         rc = main([
             "evaluate", "--benchmark", str(workspace / "bench"),
             "--scheme", str(workspace / "baseline.json"),
-            "--runs", "5", "--seed", "0", "--workers", "1",
-            "--out", str(out),
+            "--runs", "5", "--seed", "0", "--out", str(out),
         ])
         assert rc == 0
         csvs = list(out.glob("*.csv"))
@@ -132,6 +139,7 @@ class TestEvaluate:
             assert entry["std"] is not None
         assert report["version"] == mp.__version__
         assert report["run_config"]["scheme"]["sampler"]["kind"] == "negative"
+        assert "skipped 0 of 5 cells\n" in capsys.readouterr().out  # 5 runs x 1 victim
 
     def test_budget_override_flag(self, workspace, tmp_path):
         out = tmp_path / "reports2"
@@ -150,7 +158,7 @@ class TestEvaluate:
         out = tmp_path / "reports3"
         rc = main([
             "evaluate", "--benchmark", str(workspace / "bench"), "--scheme", str(scheme),
-            "--budget", "20", "--runs", "1", "--workers", "1", "--out", str(out),
+            "--budget", "20", "--runs", "1", "--out", str(out),
         ])
         assert rc == 0
         assert sorted(p.name for p in out.iterdir()) == [
@@ -174,13 +182,12 @@ class TestEvaluate:
 
 
 class TestSweep:
-    def test_grid_rows_per_scheme_budget_run(self, workspace, tmp_path):
+    def test_grid_rows_per_scheme_budget_run(self, workspace, tmp_path, capsys):
         out = tmp_path / "sweep"
         rc = main([
             "sweep", "--benchmark", str(workspace / "bench"),
             "--scheme", str(workspace / "baseline.json"), str(workspace / "uniform.json"),
-            "--budgets", "8,16", "--runs", "2", "--seed", "0", "--workers", "1",
-            "--out", str(out),
+            "--budgets", "8,16", "--runs", "2", "--seed", "0", "--out", str(out),
         ])
         assert rc == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
@@ -191,6 +198,8 @@ class TestSweep:
         runs_per_cell = len(body) / len(cells)
         n_tasks = len({row[1] for row in body if not row[1].startswith("aggregate")})
         assert runs_per_cell == (n_tasks + 2) * 2
+        # one line per scheme, over 2 budgets x 2 runs x 1 victim
+        assert capsys.readouterr().out.count("over budgets [8, 16]: skipped 0 of 4 cells\n") == 2
 
     def test_empty_scheme_list_is_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -199,6 +208,21 @@ class TestSweep:
                 "--scheme", "--budgets", "8", "--out", str(tmp_path / "x"),
             ])
         assert err.value.code == 2
+
+
+def test_commands_score_in_their_own_process(workspace, tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the CLI started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    common = ["--benchmark", str(workspace / "bench"),
+              "--scheme", str(workspace / "baseline.json"), "--runs", "2"]
+    assert main(["evaluate", *common, "--out", str(tmp_path / "reports")]) == 0
+    assert main(["sweep", *common, "--budgets", "8,16", "--out", str(tmp_path / "sweep")]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["evaluate", *common, "--workers", "2", "--out", str(tmp_path / "x")])
+    assert err.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 class TestSeeds:

@@ -1,5 +1,6 @@
 """Tests for benchmark construction, metrics, evaluation, and reports."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -203,6 +204,44 @@ class TestManifest:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(mp.errors.ManifestError):
             load_benchmark(tmp_path / "nope")
+
+    @staticmethod
+    def edited_copy(bench, bench_dir, edit):
+        """Save ``bench`` to ``bench_dir``, then apply ``edit`` to its manifest record."""
+        path = save_benchmark(bench, bench_dir)
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def test_task_disagreeing_with_weights_raises(self, mini_benchmark, tmp_path):
+        def widen(manifest):
+            manifest["victims"][1]["task"]["dim"] = 5
+
+        self.edited_copy(mini_benchmark, tmp_path / "bench", widen)
+        with pytest.raises(mp.errors.ManifestError, match="victim-1 has 4 inputs and 3 classes"):
+            load_benchmark(tmp_path / "bench")
+
+    @pytest.mark.parametrize("case", ["parent", "absolute", "symlink", "directory", "symlink-loop"])
+    def test_bad_weight_file_entry_raises(self, mini_benchmark, tmp_path, case):
+        bench_dir = tmp_path / "bench"
+        outside = tmp_path / "outside.mpw"  # a valid weight file in the wrong place
+        entry, message = {
+            "parent": ("../outside.mpw", "lies outside"),
+            "absolute": (str(outside), "lies outside"),
+            "symlink": ("link.mpw", "lies outside"),
+            "directory": (".", "Is a directory"),
+            "symlink-loop": ("loop.mpw", "loop"),
+        }[case]
+
+        def point_away(manifest):
+            manifest["victims"][0]["stolen"][0]["file"] = entry
+
+        self.edited_copy(mini_benchmark, bench_dir, point_away)
+        outside.write_bytes((bench_dir / "victim-0_stolen-0.mpw").read_bytes())
+        (bench_dir / "link.mpw").symlink_to(outside)
+        (bench_dir / "loop.mpw").symlink_to("loop.mpw")
+        with pytest.raises(mp.errors.ManifestError, match=message):
+            load_benchmark(bench_dir)
 
 
 def hand_scores(flag_map):
