@@ -58,8 +58,8 @@ def _budgets(text: str) -> list[int]:
 def _load_json(path: Path) -> dict:
     try:
         return json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ModelprintError(f"{path}: no such file")
+    except OSError as err:  # missing, or a directory
+        raise ModelprintError(f"{path}: {err.strerror}")
     except json.JSONDecodeError as err:
         raise ModelprintError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
 

@@ -109,6 +109,17 @@ _TAG_PARAMS = {
 }
 
 
+def _integer_fields(cls, rec: dict, where: str = "") -> dict:
+    """``rec``, once every ``int`` field of ``cls`` it sets holds integers, not 2.9 or 1e400."""
+    for f in dataclasses.fields(cls):
+        if f.name in rec and f.type in ("int", "tuple[int, ...]"):
+            value = rec[f.name]
+            items = value if isinstance(value, list) else [value]
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items):
+                raise ValueError(f"{where}{f.name} must be integral, got {value!r}")
+    return rec
+
+
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Recipe for a benchmark triplet.
@@ -159,16 +170,15 @@ class BenchmarkConfig:
     @staticmethod
     def from_record(rec: dict) -> "BenchmarkConfig":
         try:
-            arch = dict(rec["arch"])
-            arch["layer_widths"] = tuple(arch["layer_widths"])
+            _integer_fields(BenchmarkConfig, rec)
             return BenchmarkConfig(
-                task=SyntheticTaskSpec(**rec["task"]),
-                arch=MLPSpec(**arch),
-                train=TrainConfig(**rec["train"]),
-                n_victims=int(rec["n_victims"]),
+                task=SyntheticTaskSpec(**_integer_fields(SyntheticTaskSpec, rec["task"], "task.")),
+                arch=MLPSpec(**_integer_fields(MLPSpec, rec["arch"], "arch.")),
+                train=TrainConfig(**_integer_fields(TrainConfig, rec["train"], "train.")),
+                n_victims=rec["n_victims"],
                 stolen=tuple(TaskTag.from_record(t) for t in rec["stolen"]),
-                n_unrelated=int(rec["n_unrelated"]),
-                seed=int(rec["seed"]),
+                n_unrelated=rec["n_unrelated"],
+                seed=rec["seed"],
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ManifestError(f"invalid benchmark config: {err}") from err
@@ -367,7 +377,7 @@ def load_benchmark(bench_dir) -> BenchmarkTriplet:
     path = bench_dir / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
-    except FileNotFoundError as err:
+    except OSError as err:  # missing, or ``bench_dir`` is a file
         raise ManifestError(f"no manifest at {path}") from err
     except json.JSONDecodeError as err:
         raise ManifestError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
@@ -646,7 +656,6 @@ def _score_cell(spec: SchemeSpec, victim: Victim, suspects, run: int, qseed: int
 def evaluate(
     spec: SchemeSpec,
     benchmark: BenchmarkTriplet,
-    budget: int | None = None,
     n_runs: int = 5,
     seed: int = 0,
     fpr_cap: float = 0.05,
@@ -656,7 +665,7 @@ def evaluate(
     """Score every pair over ``n_runs`` seeded runs and report TPR@cap.
 
     Run r uses root seed ``seed + r``; query seeds are derived per victim.
-    Victims whose sampler is infeasible at this budget, or that answer with
+    Victims whose sampler is infeasible at ``spec.budget``, or that answer with
     NaN or inf, are skipped (logged, not fatal).  Two aggregates are
     reported per run and labeled explicitly: the mean of per-task TPRs and
     the TPR of all pairs pooled across tasks.
@@ -665,9 +674,6 @@ def evaluate(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    if budget is not None and budget != spec.budget:
-        spec = replace(spec, budget=int(budget))
-    budget = spec.budget
     spec_rec = spec.to_record()
     run_seeds = tuple(seed + r for r in range(n_runs))
 
@@ -741,14 +747,14 @@ def evaluate(
     }
     run_config = {
         "scheme": spec_rec,
-        "budget": budget,
+        "budget": spec.budget,
         "n_runs": n_runs,
         "seed": seed,
         "fpr_cap": fpr_cap,
     }
     return EvalReport(
         scheme=spec_rec,
-        budget=budget,
+        budget=spec.budget,
         n_runs=n_runs,
         run_seeds=run_seeds,
         fpr_cap=fpr_cap,
@@ -807,9 +813,8 @@ def budget_sweep(
     reports = {}
     for budget in budgets:
         report = evaluate(
-            spec,
+            replace(spec, budget=budget),
             benchmark,
-            budget=budget,
             n_runs=n_runs,
             seed=seed,
             fpr_cap=fpr_cap,

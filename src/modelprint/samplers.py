@@ -80,6 +80,24 @@ class Sampler:
         """The kind and every parameter field; ``sampler_from_record`` inverts it."""
         return {"kind": self.name} | {f.name: getattr(self, f.name) for f in fields(self)}
 
+    def _seed_rows(
+        self, pool: int | np.ndarray, budget: int, seed: int
+    ) -> tuple[np.ndarray, np.random.Generator]:
+        """``seed_budget(budget)`` distinct rows of ``pool`` (a size or row array), and the rng."""
+        k = self.seed_budget(budget)
+        n = pool if isinstance(pool, int) else len(pool)
+        if k > n:
+            raise BudgetExceedsPool(f"needs {k} seed points, pool has {n}")
+        rng = np.random.default_rng(seed)
+        return rng.choice(pool, k, replace=False), rng
+
+    def _query_set(self, points, budget: int, seed: int, **layout) -> QuerySet:
+        """A ``QuerySet`` whose provenance is the sampler kind, budget, seed and every field."""
+        params = self.to_record()
+        provenance = {"sampler": params.pop("kind"), "budget": budget, "seed": int(seed)}
+        provenance |= {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}
+        return QuerySet(points, provenance, **layout)
+
 
 def _check_budget(budget: int) -> int:
     budget = int(budget)
@@ -96,16 +114,8 @@ class UniformSampler(Sampler):
 
     def sample(self, seed_set, model, budget, seed):
         budget = _check_budget(budget)
-        n = len(seed_set)
-        if budget > n:
-            raise BudgetExceedsPool(f"budget {budget} > pool size {n}")
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n, budget, replace=False)
-        return QuerySet(
-            seed_set.points[idx],
-            provenance={"sampler": self.name, "budget": budget, "seed": int(seed)},
-            source_indices=idx,
-        )
+        idx, _ = self._seed_rows(len(seed_set), budget, seed)
+        return self._query_set(seed_set.points[idx], budget, seed, source_indices=idx)
 
 
 @dataclass(frozen=True)
@@ -125,13 +135,8 @@ class NegativeSampler(Sampler):
                 f"points, budget is {budget}",
                 available=int(wrong.size),
             )
-        rng = np.random.default_rng(seed)
-        idx = wrong[rng.choice(wrong.size, budget, replace=False)]
-        return QuerySet(
-            seed_set.points[idx],
-            provenance={"sampler": self.name, "budget": budget, "seed": int(seed)},
-            source_indices=idx,
-        )
+        idx, _ = self._seed_rows(wrong, budget, seed)
+        return self._query_set(seed_set.points[idx], budget, seed, source_indices=idx)
 
 
 def projected_gradient_ascent(
@@ -186,13 +191,18 @@ class AdversarialSampler(Sampler):
     def pairing_length(self, budget):
         return budget // 2
 
-    def _resolve_eps(self, seed_set: LabeledDataset) -> np.ndarray:
-        if self.eps is not None:
-            return np.broadcast_to(
-                np.asarray(self.eps, dtype=np.float64), (seed_set.dim,)
-            ).copy()
-        span = seed_set.points.max(axis=0) - seed_set.points.min(axis=0)
-        return 0.1 * span
+    def perturb(self, model: Classifier, seed_set: LabeledDataset, X: np.ndarray) -> np.ndarray:
+        """Gradient-ascent copies of the rows of ``X`` against ``model``'s own labels.
+
+        This is the one definition of the default attack box: radius 0.1
+        times ``seed_set``'s per-dimension range, steps of eps / 8.
+        """
+        if self.eps is None:
+            eps = 0.1 * (seed_set.points.max(axis=0) - seed_set.points.min(axis=0))
+        else:
+            eps = np.broadcast_to(np.asarray(self.eps, dtype=np.float64), (seed_set.dim,))
+        step = eps / 8.0 if self.step_size is None else self.step_size
+        return projected_gradient_ascent(model, X, model.predict(X), eps, self.steps, step)
 
     def sample(self, seed_set, model, budget, seed):
         budget = _check_budget(budget)
@@ -202,29 +212,12 @@ class AdversarialSampler(Sampler):
             )
         if model is None or model.access < Access.GRADIENTS:
             raise GradientRequired("adversarial sampling needs gradient access")
-        half = budget // 2
-        n = len(seed_set)
-        if half > n:
-            raise BudgetExceedsPool(f"needs {half} seed points, pool has {n}")
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n, half, replace=False)
-        X = seed_set.points[idx]
-        eps = self._resolve_eps(seed_set)
-        step = eps / 8.0 if self.step_size is None else self.step_size
-        U = projected_gradient_ascent(model, X, model.predict(X), eps, self.steps, step)
-        return QuerySet(
-            np.concatenate([X, U], axis=0),
-            provenance={
-                "sampler": self.name,
-                "budget": budget,
-                "seed": int(seed),
-                "eps": None if self.eps is None else np.asarray(self.eps, float).tolist(),
-                "steps": int(self.steps),
-                "step_size": None if self.step_size is None else float(self.step_size),
-            },
-            pairing=tuple((i, i + half) for i in range(half)),
-            source_indices=np.concatenate([idx, np.full(half, -1, dtype=np.int64)]),
-        )
+        idx, _ = self._seed_rows(len(seed_set), budget, seed)
+        X, half = seed_set.points[idx], len(idx)
+        points = np.concatenate([X, self.perturb(model, seed_set, X)], axis=0)
+        pairing = tuple((i, i + half) for i in range(half))
+        src = np.concatenate([idx, np.full(half, -1, dtype=np.int64)])
+        return self._query_set(points, budget, seed, pairing=pairing, source_indices=src)
 
 
 @dataclass(frozen=True)
@@ -251,8 +244,7 @@ class Subsampler(Sampler):
         return budget // (1 + self.k_variants)
 
     def pairing_length(self, budget):
-        n_seeds = budget // (1 + self.k_variants)
-        return n_seeds * self.k_variants
+        return self.seed_budget(budget) * self.k_variants
 
     def sample(self, seed_set, model, budget, seed):
         budget = _check_budget(budget)
@@ -261,36 +253,15 @@ class Subsampler(Sampler):
             raise BudgetShapeMismatch(
                 f"budget {budget} is not a multiple of 1 + k_variants = {block}"
             )
-        n_seeds = budget // block
-        n = len(seed_set)
-        if n_seeds > n:
-            raise BudgetExceedsPool(f"needs {n_seeds} seed points, pool has {n}")
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n, n_seeds, replace=False)
-        X = seed_set.points[idx]
+        idx, rng = self._seed_rows(len(seed_set), budget, seed)
+        X, n_seeds = seed_set.points[idx], len(idx)
         k, d = self.k_variants, seed_set.dim
-        if k:
-            keep = rng.random((n_seeds, k, d)) < self.vicinity_scale
-            variants = (X[:, None, :] * keep).reshape(n_seeds * k, d)
-            points = np.concatenate([X, variants], axis=0)
-            pairing = tuple(
-                (i, n_seeds + i * k + j) for i in range(n_seeds) for j in range(k)
-            )
-            src = np.concatenate([idx, np.full(n_seeds * k, -1, dtype=np.int64)])
-        else:
-            points, pairing, src = X, None, idx
-        return QuerySet(
-            points,
-            provenance={
-                "sampler": self.name,
-                "budget": budget,
-                "seed": int(seed),
-                "k_variants": int(self.k_variants),
-                "vicinity_scale": float(self.vicinity_scale),
-            },
-            pairing=pairing,
-            source_indices=src,
-        )
+        keep = rng.random((n_seeds, k, d)) < self.vicinity_scale
+        points = np.concatenate([X, (X[:, None, :] * keep).reshape(n_seeds * k, d)], axis=0)
+        pairing = tuple((i, n_seeds + i * k + j) for i in range(n_seeds) for j in range(k))
+        src = np.concatenate([idx, np.full(n_seeds * k, -1, dtype=np.int64)])
+        # k = 0 leaves the seeds alone, unpaired
+        return self._query_set(points, budget, seed, pairing=pairing or None, source_indices=src)
 
 
 @dataclass(frozen=True)

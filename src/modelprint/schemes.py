@@ -15,6 +15,7 @@ copying.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +86,8 @@ class SchemeSpec:
             raise ValueError(f"representation must be one of {KINDS}")
         if self.inner_distance not in INNER_DISTANCES:
             raise ValueError(f"inner_distance must be one of {INNER_DISTANCES}")
+        if isinstance(self.budget, bool) or not isinstance(self.budget, numbers.Integral):
+            raise ValueError(f"budget must be integral, got {self.budget!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.seed_split not in ("train", "test"):
@@ -133,7 +136,7 @@ class SchemeSpec:
             representation=rec["representation"],
             inner_distance=rec.get("inner_distance", "cosine"),
             detector=DetectorSpec(**rec.get("detector", {})),
-            budget=int(rec.get("budget", 100)),
+            budget=rec.get("budget", 100),
             seed_split=rec.get("seed_split", "test"),
         )
 

@@ -53,6 +53,14 @@ def workspace(tmp_path_factory):
     return root
 
 
+INF = float("inf")
+
+
+def json_with_1e400(rec) -> str:
+    """``rec`` as JSON with each infinity written as 1e400, a finite-looking literal."""
+    return json.dumps(rec).replace("Infinity", "1e400")
+
+
 class TestGenerate:
     def test_minimal_benchmark_file_count(self, workspace):
         bench_dir = workspace / "bench"
@@ -100,16 +108,29 @@ class TestGenerate:
              "prune tag needs 'fraction' in [0, 1), got 1.0"),
             ({"stolen": [{"method": "quantize", "params": {"bits": 1}}]},
              "quantize tag needs 'bits' >= 2, got 1"),
+            ({"n_victims": 2.9}, "n_victims must be integral, got 2.9"),
+            ({"seed": 1.5}, "seed must be integral, got 1.5"),
+            ({"n_victims": INF}, "n_victims must be integral, got inf"),
+            ({"arch": MICRO_CONFIG["arch"] | {"layer_widths": [4, INF, 3]}},
+             "arch.layer_widths must be integral, got [4, inf, 3]"),
+            ({"task": MICRO_CONFIG["task"] | {"n_train": 2.5}},
+             "task.n_train must be integral, got 2.5"),
+            ({"train": MICRO_CONFIG["train"] | {"epochs": 2.5}},
+             "train.epochs must be integral, got 2.5"),
+            ({"train": MICRO_CONFIG["train"] | {"batch_size": 2.5}},
+             "train.batch_size must be integral, got 2.5"),
         ],
         ids=["no-victims", "no-unrelated", "prune-no-fraction", "prune-text-fraction",
              "quantize-no-bits", "quantize-float-bits", "prune-negative-fraction",
-             "prune-whole-fraction", "quantize-one-bit"],
+             "prune-whole-fraction", "quantize-one-bit", "fractional-victims",
+             "fractional-seed", "overflowing-victims", "overflowing-width",
+             "fractional-n-train", "fractional-epochs", "fractional-batch-size"],
     )
     def test_config_that_cannot_build_is_corrupt_manifest(
         self, override, message, tmp_path, capsys
     ):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(MICRO_CONFIG | override))
+        config.write_text(json_with_1e400(MICRO_CONFIG | override))
         rc = main(["generate", "--config", str(config), "--out", str(tmp_path / "x")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -179,6 +200,48 @@ class TestEvaluate:
         ])
         assert rc == 2
         assert "corrupt-manifest" in capsys.readouterr().err
+
+
+def scheme_with_budget(path, budget):
+    path.write_text(json_with_1e400(mistake_match_scheme().to_record() | {"budget": budget}))
+    return str(path)
+
+
+UNUSABLE_INPUTS = {
+    "fractional-scheme-budget": (
+        lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "bench"),
+                         "--scheme", scheme_with_budget(tmp / "s.json", 20.7)],
+        "[modelprint-error]", "budget must be integral, got 20.7",
+    ),
+    "overflowing-scheme-budget": (
+        lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "bench"),
+                         "--scheme", scheme_with_budget(tmp / "s.json", INF)],
+        "[modelprint-error]", "budget must be integral, got inf",
+    ),
+    "scheme-is-a-directory": (
+        lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "bench"), "--scheme", str(tmp)],
+        "[modelprint-error]", "Is a directory",
+    ),
+    "config-is-a-directory": (
+        lambda ws, tmp: ["generate", "--config", str(tmp)],
+        "[modelprint-error]", "Is a directory",
+    ),
+    "benchmark-is-a-file": (
+        lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "config.json"),
+                         "--scheme", str(ws / "baseline.json")],
+        "[corrupt-manifest]", "no manifest at",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_INPUTS)
+def test_unusable_input_file_is_an_error(case, workspace, tmp_path, capsys):
+    argv, code, message = UNUSABLE_INPUTS[case]
+    rc = main([*argv(workspace, tmp_path), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}") and message in err
+    assert not (tmp_path / "x").exists()
 
 
 class TestSweep:

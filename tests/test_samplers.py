@@ -4,8 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modelprint as mp
+from modelprint.core import Access
 from modelprint.errors import (
     BudgetExceedsPool,
     BudgetShapeMismatch,
@@ -17,8 +20,11 @@ from modelprint.samplers import (
     AdversarialSampler,
     ChainSampler,
     NegativeSampler,
+    QuerySet,
     Subsampler,
     UniformSampler,
+    _check_budget,
+    projected_gradient_ascent,
     sampler_from_record,
 )
 from modelprint.tinylearn import LinearClassifier
@@ -271,3 +277,219 @@ class TestRecords:
             NegativeSampler().sample(test, quick_model, 15, seed=2),
         ):
             assert all(row.tobytes() in pool_rows for row in qs.points)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-sampler draws and provenance dicts that the shared
+# ``Sampler`` helpers replaced, kept verbatim as references.
+# ---------------------------------------------------------------------------
+
+
+def reference_uniform(sampler, seed_set, model, budget, seed):
+    budget = _check_budget(budget)
+    n = len(seed_set)
+    if budget > n:
+        raise BudgetExceedsPool(f"budget {budget} > pool size {n}")
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(n, budget, replace=False)
+    return QuerySet(
+        seed_set.points[idx],
+        provenance={"sampler": sampler.name, "budget": budget, "seed": int(seed)},
+        source_indices=idx,
+    )
+
+
+def reference_negative(sampler, seed_set, model, budget, seed):
+    budget = _check_budget(budget)
+    if model is None:
+        raise ValueError("negative sampling needs the victim model")
+    wrong = np.flatnonzero(model.predict(seed_set.points) != seed_set.labels)
+    if wrong.size < budget:
+        raise InsufficientNegatives(
+            f"victim misclassifies {wrong.size} of {len(seed_set)} pool "
+            f"points, budget is {budget}",
+            available=int(wrong.size),
+        )
+    rng = np.random.default_rng(seed)
+    idx = wrong[rng.choice(wrong.size, budget, replace=False)]
+    return QuerySet(
+        seed_set.points[idx],
+        provenance={"sampler": sampler.name, "budget": budget, "seed": int(seed)},
+        source_indices=idx,
+    )
+
+
+def reference_resolve_eps(sampler, seed_set):
+    if sampler.eps is not None:
+        return np.broadcast_to(
+            np.asarray(sampler.eps, dtype=np.float64), (seed_set.dim,)
+        ).copy()
+    span = seed_set.points.max(axis=0) - seed_set.points.min(axis=0)
+    return 0.1 * span
+
+
+def reference_adversarial(sampler, seed_set, model, budget, seed):
+    budget = _check_budget(budget)
+    if budget % 2:
+        raise BudgetShapeMismatch(
+            f"adversarial sampling needs an even budget, got {budget}"
+        )
+    if model is None or model.access < Access.GRADIENTS:
+        raise GradientRequired("adversarial sampling needs gradient access")
+    half = budget // 2
+    n = len(seed_set)
+    if half > n:
+        raise BudgetExceedsPool(f"needs {half} seed points, pool has {n}")
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(n, half, replace=False)
+    X = seed_set.points[idx]
+    eps = reference_resolve_eps(sampler, seed_set)
+    step = eps / 8.0 if sampler.step_size is None else sampler.step_size
+    U = projected_gradient_ascent(model, X, model.predict(X), eps, sampler.steps, step)
+    return QuerySet(
+        np.concatenate([X, U], axis=0),
+        provenance={
+            "sampler": sampler.name,
+            "budget": budget,
+            "seed": int(seed),
+            "eps": None if sampler.eps is None else np.asarray(sampler.eps, float).tolist(),
+            "steps": int(sampler.steps),
+            "step_size": None if sampler.step_size is None else float(sampler.step_size),
+        },
+        pairing=tuple((i, i + half) for i in range(half)),
+        source_indices=np.concatenate([idx, np.full(half, -1, dtype=np.int64)]),
+    )
+
+
+def reference_subsample(sampler, seed_set, model, budget, seed):
+    budget = _check_budget(budget)
+    block = 1 + sampler.k_variants
+    if budget % block:
+        raise BudgetShapeMismatch(
+            f"budget {budget} is not a multiple of 1 + k_variants = {block}"
+        )
+    n_seeds = budget // block
+    n = len(seed_set)
+    if n_seeds > n:
+        raise BudgetExceedsPool(f"needs {n_seeds} seed points, pool has {n}")
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(n, n_seeds, replace=False)
+    X = seed_set.points[idx]
+    k, d = sampler.k_variants, seed_set.dim
+    if k:
+        keep = rng.random((n_seeds, k, d)) < sampler.vicinity_scale
+        variants = (X[:, None, :] * keep).reshape(n_seeds * k, d)
+        points = np.concatenate([X, variants], axis=0)
+        pairing = tuple(
+            (i, n_seeds + i * k + j) for i in range(n_seeds) for j in range(k)
+        )
+        src = np.concatenate([idx, np.full(n_seeds * k, -1, dtype=np.int64)])
+    else:
+        points, pairing, src = X, None, idx
+    return QuerySet(
+        points,
+        provenance={
+            "sampler": sampler.name,
+            "budget": budget,
+            "seed": int(seed),
+            "k_variants": int(sampler.k_variants),
+            "vicinity_scale": float(sampler.vicinity_scale),
+        },
+        pairing=pairing,
+        source_indices=src,
+    )
+
+
+def reference_chain(sampler, seed_set, model, budget, seed):
+    """``ChainSampler.sample`` with its stages drawn by the references."""
+    budget = _check_budget(budget)
+    s1, s2 = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    first_budget = sampler.second.seed_budget(budget)
+    q1 = reference_sample(sampler.first, seed_set, model, first_budget, int(s1))
+    if q1.source_indices is None or (q1.source_indices < 0).any():
+        raise IncompatibleScheme(
+            f"{sampler.first.name} synthesizes points and cannot seed a chain stage"
+        )
+    q2 = reference_sample(sampler.second, seed_set.take(q1.source_indices), model, budget, int(s2))
+    src = None
+    if q2.source_indices is not None:
+        src = np.where(
+            q2.source_indices >= 0, q1.source_indices[np.maximum(q2.source_indices, 0)], -1
+        )
+    provenance = {
+        "sampler": sampler.name, "budget": budget, "seed": int(seed),
+        "stages": [q1.provenance, q2.provenance],
+    }
+    return QuerySet(q2.points, provenance, pairing=q2.pairing, source_indices=src)
+
+
+REFERENCE_SAMPLE = {
+    "uniform": reference_uniform,
+    "negative": reference_negative,
+    "adversarial": reference_adversarial,
+    "subsample": reference_subsample,
+    "chain": reference_chain,
+}
+
+
+def reference_sample(sampler, seed_set, model, budget, seed):
+    return REFERENCE_SAMPLE[sampler.name](sampler, seed_set, model, budget, seed)
+
+
+def sample_outcome(fn, *args):
+    """A query set, or the type of the error raised instead of one."""
+    try:
+        return fn(*args)
+    except Exception as err:  # the error type is the outcome
+        return type(err)
+
+
+ORACLE_SAMPLERS = [
+    UniformSampler(),
+    NegativeSampler(),
+    AdversarialSampler(),
+    AdversarialSampler(eps=0.2),
+    AdversarialSampler(eps=(0.05, 0.1, 0.2, 0.4)),
+    AdversarialSampler(eps=0.3, steps=5, step_size=0.07),
+    AdversarialSampler(steps=3, step_size=0.11),
+    Subsampler(k_variants=0),
+    Subsampler(k_variants=1, vicinity_scale=0.5),
+    Subsampler(k_variants=3),
+    ChainSampler(NegativeSampler(), AdversarialSampler()),
+    ChainSampler(UniformSampler(), Subsampler(k_variants=1)),
+    ChainSampler(AdversarialSampler(eps=0.1), UniformSampler()),
+]
+
+
+@st.composite
+def oracle_cases(draw):
+    """A sampler, pool size and budget; half the budgets put the seed count at the pool's edge."""
+    sampler = draw(st.sampled_from(ORACLE_SAMPLERS))
+    pool_size = draw(st.integers(1, 60))
+    edge = [b for b in range(1, 4 * pool_size + 8) if abs(sampler.seed_budget(b) - pool_size) <= 1]
+    budget = draw(st.one_of(st.integers(1, 90), st.sampled_from(edge)))
+    return sampler, pool_size, budget
+
+
+class TestOracle:
+    @given(case=oracle_cases(), seed=st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_query_sets_match_reference(self, quick_model, quick_task, case, seed):
+        sampler, pool_size, budget = case
+        _, test = quick_task
+        pool = test.take(np.arange(pool_size))
+        got = sample_outcome(sampler.sample, pool, quick_model, budget, seed)
+        want = sample_outcome(reference_sample, sampler, pool, quick_model, budget, seed)
+        if isinstance(want, type):
+            assert got is want
+            return
+        assert isinstance(got, QuerySet)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.pairing == want.pairing
+        if want.source_indices is None:
+            assert got.source_indices is None
+        else:
+            assert got.source_indices.dtype == want.source_indices.dtype
+            assert got.source_indices.tobytes() == want.source_indices.tobytes()
+        assert got.provenance == want.provenance
+        assert json.dumps(got.provenance) == json.dumps(want.provenance)

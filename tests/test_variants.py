@@ -1,6 +1,7 @@
 """Tests for the stolen/unrelated model factory and output-noise wrappers."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,15 @@ from modelprint.errors import (
     EmptyQueryPool,
     IncompatibleTask,
 )
-from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig
+from modelprint.core import LabeledDataset
+from modelprint.samplers import projected_gradient_ascent
+from modelprint.tinylearn import (
+    MLPSpec,
+    SyntheticTaskSpec,
+    TrainConfig,
+    continue_training,
+    train,
+)
 from modelprint.variants import (
     OutputNoiseWrapper,
     ProbitPerturbation,
@@ -265,3 +274,51 @@ class TestTags:
     def test_record_round_trip(self):
         tag = TaskTag("label_extraction", {"pool_size": 100, "seed": 4})
         assert TaskTag.from_record(tag.to_record()) == tag
+
+
+def reference_adversarial_extract(h_victim, query_pool, arch, cfg, seed=0, n_adversarial=None):
+    """``extract(mode="adversarial_labels")`` with the attack box written out inline,
+    as it was before ``AdversarialSampler.perturb`` became its one definition."""
+    arch = replace(arch, seed=int(seed))
+    identity = f"{h_victim.identity}#adversarial_labels-x{seed}"
+    X = query_pool.points
+    victim_labels = h_victim.predict(X)
+    ds = LabeledDataset(X, victim_labels, h_victim.num_classes, np.full(len(X), "train"))
+    warmup = max(1, cfg.epochs // 2)
+    s_warm, s_rest = (
+        int(v) for v in np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
+    )
+    interim = train(
+        ds, replace(arch, seed=s_warm), replace(cfg, epochs=warmup), identity=identity
+    )
+    n_adv = n_adversarial if n_adversarial is not None else len(query_pool) // 2
+    n_adv = max(1, min(n_adv, len(query_pool)))
+    rng = np.random.default_rng(s_rest)
+    idx = rng.choice(len(query_pool), n_adv, replace=False)
+    span = X.max(axis=0) - X.min(axis=0)
+    eps = 0.1 * span
+    U = projected_gradient_ascent(
+        interim, X[idx], interim.predict(X[idx]), eps, 20, eps / 8.0
+    )
+    aug_X = np.concatenate([X, U], axis=0)
+    aug_y = np.concatenate([victim_labels, h_victim.predict(U)])
+    aug = LabeledDataset(aug_X, aug_y, h_victim.num_classes, np.full(len(aug_X), "train"))
+    rest_cfg = replace(cfg, epochs=max(1, cfg.epochs - warmup))
+    tag = TaskTag(
+        "adversarial_label_extraction",
+        {"pool_size": len(query_pool), "n_adversarial": int(n_adv), "seed": int(seed)},
+    )
+    return continue_training(interim, aug, rest_cfg, s_rest, identity, tag=tag)
+
+
+@pytest.mark.parametrize("seed, n_adversarial", [(0, None), (3, 17), (11, 500)])
+def test_adversarial_extraction_matches_reference(quick_model, quick_task, seed, n_adversarial):
+    train_ds, _ = quick_task
+    cfg = replace(QUICK_CFG, epochs=6)
+    got = extract(quick_model, train_ds, QUICK_ARCH, cfg, "adversarial_labels",
+                  seed=seed, n_adversarial=n_adversarial)
+    want = reference_adversarial_extract(quick_model, train_ds, QUICK_ARCH, cfg, seed,
+                                         n_adversarial)
+    assert got.identity == want.identity and got.tag == want.tag
+    for (Wg, bg), (Ww, bw) in zip(got.weights, want.weights, strict=True):
+        assert Wg.tobytes() == Ww.tobytes() and bg.tobytes() == bw.tobytes()
