@@ -57,11 +57,13 @@ def _budgets(text: str) -> list[int]:
 
 def _load_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as err:  # missing, or a directory
         raise ModelprintError(f"{path}: {err.strerror}")
     except json.JSONDecodeError as err:
         raise ModelprintError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
+    except UnicodeDecodeError as err:
+        raise ModelprintError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}")
 
 
 def _load_scheme(path: Path) -> SchemeSpec:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import abc
 import csv
 import enum
-from dataclasses import dataclass
+import numbers
+import re
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import numpy as np
 from .errors import (
     AccessInsufficient,
     BadClass,
+    CorruptDataset,
     EmptyEvaluationSet,
     NonFiniteAnswer,
 )
@@ -305,22 +308,27 @@ class LabeledDataset:
 
     @staticmethod
     def from_csv(path, num_classes: int | None = None) -> "LabeledDataset":
+        """The dataset ``to_csv`` wrote; ``CorruptDataset`` on anything else."""
         path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[-2:] != ["label", "split"]:
-                raise ValueError(f"{path}: expected trailing 'label,split' columns")
-            dim = len(header) - 2
-            pts, labels, split = [], [], []
-            for row in reader:
-                pts.append([float(v) for v in row[:dim]])
-                labels.append(int(row[dim]))
-                split.append(row[dim + 1])
-        labels = np.asarray(labels, dtype=np.int64)
-        if num_classes is None:
-            num_classes = int(labels.max()) if labels.size else 2
-        return LabeledDataset(np.asarray(pts), labels, num_classes, np.asarray(split))
+        pts, labels, split = [], [], []
+        try:
+            with path.open(newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, [])
+                if header[-2:] != ["label", "split"]:
+                    raise ValueError("expected trailing 'label,split' columns")
+                dim = len(header) - 2
+                for row in reader:
+                    pts.append([float(v) for v in row[:dim]])
+                    labels.append(int(row[dim]))
+                    split.append(row[dim + 1])
+            labels = np.asarray(labels, dtype=np.int64)
+            if num_classes is None:
+                num_classes = int(labels.max()) if labels.size else 2
+            return LabeledDataset(np.asarray(pts), labels, num_classes, np.asarray(split))
+        # a bad header or short row, a non-number, a label or split out of range, non-UTF-8 bytes
+        except (IndexError, ValueError) as err:
+            raise CorruptDataset(f"{path}: {err}") from err
 
 
 @dataclass(frozen=True)
@@ -407,3 +415,40 @@ def label_pair_stats(yh: np.ndarray, yg: np.ndarray, labels: np.ndarray) -> Pair
         delta_c=delta_c,
         n_eval=len(labels),
     )
+
+
+# -- records: the JSON form of configs, tags, schemes and samplers ----------
+
+_NUMBERS = {"int": (numbers.Integral, "integral"), "float": (numbers.Real, "a number")}
+
+
+def _check_number(annotation: str, value, where: str) -> None:
+    """Refuse ``value`` unless it fits an ``int`` or ``float`` annotation (a tuple, ``None``)."""
+    base = re.match(r"(?:tuple\[)?(\w+)", annotation)[1]
+    if base not in _NUMBERS or (value is None and "None" in annotation):
+        return
+    kind, what = _NUMBERS[base]
+    items = value if "tuple[" in annotation and isinstance(value, list | tuple) else [value]
+    if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
+        raise ValueError(f"{where} must be {what}, got {value!r}")
+
+
+def from_record(cls, rec, where: str = "", **built):
+    """The ``cls`` that JSON ``rec`` describes: unknown keys refused, omitted ones defaulted.
+
+    ``int`` and ``float`` fields must hold integers and numbers.  ``built[name](value,
+    where)`` builds a nested record; ``where`` is the dotted path that prefixes messages.
+    """
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where.rstrip('.') or cls.__name__} must be a JSON object, got {rec!r}")
+    annotations = {f.name: f.type for f in fields(cls) if f.init}
+    kwargs = {}
+    for name, value in rec.items():
+        if name not in annotations:
+            raise ValueError(f"{where}{name} is not a field of {cls.__name__}")
+        if name in built:
+            value = built[name](value, f"{where}{name}.")
+        else:
+            _check_number(annotations[name], value, f"{where}{name}")
+        kwargs[name] = value
+    return cls(**kwargs)

@@ -120,6 +120,12 @@ class CorruptWeights(ModelprintError, ValueError):
     code = "corrupt-weights"
 
 
+class CorruptDataset(ModelprintError, ValueError):
+    """A dataset CSV that is not what ``LabeledDataset.to_csv`` writes."""
+
+    code = "corrupt-dataset"
+
+
 class CorruptFingerprint(ModelprintError, ValueError):
     """A fingerprint file that is not exactly what ``save_fingerprint`` writes."""
 

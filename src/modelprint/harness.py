@@ -18,6 +18,7 @@ import json
 import logging
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from . import __version__
 # Names marked F401 are unused here, but the benchmark's tracer patches them in this module.
 from .core import Classifier, LabeledDataset, label_pair_stats, pair_stats  # noqa: F401
+from .core import from_record
 from .errors import (
     EmptyPairSet,
     EmptyTaskList,
@@ -109,17 +111,6 @@ _TAG_PARAMS = {
 }
 
 
-def _integer_fields(cls, rec: dict, where: str = "") -> dict:
-    """``rec``, once every ``int`` field of ``cls`` it sets holds integers, not 2.9 or 1e400."""
-    for f in dataclasses.fields(cls):
-        if f.name in rec and f.type in ("int", "tuple[int, ...]"):
-            value = rec[f.name]
-            items = value if isinstance(value, list) else [value]
-            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in items):
-                raise ValueError(f"{where}{f.name} must be integral, got {value!r}")
-    return rec
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Recipe for a benchmark triplet.
@@ -155,30 +146,15 @@ class BenchmarkConfig:
                     raise ValueError(f"{tag.method} tag needs {key!r} {bound}, got {value!r}")
 
     def to_record(self) -> dict:
-        return {
-            "task": dataclasses.asdict(self.task),
-            "arch": dataclasses.asdict(self.arch) | {
-                "layer_widths": list(self.arch.layer_widths)
-            },
-            "train": dataclasses.asdict(self.train),
-            "n_victims": self.n_victims,
-            "stolen": [t.to_record() for t in self.stolen],
-            "n_unrelated": self.n_unrelated,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_record(rec: dict) -> "BenchmarkConfig":
         try:
-            _integer_fields(BenchmarkConfig, rec)
-            return BenchmarkConfig(
-                task=SyntheticTaskSpec(**_integer_fields(SyntheticTaskSpec, rec["task"], "task.")),
-                arch=MLPSpec(**_integer_fields(MLPSpec, rec["arch"], "arch.")),
-                train=TrainConfig(**_integer_fields(TrainConfig, rec["train"], "train.")),
-                n_victims=rec["n_victims"],
-                stolen=tuple(TaskTag.from_record(t) for t in rec["stolen"]),
-                n_unrelated=rec["n_unrelated"],
-                seed=rec["seed"],
+            return from_record(
+                BenchmarkConfig, rec, task=partial(from_record, SyntheticTaskSpec),
+                arch=partial(from_record, MLPSpec), train=partial(from_record, TrainConfig),
+                stolen=lambda tags, where: tuple(TaskTag.from_record(t, where) for t in tags),
             )
         except (KeyError, TypeError, ValueError) as err:
             raise ManifestError(f"invalid benchmark config: {err}") from err
@@ -376,11 +352,13 @@ def load_benchmark(bench_dir) -> BenchmarkTriplet:
     bench_dir = Path(bench_dir)
     path = bench_dir / "manifest.json"
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except OSError as err:  # missing, or ``bench_dir`` is a file
         raise ManifestError(f"no manifest at {path}") from err
     except json.JSONDecodeError as err:
         raise ManifestError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except UnicodeDecodeError as err:
+        raise ManifestError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from err
     root = bench_dir.resolve()
 
     def load_model(entry: dict, task: SyntheticTaskSpec, tag=None) -> MLPClassifier:
@@ -399,7 +377,7 @@ def load_benchmark(bench_dir) -> BenchmarkTriplet:
     try:
         victims, stolen, unrelated_map = [], {}, {}
         for ventry in manifest["victims"]:
-            task = SyntheticTaskSpec(**ventry["task"])
+            task = from_record(SyntheticTaskSpec, ventry["task"], "task.")
             train_data, test_data = generate_task(task)
             model = load_model(ventry, task)
             victims.append(Victim(model, train_data, test_data, task))
@@ -591,21 +569,7 @@ class EvalReport:
     run_config: dict
 
     def to_record(self) -> dict:
-        return {
-            "version": __version__,
-            "scheme": self.scheme,
-            "budget": self.budget,
-            "n_runs": self.n_runs,
-            "run_seeds": list(self.run_seeds),
-            "fpr_cap": self.fpr_cap,
-            "per_task": self.per_task,
-            "aggregate": self.aggregate,
-            "scores": [dataclasses.asdict(s) for s in self.scores],
-            "pair_statistics": self.pair_statistics,
-            "skipped": list(self.skipped),
-            "model_scale": self.model_scale,
-            "run_config": self.run_config,
-        }
+        return {"version": __version__} | dataclasses.asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_record(), sort_keys=True, separators=(",", ":"))

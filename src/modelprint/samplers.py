@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Access, Classifier, LabeledDataset
+from .core import Access, Classifier, LabeledDataset, from_record
 from .errors import (
     BudgetExceedsPool,
     BudgetShapeMismatch,
@@ -315,11 +315,7 @@ class ChainSampler(Sampler):
         )
 
     def to_record(self):
-        return {
-            "kind": self.name,
-            "first": self.first.to_record(),
-            "second": self.second.to_record(),
-        }
+        return super().to_record() | {f: getattr(self, f).to_record() for f in ("first", "second")}
 
 
 SAMPLER_KINDS = {
@@ -331,16 +327,11 @@ SAMPLER_KINDS = {
 }
 
 
-def sampler_from_record(rec: dict) -> Sampler:
-    """Inverse of ``Sampler.to_record``."""
-    rec = dict(rec)
-    kind = rec.pop("kind", None)
+def sampler_from_record(rec: dict, where: str = "") -> Sampler:
+    """Inverse of ``Sampler.to_record``: ``kind`` picks the class, ``from_record`` the rest."""
+    params = dict(rec) if isinstance(rec, dict) else {}
+    kind = params.pop("kind", None)
     if kind not in SAMPLER_KINDS:
-        raise ValueError(f"unknown sampler kind {kind!r}")
-    if kind == "chain":
-        return ChainSampler(
-            first=sampler_from_record(rec["first"]),
-            second=sampler_from_record(rec["second"]),
-        )
-    return SAMPLER_KINDS[kind](**rec)
-
+        raise ValueError(f"{where}kind must be one of {tuple(SAMPLER_KINDS)}, got {kind!r}")
+    stage = sampler_from_record
+    return from_record(SAMPLER_KINDS[kind], params, where, first=stage, second=stage)

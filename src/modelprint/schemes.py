@@ -15,12 +15,12 @@ copying.
 from __future__ import annotations
 
 import logging
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .core import Classifier, LabeledDataset
+from .core import Classifier, LabeledDataset, from_record
 from .errors import IncompatibleScheme, InsufficientNegatives
 from .fingerprints import (
     INNER_DISTANCES,
@@ -63,7 +63,7 @@ class DetectorSpec:
             raise ValueError("target_fpr must lie in [0, 1]")
 
     def to_record(self) -> dict:
-        return {"kind": self.kind, "target_fpr": self.target_fpr}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,6 @@ class SchemeSpec:
             raise ValueError(f"representation must be one of {KINDS}")
         if self.inner_distance not in INNER_DISTANCES:
             raise ValueError(f"inner_distance must be one of {INNER_DISTANCES}")
-        if isinstance(self.budget, bool) or not isinstance(self.budget, numbers.Integral):
-            raise ValueError(f"budget must be integral, got {self.budget!r}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.seed_split not in ("train", "test"):
@@ -120,25 +118,12 @@ class SchemeSpec:
         return f"{name}/{self.representation}/{self.detector.kind}@{self.budget}"
 
     def to_record(self) -> dict:
-        return {
-            "sampler": self.sampler.to_record(),
-            "representation": self.representation,
-            "inner_distance": self.inner_distance,
-            "detector": self.detector.to_record(),
-            "budget": self.budget,
-            "seed_split": self.seed_split,
-        }
+        return asdict(self) | {"sampler": self.sampler.to_record()}
 
     @staticmethod
     def from_record(rec: dict) -> "SchemeSpec":
-        return SchemeSpec(
-            sampler=sampler_from_record(rec["sampler"]),
-            representation=rec["representation"],
-            inner_distance=rec.get("inner_distance", "cosine"),
-            detector=DetectorSpec(**rec.get("detector", {})),
-            budget=rec.get("budget", 100),
-            seed_split=rec.get("seed_split", "test"),
-        )
+        detector = partial(from_record, DetectorSpec)
+        return from_record(SchemeSpec, rec, sampler=sampler_from_record, detector=detector)
 
 
 class FingerprintScheme:

@@ -10,11 +10,11 @@ never mutated.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import Access, Classifier, LabeledDataset
+from .core import Access, Classifier, LabeledDataset, from_record
 from .errors import (
     DegeneratePrune,
     DegenerateQuantization,
@@ -75,11 +75,11 @@ class TaskTag:
         return self.method != "unrelated"
 
     def to_record(self) -> dict:
-        return {"method": self.method, "params": dict(self.params)}
+        return asdict(self)
 
     @staticmethod
-    def from_record(rec: dict) -> "TaskTag":
-        return TaskTag(rec["method"], rec.get("params", {}))
+    def from_record(rec: dict, where: str = "") -> "TaskTag":
+        return from_record(TaskTag, rec, where)
 
 
 def _require_mlp(h: Classifier) -> MLPClassifier:

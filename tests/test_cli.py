@@ -3,6 +3,7 @@
 import concurrent.futures
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,12 +120,24 @@ class TestGenerate:
              "train.epochs must be integral, got 2.5"),
             ({"train": MICRO_CONFIG["train"] | {"batch_size": 2.5}},
              "train.batch_size must be integral, got 2.5"),
+            ({"n_victim": 2}, "n_victim is not a field of BenchmarkConfig"),
+            ({"train": MICRO_CONFIG["train"] | {"learning_rate": "0.05"}},
+             "train.learning_rate must be a number, got '0.05'"),
+            ({"task": MICRO_CONFIG["task"] | {"dims": 3}},
+             "task.dims is not a field of SyntheticTaskSpec"),
+            ({"stolen": [{"method": "same", "param": {}}]},
+             "stolen.param is not a field of TaskTag"),
+            ({"train": MICRO_CONFIG["train"] | {"weight_decay": True}},
+             "train.weight_decay must be a number, got True"),
+            ({"arch": [4, 12, 3]}, "arch must be a JSON object, got [4, 12, 3]"),
         ],
         ids=["no-victims", "no-unrelated", "prune-no-fraction", "prune-text-fraction",
              "quantize-no-bits", "quantize-float-bits", "prune-negative-fraction",
              "prune-whole-fraction", "quantize-one-bit", "fractional-victims",
              "fractional-seed", "overflowing-victims", "overflowing-width",
-             "fractional-n-train", "fractional-epochs", "fractional-batch-size"],
+             "fractional-n-train", "fractional-epochs", "fractional-batch-size",
+             "unknown-key", "text-learning-rate", "unknown-task-key", "unknown-tag-key",
+             "boolean-weight-decay", "list-arch"],
     )
     def test_config_that_cannot_build_is_corrupt_manifest(
         self, override, message, tmp_path, capsys
@@ -202,21 +215,69 @@ class TestEvaluate:
         assert "corrupt-manifest" in capsys.readouterr().err
 
 
-def scheme_with_budget(path, budget):
-    path.write_text(json_with_1e400(mistake_match_scheme().to_record() | {"budget": budget}))
+def scheme_with(path, **fields):
+    path.write_text(json_with_1e400(mistake_match_scheme().to_record() | fields))
     return str(path)
 
 
+def non_utf8(path):
+    path.write_bytes(b"\x80\x81")
+    return str(path)
+
+
+def evaluate_scheme(**fields):
+    """Argv that evaluates the baseline scheme with ``fields`` replaced, on the workspace bench."""
+    return lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "bench"),
+                            "--scheme", scheme_with(tmp / "s.json", **fields)]
+
+
+ADVERSARIAL = {"kind": "adversarial"}
+
 UNUSABLE_INPUTS = {
     "fractional-scheme-budget": (
-        lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "bench"),
-                         "--scheme", scheme_with_budget(tmp / "s.json", 20.7)],
-        "[modelprint-error]", "budget must be integral, got 20.7",
+        evaluate_scheme(budget=20.7), "[modelprint-error]", "budget must be integral, got 20.7",
     ),
     "overflowing-scheme-budget": (
+        evaluate_scheme(budget=INF), "[modelprint-error]", "budget must be integral, got inf",
+    ),
+    "fractional-sampler-steps": (
+        evaluate_scheme(sampler=ADVERSARIAL | {"steps": 2.5}),
+        "[modelprint-error]", "sampler.steps must be integral, got 2.5",
+    ),
+    "overflowing-sampler-steps": (
+        evaluate_scheme(sampler=ADVERSARIAL | {"steps": INF}),
+        "[modelprint-error]", "sampler.steps must be integral, got inf",
+    ),
+    "fractional-k-variants": (
+        evaluate_scheme(sampler={"kind": "subsample", "k_variants": 1.5}),
+        "[modelprint-error]", "sampler.k_variants must be integral, got 1.5",
+    ),
+    "text-step-size": (
+        evaluate_scheme(sampler=ADVERSARIAL | {"step_size": "x"}),
+        "[modelprint-error]", "sampler.step_size must be a number, got 'x'",
+    ),
+    "bad-chain-stage": (
+        evaluate_scheme(sampler={"kind": "chain", "first": {"kind": "negative"},
+                                 "second": ADVERSARIAL | {"steps": 2.5}}),
+        "[modelprint-error]", "sampler.second.steps must be integral, got 2.5",
+    ),
+    "unknown-sampler-key": (
+        evaluate_scheme(sampler={"kind": "negative", "budget": 10}),
+        "[modelprint-error]", "sampler.budget is not a field of NegativeSampler",
+    ),
+    "non-utf8-config": (
+        lambda ws, tmp: ["generate", "--config", non_utf8(tmp / "c.json")],
+        "[modelprint-error]", "not UTF-8 text",
+    ),
+    "non-utf8-scheme": (
         lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "bench"),
-                         "--scheme", scheme_with_budget(tmp / "s.json", INF)],
-        "[modelprint-error]", "budget must be integral, got inf",
+                         "--scheme", non_utf8(tmp / "s.json")],
+        "[modelprint-error]", "not UTF-8 text",
+    ),
+    "non-utf8-manifest": (
+        lambda ws, tmp: ["evaluate", "--benchmark", str(Path(non_utf8(tmp / "manifest.json")).parent),
+                         "--scheme", str(ws / "baseline.json")],
+        "[corrupt-manifest]", "not UTF-8 text",
     ),
     "scheme-is-a-directory": (
         lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "bench"), "--scheme", str(tmp)],

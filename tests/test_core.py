@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import modelprint as mp
 from modelprint.core import Access
-from modelprint.errors import AccessInsufficient, BadClass, EmptyEvaluationSet
+from modelprint.errors import AccessInsufficient, BadClass, CorruptDataset, EmptyEvaluationSet
 from modelprint.tinylearn import LinearClassifier
 
 from conftest import indexed_classifier, make_indexed_dataset
@@ -220,3 +220,26 @@ class TestLabeledDataset:
         np.testing.assert_array_equal(loaded.labels, combined.labels)
         np.testing.assert_array_equal(loaded.split, combined.split)
         assert loaded.subset("train").points.shape == train.points.shape
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"", "expected trailing 'label,split' columns"),
+            (b"x_1,x_2,label\n0,1,2\n", "expected trailing 'label,split' columns"),
+            (b"x_1,x_2,label,split\n0,1,2\n", "index out of range"),
+            (b"x_1,x_2,label,split\n0,one,2,test\n", "could not convert string to float"),
+            (b"x_1,x_2,label,split\n0,1,2.5,test\n", "invalid literal for int()"),
+            (b"x_1,x_2,label,split\n0,1,0,test\n", "labels must lie in 1.."),
+            (b"x_1,x_2,label,split\n0,1,2,dev\n", "split tags must be 'train' or 'test'"),
+            (b"\x80\x81", "can't decode byte 0x80"),
+        ],
+        ids=["empty", "no-split-column", "short-row", "text-coordinate", "fractional-label",
+             "label-out-of-range", "unknown-split", "not-utf-8"],
+    )
+    def test_unreadable_csv_is_corrupt_dataset(self, data, message, tmp_path):
+        path = tmp_path / "task.csv"
+        path.write_bytes(data)
+        with pytest.raises(CorruptDataset, match="corrupt-dataset") as err:
+            mp.LabeledDataset.from_csv(path, num_classes=2)
+        assert str(path) in str(err.value) and message in str(err.value)
+        assert isinstance(err.value, ValueError)

@@ -1,6 +1,7 @@
 """Tests for benchmark construction, metrics, evaluation, and reports."""
 
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from modelprint.harness import (
     RocCurve,
     budget_sweep,
     build_benchmark,
+    default_benchmark_config,
     derive_seed,
     evaluate,
     load_benchmark,
@@ -180,6 +182,54 @@ class TestStackedBuild:
                     assert W.tobytes() == We.tobytes() and b.tobytes() == be.tobytes()
 
 
+# ``default_benchmark_config().to_record()`` as ``json.dumps(..., sort_keys=True)`` writes it
+DESK_CONFIG_JSON = (
+    '{"arch": {"activation": "relu", "layer_widths": [8, 48, 24, 4], "seed": 0}, '
+    '"n_unrelated": 10, "n_victims": 5, "seed": 0, "stolen": [{"method": "same", '
+    '"params": {"index": 0}}, {"method": "same", "params": {"index": 1}}, {"method": "same", '
+    '"params": {"index": 2}}, {"method": "same", "params": {"index": 3}}, {"method": "same", '
+    '"params": {"index": 4}}, {"method": "prune", "params": {"fraction": 0.05}}, '
+    '{"method": "prune", "params": {"fraction": 0.15}}, {"method": "prune", '
+    '"params": {"fraction": 0.25}}, {"method": "prune", "params": {"fraction": 0.35}}, '
+    '{"method": "prune", "params": {"fraction": 0.45}}, {"method": "quantize", '
+    '"params": {"bits": 6}}, {"method": "quantize", "params": {"bits": 7}}, '
+    '{"method": "quantize", "params": {"bits": 8}}, {"method": "quantize", '
+    '"params": {"bits": 9}}, {"method": "quantize", "params": {"bits": 10}}, '
+    '{"method": "finetune", "params": {"epochs": 5, "index": 0}}, {"method": "finetune", '
+    '"params": {"epochs": 5, "index": 1}}, {"method": "finetune", "params": {"epochs": 5, '
+    '"index": 2}}, {"method": "finetune", "params": {"epochs": 5, "index": 3}}, '
+    '{"method": "finetune", "params": {"epochs": 5, "index": 4}}, '
+    '{"method": "probit_extraction", "params": {"pool_size": 60}}, '
+    '{"method": "probit_extraction", "params": {"pool_size": 100}}, '
+    '{"method": "probit_extraction", "params": {"pool_size": 160}}, '
+    '{"method": "probit_extraction", "params": {"pool_size": 250}}, '
+    '{"method": "probit_extraction", "params": {"pool_size": 400}}, '
+    '{"method": "label_extraction", "params": {"pool_size": 60}}, '
+    '{"method": "label_extraction", "params": {"pool_size": 100}}, '
+    '{"method": "label_extraction", "params": {"pool_size": 160}}, '
+    '{"method": "label_extraction", "params": {"pool_size": 250}}, '
+    '{"method": "label_extraction", "params": {"pool_size": 400}}], '
+    '"task": {"concept_seed": 0, "dim": 8, "family": "blobs", "label_noise": 0.1, '
+    '"n_test": 1000, "n_train": 400, "noise_scale": 1.2, "num_classes": 4, "seed": 0}, '
+    '"train": {"batch_size": 32, "epochs": 80, "learning_rate": 0.05, '
+    '"loss": "cross-entropy", "weight_decay": 0.0}}'
+)
+
+
+class TestConfigRecord:
+    def test_desk_config_bytes_are_pinned(self):
+        config = default_benchmark_config()
+        assert json.dumps(config.to_record(), sort_keys=True) == DESK_CONFIG_JSON
+        assert BenchmarkConfig.from_record(json.loads(DESK_CONFIG_JSON)) == config
+
+    def test_omitted_keys_take_the_defaults(self):
+        assert BenchmarkConfig.from_record({}) == BenchmarkConfig()
+        rec = {"arch": {"layer_widths": [8, 4, 4]}, "train": {"epochs": 3}}
+        assert BenchmarkConfig.from_record(rec) == BenchmarkConfig(
+            arch=MLPSpec((8, 4, 4)), train=TrainConfig(epochs=3)
+        )
+
+
 class TestManifest:
     def test_round_trip_bit_identical_scores(self, mini_benchmark, tmp_path):
         save_benchmark(mini_benchmark, tmp_path / "bench")
@@ -219,6 +269,20 @@ class TestManifest:
 
         self.edited_copy(mini_benchmark, tmp_path / "bench", widen)
         with pytest.raises(mp.errors.ManifestError, match="victim-1 has 4 inputs and 3 classes"):
+            load_benchmark(tmp_path / "bench")
+
+    @pytest.mark.parametrize(
+        "task, message",
+        [({"n_train": 2.5}, "task.n_train must be integral, got 2.5"),
+         ({"dims": 4}, "task.dims is not a field of SyntheticTaskSpec")],
+        ids=["fractional-n-train", "unknown-key"],
+    )
+    def test_bad_victim_task_raises(self, mini_benchmark, tmp_path, task, message):
+        def edit(manifest):
+            manifest["victims"][0]["task"] |= task
+
+        self.edited_copy(mini_benchmark, tmp_path / "bench", edit)
+        with pytest.raises(mp.errors.ManifestError, match=re.escape(message)):
             load_benchmark(tmp_path / "bench")
 
     @pytest.mark.parametrize("case", ["parent", "absolute", "symlink", "directory", "symlink-loop"])

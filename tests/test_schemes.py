@@ -37,6 +37,55 @@ def constructed_pair(n, match_prob, num_classes=3):
     return victim, suspect, make_indexed_dataset(concept, num_classes)
 
 
+# One spec per sampler kind and both detectors, with the record bytes that
+# ``json.dumps(spec.to_record(), sort_keys=True)`` writes for it.
+SCHEME_RECORDS = [
+    (
+        SchemeSpec(UniformSampler(), "raw_probits"),
+        '{"budget": 100, "detector": {"kind": "quantile", "target_fpr": 0.05}, '
+        '"inner_distance": "cosine", "representation": "raw_probits", '
+        '"sampler": {"kind": "uniform"}, "seed_split": "test"}',
+    ),
+    (
+        SchemeSpec(NegativeSampler(), "raw_labels", "labels", DetectorSpec("majority"), budget=50),
+        '{"budget": 50, "detector": {"kind": "majority", "target_fpr": 0.05}, '
+        '"inner_distance": "labels", "representation": "raw_labels", '
+        '"sampler": {"kind": "negative"}, "seed_split": "test"}',
+    ),
+    (
+        SchemeSpec(
+            AdversarialSampler(eps=(0.1, 0.25), steps=5, step_size=0.02), "pairwise",
+            budget=40, seed_split="train",
+        ),
+        '{"budget": 40, "detector": {"kind": "quantile", "target_fpr": 0.05}, '
+        '"inner_distance": "cosine", "representation": "pairwise", '
+        '"sampler": {"eps": [0.1, 0.25], "kind": "adversarial", "step_size": 0.02, "steps": 5}, '
+        '"seed_split": "train"}',
+    ),
+    (
+        SchemeSpec(
+            Subsampler(k_variants=1, vicinity_scale=0.5), "listwise", "cosine",
+            DetectorSpec("quantile", 0.1), budget=30,
+        ),
+        '{"budget": 30, "detector": {"kind": "quantile", "target_fpr": 0.1}, '
+        '"inner_distance": "cosine", "representation": "listwise", '
+        '"sampler": {"k_variants": 1, "kind": "subsample", "vicinity_scale": 0.5}, '
+        '"seed_split": "test"}',
+    ),
+    (
+        SchemeSpec(
+            ChainSampler(NegativeSampler(), AdversarialSampler()), "raw_labels", "labels",
+            DetectorSpec("majority"), budget=20,
+        ),
+        '{"budget": 20, "detector": {"kind": "majority", "target_fpr": 0.05}, '
+        '"inner_distance": "labels", "representation": "raw_labels", '
+        '"sampler": {"first": {"kind": "negative"}, "kind": "chain", '
+        '"second": {"eps": null, "kind": "adversarial", "step_size": null, "steps": 20}}, '
+        '"seed_split": "test"}',
+    ),
+]
+
+
 class TestBaseline:
     def test_exact_copy_always_flagged(self, quick_model, quick_task):
         _, test = quick_task
@@ -181,6 +230,17 @@ class TestSchemeSpec:
         assert AdversarialSampler(eps=np.float64(0.3)).eps == 0.3
         with pytest.raises(ValueError, match="eps"):
             AdversarialSampler(eps=np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "spec, record", SCHEME_RECORDS, ids=[spec.label() for spec, _ in SCHEME_RECORDS]
+    )
+    def test_record_bytes_are_pinned(self, spec, record):
+        assert json.dumps(spec.to_record(), sort_keys=True) == record
+        assert SchemeSpec.from_record(json.loads(record)) == spec
+
+    def test_omitted_keys_take_the_defaults(self):
+        rec = {"sampler": {"kind": "uniform"}, "representation": "raw_labels"}
+        assert SchemeSpec.from_record(rec) == SchemeSpec(UniformSampler(), "raw_labels")
 
     def test_probit_requirement_derived(self):
         assert SchemeSpec(sampler=UniformSampler(), representation="raw_probits").needs_probits

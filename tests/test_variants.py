@@ -1,6 +1,7 @@
 """Tests for the stolen/unrelated model factory and output-noise wrappers."""
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -274,6 +275,10 @@ class TestTags:
     def test_record_round_trip(self):
         tag = TaskTag("label_extraction", {"pool_size": 100, "seed": 4})
         assert TaskTag.from_record(tag.to_record()) == tag
+        record = '{"method": "label_extraction", "params": {"pool_size": 100, "seed": 4}}'
+        assert json.dumps(tag.to_record(), sort_keys=True) == record
+        assert TaskTag.from_record(json.loads(record)) == tag
+        assert TaskTag.from_record({"method": "same"}) == TaskTag("same")
 
 
 def reference_adversarial_extract(h_victim, query_pool, arch, cfg, seed=0, n_adversarial=None):
