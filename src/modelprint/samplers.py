@@ -18,6 +18,7 @@ from .errors import (
     BudgetShapeMismatch,
     GradientRequired,
     IncompatibleScheme,
+    IncompatibleTask,
     InsufficientNegatives,
 )
 
@@ -179,10 +180,16 @@ class AdversarialSampler(Sampler):
     name = "adversarial"
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if self.step_size is not None and not 0.0 <= self.step_size < np.inf:
+            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.eps is not None:
             eps = np.asarray(self.eps, dtype=np.float64)
             if eps.ndim > 1:
                 raise ValueError(f"eps must be a scalar or a vector, got shape {eps.shape}")
+            if not ((eps >= 0.0) & (eps < np.inf)).all():
+                raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
             object.__setattr__(self, "eps", float(eps) if eps.ndim == 0 else tuple(eps.tolist()))
 
     def seed_budget(self, budget):
@@ -199,6 +206,10 @@ class AdversarialSampler(Sampler):
         """
         if self.eps is None:
             eps = 0.1 * (seed_set.points.max(axis=0) - seed_set.points.min(axis=0))
+        elif np.ndim(self.eps) and len(self.eps) != seed_set.dim:
+            raise IncompatibleTask(
+                f"eps has {len(self.eps)} components for a task of dimension {seed_set.dim}"
+            )
         else:
             eps = np.broadcast_to(np.asarray(self.eps, dtype=np.float64), (seed_set.dim,))
         step = eps / 8.0 if self.step_size is None else self.step_size

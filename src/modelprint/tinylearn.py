@@ -190,26 +190,43 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[LabeledDataset, LabeledDatas
 
 
 def _act(name: str, Z: np.ndarray) -> np.ndarray:
-    return np.maximum(Z, 0.0) if name == "relu" else np.tanh(Z)
+    """Apply the activation to ``Z`` in place and return it."""
+    return np.maximum(Z, 0.0, out=Z) if name == "relu" else np.tanh(Z, out=Z)
 
 
-def _act_grad_from_output(name: str, A: np.ndarray) -> np.ndarray:
-    return (A > 0.0).astype(np.float64) if name == "relu" else 1.0 - A * A
+def _act_grad(name: str, g: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Multiply ``g`` in place by the activation's derivative at output ``A``.
+
+    For tanh ``A`` is overwritten with ``1 - A * A``; for relu the bool mask
+    multiplies as 1.0/0.0, the same bits as a float64 mask.
+    """
+    if name == "relu":
+        return np.multiply(g, A > 0.0, out=g)
+    np.multiply(A, A, out=A)
+    np.subtract(1.0, A, out=A)
+    return np.multiply(g, A, out=g)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     Z = logits - logits.max(axis=-1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=-1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=-1, keepdims=True)
+    return Z
+
+
+def _affine(A: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    Z = A @ W
+    Z += b[..., None, :]
+    return Z
 
 
 def _forward(weights, activation: str, X: np.ndarray):
     """Activations per layer plus final logits; works on one model or a stack."""
     A = [X]
     for W, b in weights[:-1]:
-        A.append(_act(activation, A[-1] @ W + b[..., None, :]))
+        A.append(_act(activation, _affine(A[-1], W, b)))
     W, b = weights[-1]
-    return A, A[-1] @ W + b[..., None, :]
+    return A, _affine(A[-1], W, b)
 
 
 def init_layer(fan_in: int, fan_out: int, rng: np.random.Generator):
@@ -232,10 +249,22 @@ def _sgd_epochs(weights, activation: str, X, T, cfg: TrainConfig, rngs, names):
     BLAS call per model and reductions stay within a model, so each model is
     bit-identical to training it alone.  The loss is mean cross-entropy of the
     targets (for distillation, KL plus the constant target entropy: same gradients).
+
+    In place: each batch does the floating-point operations of the plain step
+    (``P = softmax(A @ W + b)``, ``g = (P - T) / m``, ``W -= lr * (A.T @ g + wd * W)``)
+    in the same order on the same operands, but writes each elementwise result
+    into an array it already holds (a product, the softmax, the loss terms, the
+    logit gradient) instead of a new temporary, and takes the ``W.T`` views once
+    per fit.  Each rewrite keeps the bits: ``a -= x`` is the IEEE operation of
+    ``a += -x``; a bool mask multiplies as 1.0/0.0 exactly as its float64 copy
+    does; and ``wd * W`` is left out when ``wd`` is 0, since for finite ``W``,
+    ``d + 0 * W`` differs from ``d`` only where ``d`` is -0.0 and ``W`` is +0.0
+    or positive, and such a ``W`` minus a zero of either sign is ``W`` again.
     """
     K, n = X.shape[:2]
     lr, wd = cfg.learning_rate, cfg.weight_decay
     rows = np.arange(K)[:, None]
+    W_T = [np.swapaxes(W, 1, 2) for W, _ in weights]
     history = []
     for _ in range(cfg.epochs):
         perms = np.stack([rng.permutation(n) for rng in rngs])
@@ -245,16 +274,24 @@ def _sgd_epochs(weights, activation: str, X, T, cfg: TrainConfig, rngs, names):
             Xb, Tb = Xp[:, start : start + cfg.batch_size], Tp[:, start : start + cfg.batch_size]
             A, logits = _forward(weights, activation, Xb)
             P = softmax(logits)
-            loss_sum += -np.sum(Tb * np.log(np.maximum(P, 1e-300)), axis=(1, 2))
-            g = (P - Tb) / Xb.shape[1]
+            L = np.maximum(P, 1e-300)
+            np.log(L, out=L)
+            L *= Tb
+            loss_sum -= L.sum(axis=(1, 2))
+            g = np.subtract(P, Tb, out=P)
+            g /= Xb.shape[1]
             for layer in reversed(range(len(weights))):
                 W, b = weights[layer]
-                dW = np.swapaxes(A[layer], 1, 2) @ g + wd * W
+                dW = np.swapaxes(A[layer], 1, 2) @ g
+                if wd:
+                    dW += wd * W
                 db = g.sum(axis=1)
                 if layer > 0:
-                    g = (g @ np.swapaxes(W, 1, 2)) * _act_grad_from_output(activation, A[layer])
-                W -= lr * dW
-                b -= lr * db
+                    g = _act_grad(activation, g @ W_T[layer], A[layer])
+                dW *= lr
+                W -= dW
+                db *= lr
+                b -= db
         epoch_loss = loss_sum / n
         if not np.isfinite(epoch_loss).all():
             k = int(np.argmin(np.isfinite(epoch_loss)))
@@ -316,28 +353,29 @@ class MLPClassifier(Classifier):
     def _probits(self, X: np.ndarray) -> np.ndarray:
         return softmax(self._logits(X))
 
-    def _backprop_to_input(self, X: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-        A, _ = _forward(self.weights, self.spec.activation, X)
+    def _backprop_to_input(self, A, dlogits: np.ndarray) -> np.ndarray:
+        """Input gradient of ``dlogits``, given ``_forward``'s activations ``A`` (consumed)."""
         g = dlogits
         for layer in reversed(range(len(self.weights))):
             W, _ = self.weights[layer]
             g = g @ W.T
             if layer > 0:
-                g = g * _act_grad_from_output(self.spec.activation, A[layer])
+                _act_grad(self.spec.activation, g, A[layer])
         return g
 
     def _input_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
+        A, _ = _forward(self.weights, self.spec.activation, x.reshape(1, -1))
         sel = np.zeros((1, self.num_classes))
         sel[0, label - 1] = 1.0
-        return self._backprop_to_input(x.reshape(1, -1), sel)[0]
+        return self._backprop_to_input(A, sel)[0]
 
     def xent_input_gradient(self, X, labels) -> np.ndarray:
         X = self._as_batch(X)
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-        P = self._probits(X)
-        D = P.copy()
+        A, logits = _forward(self.weights, self.spec.activation, X)
+        D = softmax(logits)
         D[np.arange(X.shape[0]), labels - 1] -= 1.0
-        return self._backprop_to_input(X, D)
+        return self._backprop_to_input(A, D)
 
 
 class LinearClassifier(Classifier):

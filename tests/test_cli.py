@@ -261,6 +261,18 @@ UNUSABLE_INPUTS = {
                                  "second": ADVERSARIAL | {"steps": 2.5}}),
         "[modelprint-error]", "sampler.second.steps must be integral, got 2.5",
     ),
+    "negative-sampler-steps": (
+        evaluate_scheme(sampler=ADVERSARIAL | {"steps": -3}),
+        "[modelprint-error]", "steps must be >= 0, got -3",
+    ),
+    "negative-eps": (
+        evaluate_scheme(sampler=ADVERSARIAL | {"eps": [0.1, -0.5]}),
+        "[modelprint-error]", "eps must be finite and >= 0",
+    ),
+    "overflowing-step-size": (
+        evaluate_scheme(sampler=ADVERSARIAL | {"step_size": INF}),
+        "[modelprint-error]", "step_size must be finite and >= 0, got inf",
+    ),
     "unknown-sampler-key": (
         evaluate_scheme(sampler={"kind": "negative", "budget": 10}),
         "[modelprint-error]", "sampler.budget is not a field of NegativeSampler",

@@ -736,6 +736,15 @@ class TestEvaluate:
         assert all(s["error"] in ("insufficient-negatives", "budget-exceeds-pool")
                    for s in report.skipped)
 
+    def test_eps_of_another_dimension_skips_victims(self, mini_benchmark):
+        dim = mini_benchmark.victims[0].model.input_dim
+        spec = SchemeSpec(sampler=AdversarialSampler(eps=(0.1,) * (dim + 1), steps=2),
+                          representation="raw_probits", budget=10)
+        report = evaluate(spec, mini_benchmark, n_runs=1, seed=0, compute_pair_stats=False)
+        assert not report.scores
+        assert len(report.skipped) == len(mini_benchmark.victims)
+        assert {s["error"] for s in report.skipped} == {"incompatible-task"}
+
     def test_run_count_below_one_rejected(self, mini_benchmark):
         for n_runs in (0, -2):
             with pytest.raises(ValueError, match=f"n_runs must be >= 1, got {n_runs}"):

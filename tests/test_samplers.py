@@ -14,6 +14,7 @@ from modelprint.errors import (
     BudgetShapeMismatch,
     GradientRequired,
     IncompatibleScheme,
+    IncompatibleTask,
     InsufficientNegatives,
 )
 from modelprint.samplers import (
@@ -157,6 +158,30 @@ class TestAdversarial:
         np.testing.assert_array_equal(a.points, b.points)
         assert a.provenance["eps"] == 0.3
         assert b.provenance["eps"] == [0.3] * test.dim
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (dict(steps=-3), "steps must be >= 0, got -3"),
+            (dict(eps=-0.5), "eps must be finite and >= 0"),
+            (dict(eps=(0.1, -0.2, 0.1, 0.1)), "eps must be finite and >= 0"),
+            (dict(eps=float("inf")), "eps must be finite and >= 0"),
+            (dict(eps=(0.1, float("nan"))), "eps must be finite and >= 0"),
+            (dict(step_size=-0.01), "step_size must be finite and >= 0"),
+            (dict(step_size=float("inf")), "step_size must be finite and >= 0"),
+            (dict(step_size=float("nan")), "step_size must be finite and >= 0"),
+        ],
+    )
+    def test_negative_or_non_finite_parameters_rejected(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            AdversarialSampler(**params)
+
+    def test_eps_of_another_dimension_is_incompatible_task(self, quick_model, quick_task):
+        _, test = quick_task
+        sampler = AdversarialSampler(eps=(0.1, 0.2), steps=2)
+        with pytest.raises(IncompatibleTask, match="eps has 2 components") as err:
+            sampler.sample(test, quick_model, 20, seed=0)
+        assert err.value.code == "incompatible-task"
 
 
 class TestSubsampler:

@@ -24,12 +24,14 @@ from modelprint.tinylearn import (
     TrainConfig,
     TrainJob,
     _blob_centers,
+    _forward,
     _sgd_epochs,
     fit_stack,
     generate_task,
     init_weights,
     load_weights,
     save_weights,
+    softmax,
     train,
     train_job,
 )
@@ -221,6 +223,34 @@ def random_job(k, spec, n, cfg, soft=False):
     return TrainJob(init_weights(spec, rng), X, T, rng, spec, cfg, identity=f"model-{k}")
 
 
+def assert_stack_matches_reference(spec, cfg, n, K, soft, first=0):
+    """``_sgd_epochs`` on jobs first..first+K-1 equals ``reference_sgd_epochs`` byte for byte."""
+    ks = range(first, first + K)
+    jobs = [random_job(k, spec, n, cfg, soft) for k in ks]
+    expected = []
+    for k in ks:
+        ref = random_job(k, spec, n, cfg, soft)
+        weights = [(W.copy(), b.copy()) for W, b in ref.weights]
+        history = reference_sgd_epochs(weights, spec.activation, ref.X, ref.T, cfg, ref.rng)
+        expected.append((weights, history))
+
+    weights = [
+        tuple(np.stack([job.weights[layer][part] for job in jobs]) for part in (0, 1))
+        for layer in range(len(spec.layer_widths) - 1)
+    ]
+    X = np.stack([job.X for job in jobs])
+    T = np.stack([job.T for job in jobs])
+    histories = _sgd_epochs(
+        weights, spec.activation, X, T, cfg, [job.rng for job in jobs], [job.identity for job in jobs]
+    )
+    assert len(histories) == K
+    for k, (ref_weights, ref_history) in enumerate(expected):
+        assert histories[k] == ref_history
+        for (W, b), (We, be) in zip(weights, ref_weights):
+            assert W[k].tobytes() == We.tobytes()
+            assert b[k].tobytes() == be.tobytes()
+
+
 class TestStackedSGD:
     @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize(
@@ -235,30 +265,34 @@ class TestStackedSGD:
     )
     @pytest.mark.parametrize("n", [64, 70])
     def test_bit_identical_to_one_at_a_time(self, K, activation, cfg, soft, n):
-        spec = MLPSpec((5, 12, 7, 4), activation=activation)
-        jobs = [random_job(k, spec, n, cfg, soft) for k in range(K)]
-        expected = []
-        for k in range(K):
-            ref = random_job(k, spec, n, cfg, soft)
-            weights = [(W.copy(), b.copy()) for W, b in ref.weights]
-            history = reference_sgd_epochs(weights, activation, ref.X, ref.T, cfg, ref.rng)
-            expected.append((weights, history))
+        assert_stack_matches_reference(MLPSpec((5, 12, 7, 4), activation=activation), cfg, n, K, soft)
 
-        weights = [
-            tuple(np.stack([job.weights[layer][part] for job in jobs]) for part in (0, 1))
-            for layer in range(3)
-        ]
-        X = np.stack([job.X for job in jobs])
-        T = np.stack([job.T for job in jobs])
-        histories = _sgd_epochs(
-            weights, activation, X, T, cfg, [job.rng for job in jobs], ["a", "b", "c"]
-        )
-        assert len(histories) == K
-        for k, (ref_weights, ref_history) in enumerate(expected):
-            assert histories[k] == ref_history
-            for (W, b), (We, be) in zip(weights, ref_weights):
-                assert W[k].tobytes() == We.tobytes()
-                assert b[k].tobytes() == be.tobytes()
+    @given(
+        K=st.integers(1, 4),
+        activation=st.sampled_from(["relu", "tanh"]),
+        hidden=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        classes=st.integers(2, 5),
+        weight_decay=st.sampled_from([0.0, 0.001, 0.05]),
+        soft=st.booleans(),
+        batch_size=st.integers(1, 12),
+        batches=st.integers(1, 4),
+        remainder=st.integers(0, 11),
+        epochs=st.integers(1, 3),
+        first=st.integers(0, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_stack_is_bit_identical_to_one_at_a_time(
+        self, K, activation, hidden, classes, weight_decay, soft, batch_size, batches,
+        remainder, epochs, first,
+    ):
+        spec = MLPSpec((3, *hidden, classes), activation=activation)
+        cfg = TrainConfig(epochs=epochs, batch_size=batch_size, weight_decay=weight_decay)
+        n = batch_size * batches + remainder % batch_size
+        assert_stack_matches_reference(spec, cfg, n, K, soft, first)
+
+    def test_desk_shapes_are_bit_identical_to_one_at_a_time(self):
+        cfg = TrainConfig(epochs=2, batch_size=32)
+        assert_stack_matches_reference(MLPSpec((8, 48, 24, 4)), cfg, 400, 11, soft=False)
 
     def test_fit_stack_matches_train(self, quick_task):
         train_ds, _ = quick_task
@@ -304,6 +338,44 @@ class TestStackedSGD:
         a = random_job(0, spec, 40, cfg)
         b = random_job(1, spec, 40, TrainConfig(epochs=2, batch_size=16, loss="distillation-kl"))
         assert len(fit_stack([a, b])) == 2
+
+
+class TestInputsUnchanged:
+    """The in-place arithmetic writes only into arrays it made itself."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_forward_and_queries_leave_inputs_unchanged(self, activation):
+        spec = MLPSpec((4, 9, 6, 3), activation=activation, seed=2)
+        model = MLPClassifier(spec, init_weights(spec, np.random.default_rng(2)))
+        weights = [(W.tobytes(), b.tobytes()) for W, b in model.weights]
+        X = np.random.default_rng(0).normal(size=(7, 4))
+        X_bytes = X.tobytes()
+        labels = np.arange(7) % 3 + 1
+        _, logits = _forward(model.weights, activation, X)
+        logits_bytes = logits.tobytes()
+        softmax(logits)
+        assert logits.tobytes() == logits_bytes
+        model.logits(X)
+        model.probits(X)
+        model.predict(X)
+        model.xent_input_gradient(X, labels)
+        model.input_gradient(X[0], 2)
+        assert X.tobytes() == X_bytes
+        assert [(W.tobytes(), b.tobytes()) for W, b in model.weights] == weights
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_fit_stack_leaves_jobs_unchanged(self, activation):
+        spec = MLPSpec((5, 8, 3), activation=activation)
+        cfg = TrainConfig(epochs=2, batch_size=16, weight_decay=0.01)
+        jobs = [random_job(k, spec, 40, cfg, soft=k == 1) for k in range(2)]
+
+        def snapshot():
+            return [(job.X.tobytes(), job.T.tobytes(),
+                     [(W.tobytes(), b.tobytes()) for W, b in job.weights]) for job in jobs]
+
+        before = snapshot()
+        fit_stack(jobs)
+        assert snapshot() == before
 
 
 class TestGradients:
