@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .errors import ModelprintError
+from .errors import EmptyEvaluationSet, ModelprintError
 from .harness import (
     TPR_CSV_HEADER,
     BenchmarkConfig,
@@ -74,11 +74,22 @@ def _load_scheme(path: Path) -> SchemeSpec:
         raise ModelprintError(f"{path}: invalid scheme spec: {err}")
 
 
+def _skips(reports) -> tuple[int, int]:
+    """How many of the reports' run x victim cells were skipped, and of how many."""
+    return (sum(len(r.skipped) for r in reports),
+            sum(r.n_runs * r.model_scale["n_victims"] for r in reports))
+
+
 def _skip_line(reports) -> str:
-    """How many of the reports' run x victim cells were skipped."""
-    skipped = sum(len(r.skipped) for r in reports)
-    cells = sum(r.n_runs * r.model_scale["n_victims"] for r in reports)
-    return f"skipped {skipped} of {cells} cells"
+    return "skipped {} of {} cells".format(*_skips(reports))
+
+
+def _require_scored(reports) -> None:
+    """Refuse a run whose every cell was skipped: its TPRs of 0.0 measure nothing."""
+    skipped, cells = _skips(reports)
+    if skipped == cells:
+        raise EmptyEvaluationSet(f"all {cells} run x victim cells were skipped; "
+                                 "the report holds no score")
 
 
 def cmd_generate(args) -> int:
@@ -119,6 +130,7 @@ def cmd_evaluate(args) -> int:
     print(f"aggregate (mean over tasks): {agg['mean']:.3f} +- {agg['std']:.3f}")
     print(_skip_line([report]))
     print(f"wrote {jpath} and {cpath}")
+    _require_scored([report])
     return 0
 
 
@@ -127,6 +139,7 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid_path = out / "sweep.csv"
+    reports = []
     with grid_path.open("w") as fh:
         write_csv_rows(fh, [("scheme", *TPR_CSV_HEADER)])
         for scheme_path in args.scheme:
@@ -145,9 +158,11 @@ def cmd_sweep(args) -> int:
                 seed=args.seed,
                 cell_callback=flush,
             )
+            reports += sweep.reports.values()
             print(f"swept {label} over budgets {args.budgets}: "
                   f"{_skip_line(sweep.reports.values())}")
     print(f"wrote {grid_path}")
+    _require_scored(reports)
     return 0
 
 

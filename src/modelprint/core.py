@@ -138,9 +138,7 @@ class Classifier(abc.ABC):
         implementation composes per-logit gradients; parametric models
         override it with a single vectorized backward pass.
         """
-        self._require(Access.GRADIENTS, "gradient queries")
-        X = self._as_batch(X)
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        X, labels = self._gradient_batch(X, labels)
         P = self.probits(X)
         grads = np.zeros_like(X)
         for i, (x, y) in enumerate(zip(X, labels)):
@@ -152,6 +150,16 @@ class Classifier(abc.ABC):
         return grads
 
     # -- subclass hooks ----------------------------------------------------
+
+    def _gradient_batch(self, X, labels) -> tuple[np.ndarray, np.ndarray]:
+        """``(X, labels)`` checked for ``xent_input_gradient``: access, batch shape, labels in 1..C."""
+        self._require(Access.GRADIENTS, "gradient queries")
+        X = self._as_batch(X)
+        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        bad = (labels < 1) | (labels > self.num_classes)
+        if bad.any():
+            self._check_label(labels[bad][0])
+        return X, labels
 
     def _check_label(self, label: int) -> None:
         if not 1 <= int(label) <= self.num_classes:

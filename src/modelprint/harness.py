@@ -13,10 +13,12 @@ not the same as pooling all pairs when pair counts differ.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import json
 import logging
 import numbers
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -42,7 +44,7 @@ from .tinylearn import (
     SyntheticTaskSpec,
     TrainConfig,
     TrainJob,
-    fit_stack,
+    fit_stack_fields,
     generate_task,
     load_weights,
     save_weights,
@@ -226,12 +228,27 @@ class BenchmarkTriplet:
         return tuple(seen)
 
 
-def _build_stolen(
-    victim: Victim, tag: TaskTag, config: BenchmarkConfig, seed: int
-) -> Classifier | TrainJob:
-    """The stolen model of ``tag``, or the job that trains it for SGD-trained methods."""
+def _stolen_train(tag: TaskTag, config: BenchmarkConfig) -> TrainConfig | None:
+    """The SGD run that trains ``tag``'s stolen model; None for a weight-space copy."""
     params = tag.params
-    model = victim.model
+    if tag.method == "finetune":
+        return TrainConfig(
+            epochs=params.get("epochs", 5), learning_rate=params.get("learning_rate", 0.01)
+        )
+    if tag.method == "transfer":
+        return TrainConfig(
+            epochs=params.get("epochs", 20), learning_rate=params.get("learning_rate", 0.02)
+        )
+    return config.train if tag.method in EXTRACTION_MODES.values() else None
+
+
+def _build_stolen(
+    config: BenchmarkConfig, k: int, i: int, model: MLPClassifier, train_data: LabeledDataset
+) -> Classifier | TrainJob:
+    """Victim ``i``'s stolen model of tag ``k``, or the job that trains it for SGD-trained tags."""
+    tag, seed = config.stolen[k], derive_seed(config.seed, STREAM_STOLEN, i, k)
+    params = tag.params
+    cfg = _stolen_train(tag, config)
     if tag.method == "same":
         return same_copy(model, identity=f"{model.identity}#same{params.get('index', 0)}")
     if tag.method == "prune":
@@ -239,11 +256,7 @@ def _build_stolen(
     if tag.method == "quantize":
         return quantize(model, params["bits"])
     if tag.method == "finetune":
-        cfg = TrainConfig(
-            epochs=params.get("epochs", 5),
-            learning_rate=params.get("learning_rate", 0.01),
-        )
-        return finetune_job(model, victim.train_data, cfg, seed=seed)
+        return finetune_job(model, train_data, cfg, seed=seed)
     if tag.method == "transfer":
         new_task = replace(
             config.task,
@@ -251,23 +264,106 @@ def _build_stolen(
             concept_seed=derive_seed(config.seed, STREAM_TRANSFER, seed, 1),
         )
         new_train, _ = generate_task(new_task)
-        cfg = TrainConfig(
-            epochs=params.get("epochs", 20),
-            learning_rate=params.get("learning_rate", 0.02),
-        )
         return transfer_job(model, new_train, cfg, seed=seed)
     if tag.method in EXTRACTION_MODES.values():
-        pool = victim.train_data
+        pool = train_data
         pool_size = params.get("pool_size")
         if pool_size and pool_size < len(pool):
             rng = np.random.default_rng(derive_seed(seed, STREAM_POOL))
             pool = pool.take(rng.choice(len(pool), pool_size, replace=False))
         mode = next(m for m, method in EXTRACTION_MODES.items() if method == tag.method)
         return extract_job(
-            model, pool, config.arch, config.train, mode=mode, seed=seed,
+            model, pool, config.arch, cfg, mode=mode, seed=seed,
             n_adversarial=params.get("n_adversarial"),
         )
     raise ValueError(f"cannot build stolen model for method {tag.method!r}")
+
+
+def _victim_task(config: BenchmarkConfig, i: int) -> SyntheticTaskSpec:
+    return replace(config.task, seed=derive_seed(config.seed, STREAM_VICTIM_TASK, i))
+
+
+def _victim_stack(config: BenchmarkConfig, i: int) -> list[dict]:
+    """Victim ``i`` and its unrelated models, fitted as one stack (``fit_stack_fields``)."""
+    train_data, _ = generate_task(_victim_task(config, i))
+    arch = replace(config.arch, seed=derive_seed(config.seed, STREAM_VICTIM_MODEL, i))
+    jobs = [train_job(train_data, arch, config.train, identity=f"victim-{i}")]
+    for j in range(config.n_unrelated):
+        utask = replace(config.task, seed=derive_seed(config.seed, STREAM_UNRELATED_TASK, i, j))
+        utrain, _ = generate_task(utask)
+        useed = derive_seed(config.seed, STREAM_UNRELATED_MODEL, i, j)
+        jobs.append(unrelated_job(
+            utrain, config.arch, config.train, useed, identity=f"victim-{i}/unrelated-{j}"
+        ))
+    return fit_stack_fields(jobs)
+
+
+def _stolen_stack(config: BenchmarkConfig, k: int, models) -> list[dict]:
+    """Stolen tag ``k``'s SGD-trained models of the victim ``models``, fitted as one stack."""
+    return fit_stack_fields([
+        _build_stolen(config, k, i, model, generate_task(_victim_task(config, i))[0])
+        for i, model in enumerate(models)
+    ])
+
+
+# The build's process pool, made on first use: (owner pid, workers, executor)
+_POOL = None
+
+
+def _shutdown_pool() -> None:
+    """Stop this process's pool; a pool inherited through ``fork`` is only dropped."""
+    global _POOL
+    if _POOL is not None:
+        pid, _, executor = _POOL
+        _POOL = None
+        if pid == os.getpid():
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
+atexit.register(_shutdown_pool)
+
+
+def _pool(workers: int):
+    """This process's fork pool of at least ``workers`` workers, reused across builds."""
+    global _POOL
+    if _POOL is None or _POOL[0] != os.getpid() or _POOL[1] < workers:
+        _shutdown_pool()
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        _POOL = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
+    return _POOL[2]
+
+
+def _with_errstate(errstate: dict, fn, *args):
+    with np.errstate(**errstate):
+        return fn(*args)
+
+
+def _fit_stacks(calls) -> list:
+    """``fn(*args)`` for each ``(fn, *args)`` in ``calls``, in order.
+
+    Two or more calls run in the fork pool, one worker per CPU this process
+    may use; the caller's ``np.geterr()`` holds in each.
+    """
+    errstate = np.geterr()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cpus or 1, len(calls))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(*args) for fn, *args in calls]
+    from concurrent.futures import BrokenExecutor
+
+    pool = _pool(workers)
+    futures = [pool.submit(_with_errstate, errstate, *call) for call in calls]
+    try:
+        return [future.result() for future in futures]
+    except BaseException as err:
+        for future in futures:
+            future.cancel()
+        if isinstance(err, BrokenExecutor):
+            _shutdown_pool()
+        raise
 
 
 def build_benchmark(config: BenchmarkConfig) -> BenchmarkTriplet:
@@ -275,39 +371,39 @@ def build_benchmark(config: BenchmarkConfig) -> BenchmarkTriplet:
 
     Fully reproducible from the config: every task draw and training run
     is keyed by seeds derived from ``config.seed``.  Each victim trains in
-    one ``fit_stack`` with its unrelated models, then each stolen tag's
-    models across victims; stacking never changes a model's bits.
+    one ``fit_stack`` with its unrelated models, then each SGD-trained
+    stolen tag's models across victims; stacking never changes a model's bits.
+
+    The stacks are independent, so they train in a pool of forked worker
+    processes, one per CPU this process may use (``os.sched_getaffinity``),
+    longest stolen stack first.  Results are identical for any CPU count.
+    On Python 3.12 and later, forking a process that runs threads (numpy's
+    BLAS threads among them) emits a ``DeprecationWarning``.
     """
     if not config.stolen:
         raise EmptyTaskList("benchmark config lists no stolen-model tags")
     victims: list[Victim] = []
     unrelated_map: dict[str, tuple] = {}
-    for i in range(config.n_victims):
-        task = replace(config.task, seed=derive_seed(config.seed, STREAM_VICTIM_TASK, i))
-        train_data, test_data = generate_task(task)
-        arch = replace(config.arch, seed=derive_seed(config.seed, STREAM_VICTIM_MODEL, i))
-        jobs = [train_job(train_data, arch, config.train, identity=f"victim-{i}")]
-        for j in range(config.n_unrelated):
-            utask = replace(config.task, seed=derive_seed(config.seed, STREAM_UNRELATED_TASK, i, j))
-            utrain, _ = generate_task(utask)
-            useed = derive_seed(config.seed, STREAM_UNRELATED_MODEL, i, j)
-            jobs.append(unrelated_job(
-                utrain, config.arch, config.train, useed, identity=f"victim-{i}/unrelated-{j}"
-            ))
-        model, *negatives = fit_stack(jobs)
-        victims.append(Victim(model, train_data, test_data, task))
+    calls = [(_victim_stack, config, i) for i in range(config.n_victims)]
+    for i, stack in enumerate(_fit_stacks(calls)):
+        model, *negatives = (MLPClassifier(**fields) for fields in stack)
+        task = _victim_task(config, i)
+        victims.append(Victim(model, *generate_task(task), task))
         unrelated_map[model.identity] = tuple((neg, neg.tag) for neg in negatives)
 
-    columns = []
-    for k, tag in enumerate(config.stolen):
-        column = [
-            _build_stolen(victim, tag, config, derive_seed(config.seed, STREAM_STOLEN, i, k))
-            for i, victim in enumerate(victims)
-        ]
-        if column and isinstance(column[0], TrainJob):
-            column = fit_stack(column)
-        columns.append(column)
-    rows = zip(victims, zip(*columns))
+    sgd = {k: cfg for k, tag in enumerate(config.stolen)
+           if (cfg := _stolen_train(tag, config)) is not None}
+    n_rows = config.task.n_train  # longest first: epochs x training rows
+    trained = sorted(sgd, key=lambda k: -sgd[k].epochs
+                     * min(config.stolen[k].params.get("pool_size") or n_rows, n_rows))
+    models = [v.model for v in victims]
+    stacks = _fit_stacks([(_stolen_stack, config, k, models) for k in trained])
+    columns = {k: [MLPClassifier(**f) for f in stack] for k, stack in zip(trained, stacks)}
+    for k in range(len(config.stolen)):
+        if k not in columns:
+            columns[k] = [_build_stolen(config, k, i, v.model, v.train_data)
+                          for i, v in enumerate(victims)]
+    rows = zip(victims, zip(*(columns[k] for k in sorted(columns))))
     stolen = {v.model.identity: tuple((out, out.tag) for out in row) for v, row in rows}
     return BenchmarkTriplet(tuple(victims), stolen, unrelated_map, config)
 

@@ -26,6 +26,10 @@ from .errors import (
 ACTIVATIONS = ("relu", "tanh")
 LOSSES = ("cross-entropy", "distillation-kl")
 
+# Most float64 values one task's arrays or one model's parameters may hold
+# (512 MiB); a spec above it is refused before anything is allocated.
+MAX_VALUES = 2**26
+
 _BLOB_RADIUS = 3.0
 _RING_GAP = 1.2
 _MOON_NOISE = 0.2
@@ -50,6 +54,14 @@ class MLPSpec:
             raise ValueError("output width (number of classes) must be >= 2")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        if self.n_params > MAX_VALUES:
+            raise ValueError(f"layer widths {self.layer_widths} hold {self.n_params} "
+                             f"parameters, more than {MAX_VALUES}")
+
+    @property
+    def n_params(self) -> int:
+        widths = self.layer_widths
+        return sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,9 @@ class SyntheticTaskSpec:
             raise ValueError("dim must be >= 1")
         if self.n_train < 1 or self.n_test < 1:
             raise ValueError("n_train and n_test must be >= 1")
+        n_values = self.dim * (self.n_train + self.n_test)
+        if n_values > MAX_VALUES:
+            raise ValueError(f"dim x (n_train + n_test) = {n_values} values, more than {MAX_VALUES}")
         if not 0.0 <= self.label_noise < 0.5:
             raise ValueError("label_noise must lie in [0, 0.5)")
         if self.noise_scale <= 0:
@@ -328,7 +343,7 @@ class MLPClassifier(Classifier):
 
     @property
     def n_params(self) -> int:
-        return sum(W.size + b.size for W, b in self.weights)
+        return self.spec.n_params
 
     def clone(self, identity: str, weights=None, tag=None) -> "MLPClassifier":
         """New handle sharing this architecture, with fresh weight copies."""
@@ -370,8 +385,7 @@ class MLPClassifier(Classifier):
         return self._backprop_to_input(A, sel)[0]
 
     def xent_input_gradient(self, X, labels) -> np.ndarray:
-        X = self._as_batch(X)
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        X, labels = self._gradient_batch(X, labels)
         A, logits = _forward(self.weights, self.spec.activation, X)
         D = softmax(logits)
         D[np.arange(X.shape[0]), labels - 1] -= 1.0
@@ -403,8 +417,7 @@ class LinearClassifier(Classifier):
         return self.W[label - 1].copy()
 
     def xent_input_gradient(self, X, labels) -> np.ndarray:
-        X = self._as_batch(X)
-        labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+        X, labels = self._gradient_batch(X, labels)
         D = self._probits(X)
         D[np.arange(X.shape[0]), labels - 1] -= 1.0
         return D @ self.W
@@ -424,11 +437,10 @@ class TrainJob:
     tag: object = None
 
 
-def fit_stack(jobs) -> list[MLPClassifier]:
-    """Fit jobs as one stacked SGD pass; each model is bit-identical to fitting it alone.
+def fit_stack_fields(jobs) -> list[dict]:
+    """``fit_stack`` in plain data: each fitted model's ``MLPClassifier`` keyword arguments.
 
-    The jobs must share layer widths, activation, data shapes and ``TrainConfig``
-    apart from ``loss``, which only says where the targets came from.
+    The weights are views into the stacked arrays; ``MLPClassifier`` copies them.
     """
     shapes = [(job.spec.layer_widths, job.spec.activation, replace(job.cfg, loss=LOSSES[0]),
                job.X.shape, job.T.shape) for job in jobs]
@@ -443,10 +455,19 @@ def fit_stack(jobs) -> list[MLPClassifier]:
         [job.identity or f"model {k}" for k, job in enumerate(jobs)],
     )
     return [
-        MLPClassifier(job.spec, [(W[k], b[k]) for W, b in weights], identity=job.identity,
-                      tag=job.tag, train_loss=history)
+        {"spec": job.spec, "weights": [(W[k], b[k]) for W, b in weights],
+         "identity": job.identity, "tag": job.tag, "train_loss": history}
         for k, (job, history) in enumerate(zip(jobs, histories))
     ]
+
+
+def fit_stack(jobs) -> list[MLPClassifier]:
+    """Fit jobs as one stacked SGD pass; each model is bit-identical to fitting it alone.
+
+    The jobs must share layer widths, activation, data shapes and ``TrainConfig``
+    apart from ``loss``, which only says where the targets came from.
+    """
+    return [MLPClassifier(**fields) for fields in fit_stack_fields(jobs)]
 
 
 def fitted(job_fn):
@@ -563,7 +584,7 @@ def load_weights(path, identity: str | None = None, tag=None) -> MLPClassifier:
         spec = MLPSpec(widths, _ACT_NAMES[act_code], seed=seed)
     except ValueError as err:
         raise CorruptWeights(f"{path}: {err}") from err
-    n_bytes = 8 * sum(i * o + o for i, o in zip(widths[:-1], widths[1:]))
+    n_bytes = 8 * spec.n_params
     if len(raw) - offset != n_bytes:
         raise CorruptWeights(
             f"{path}: payload is {len(raw) - offset} bytes, widths {widths} need {n_bytes}"

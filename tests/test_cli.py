@@ -3,6 +3,9 @@
 import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +133,11 @@ class TestGenerate:
             ({"train": MICRO_CONFIG["train"] | {"weight_decay": True}},
              "train.weight_decay must be a number, got True"),
             ({"arch": [4, 12, 3]}, "arch must be a JSON object, got [4, 12, 3]"),
+            # sizes whose allocation would fail at once if they were not refused
+            ({"task": MICRO_CONFIG["task"] | {"dim": 10**12}},
+             "dim x (n_train + n_test) = 250000000000000 values, more than 67108864"),
+            ({"arch": MICRO_CONFIG["arch"] | {"layer_widths": [4, 10**12, 3]}},
+             "hold 8000000000003 parameters, more than 67108864"),
         ],
         ids=["no-victims", "no-unrelated", "prune-no-fraction", "prune-text-fraction",
              "quantize-no-bits", "quantize-float-bits", "prune-negative-fraction",
@@ -137,7 +145,7 @@ class TestGenerate:
              "fractional-seed", "overflowing-victims", "overflowing-width",
              "fractional-n-train", "fractional-epochs", "fractional-batch-size",
              "unknown-key", "text-learning-rate", "unknown-task-key", "unknown-tag-key",
-             "boolean-weight-decay", "list-arch"],
+             "boolean-weight-decay", "list-arch", "task-too-large", "model-too-large"],
     )
     def test_config_that_cannot_build_is_corrupt_manifest(
         self, override, message, tmp_path, capsys
@@ -344,6 +352,78 @@ class TestSweep:
                 "--scheme", "--budgets", "8", "--out", str(tmp_path / "x"),
             ])
         assert err.value.code == 2
+
+
+class TestAllSkipped:
+    """A command whose every run x victim cell is skipped writes its files, then exits 2."""
+
+    @pytest.fixture
+    def infeasible(self, workspace):
+        path = workspace / "infeasible.json"
+        path.write_text(json.dumps(mistake_match_scheme(budget=10_000).to_record()))
+        return path
+
+    def test_evaluate(self, workspace, infeasible, tmp_path, capsys):
+        out = tmp_path / "reports"
+        rc = main(["evaluate", "--benchmark", str(workspace / "bench"),
+                   "--scheme", str(infeasible), "--runs", "2", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: [empty-evaluation-set] all 2 run x victim cells "
+                                "were skipped; the report holds no score\n")
+        assert "skipped 2 of 2 cells" in captured.out
+        assert [p.suffix for p in sorted(out.iterdir())] == [".csv", ".json"]
+
+    def test_sweep(self, workspace, infeasible, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--benchmark", str(workspace / "bench"), "--scheme", str(infeasible),
+                   "--budgets", "5000,10000", "--runs", "2", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: [empty-evaluation-set] all 4 run x victim cells were skipped")
+        assert len((out / "sweep.csv").read_text().splitlines()) > 1
+
+    def test_one_scored_scheme_is_enough(self, workspace, infeasible, tmp_path):
+        rc = main(["sweep", "--benchmark", str(workspace / "bench"),
+                   "--scheme", str(infeasible), str(workspace / "baseline.json"),
+                   "--budgets", "8", "--runs", "2", "--out", str(tmp_path / "sweep")])
+        assert rc == 0
+
+
+def test_generate_exits_cleanly_and_stops_its_workers(tmp_path):
+    """``modelprint generate`` in its own interpreter: exit 0, empty stderr, no worker left.
+
+    The build's pool must be shut down and released by an exit hook: an
+    executor left for interpreter teardown can print "Exception ignored in
+    ... weakref_cb".  Exit hooks run last-registered first, so the script's
+    hook, registered before ``modelprint`` is imported, runs after the pool's.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(MICRO_CONFIG | {
+        "n_victims": 2, "stolen": [{"method": "finetune", "params": {"epochs": 2}}],
+    }))
+    script = ("import atexit, multiprocessing, sys\n"
+              "atexit.register(lambda: print(sys.modules['modelprint.harness']._POOL))\n"
+              "from modelprint.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(*(p.pid for p in multiprocessing.active_children()))\n"
+              "sys.exit(rc)\n")
+    src = str(Path(mp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "generate", "--config", str(config),
+         "--out", str(tmp_path / "bench")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    *_, pids, pool_at_exit = proc.stdout.splitlines()
+    assert pool_at_exit == "None"
+    workers = [int(pid) for pid in pids.split()]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert len(workers) == (2 if cpus > 1 else 0)  # two stacks per phase
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_commands_score_in_their_own_process(workspace, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for benchmark construction, metrics, evaluation, and reports."""
 
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import replace
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import modelprint as mp
 from modelprint import fingerprints, harness
 from modelprint.core import Classifier, pair_stats
-from modelprint.errors import EmptyPairSet, EmptyTaskList, NonFiniteAnswer
+from modelprint.errors import EmptyPairSet, EmptyTaskList, NonFiniteAnswer, TrainingDiverged
 from modelprint.harness import (
     STREAM_POOL,
     STREAM_STOLEN,
@@ -180,6 +181,67 @@ class TestStackedBuild:
                 assert got.train_loss == want.train_loss
                 for (W, b), (We, be) in zip(got.weights, want.weights):
                     assert W.tobytes() == We.tobytes() and b.tobytes() == be.tobytes()
+
+
+def every_model(bench):
+    for victim in bench.victims:
+        vid = victim.model.identity
+        yield victim.model
+        yield from (model for model, _ in bench.stolen[vid] + bench.unrelated[vid])
+
+
+def model_bytes(bench) -> list:
+    return [
+        (m.identity, m.tag, m.spec, m.train_loss,
+         [(W.tobytes(), b.tobytes()) for W, b in m.weights])
+        for m in every_model(bench)
+    ]
+
+
+def diverging(config: BenchmarkConfig) -> BenchmarkConfig:
+    """``config`` at a learning rate whose SGD overflows."""
+    return replace(config, train=replace(config.train, learning_rate=1e6))
+
+
+class TestBuildPool:
+    """The build's stacks train in forked workers; the models must not notice."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets how many CPUs this process may use, as ``build_benchmark`` sees it."""
+        def use(n):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        return use
+
+    def test_pool_build_byte_equal_to_in_process_build(self, mini_benchmark, cpus):
+        cpus(2)
+        pooled = build_benchmark(mini_benchmark.config)
+        assert harness._POOL is not None
+        cpus(1)
+        in_process = build_benchmark(mini_benchmark.config)
+        assert model_bytes(pooled) == model_bytes(in_process)
+        assert model_bytes(pooled) == model_bytes(mini_benchmark)
+
+    def test_every_model_is_read_only(self, mini_benchmark, cpus):
+        cpus(2)
+        bench = build_benchmark(mini_benchmark.config)
+        models = list(every_model(bench))
+        assert len(models) == 2 * (1 + 5 + 3)
+        for model in models:
+            for W, b in model.weights:
+                assert not W.flags.writeable and not b.flags.writeable, model.identity
+
+    def test_divergence_in_a_worker_names_its_model(self, mini_benchmark, cpus):
+        cpus(2)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+            build_benchmark(diverging(mini_benchmark.config))
+        assert err.value.code == "training-diverged"
+        assert str(err.value).endswith("during SGD of victim-0")
+
+    def test_callers_errstate_holds_in_the_workers(self, mini_benchmark, cpus):
+        cpus(2)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            build_benchmark(diverging(mini_benchmark.config))
 
 
 # ``default_benchmark_config().to_record()`` as ``json.dumps(..., sort_keys=True)`` writes it

@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelprint as mp
+from modelprint.core import Access
 from modelprint.errors import (
+    AccessInsufficient,
+    BadClass,
     CorruptWeights,
     InfeasibleTask,
     ModelprintError,
@@ -416,9 +419,34 @@ class TestGradients:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(5, 4))
         labels = rng.integers(1, 4, size=5)
-        fast = quick_model.xent_input_gradient(X, labels)
-        slow = mp.Classifier.xent_input_gradient(quick_model, X, labels)
-        np.testing.assert_allclose(fast, slow, atol=1e-10)
+        for model in (quick_model, LinearClassifier(rng.normal(size=(3, 4)))):
+            fast = model.xent_input_gradient(X, labels)
+            slow = mp.Classifier.xent_input_gradient(model, X, labels)
+            np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+
+def gradient_handles():
+    """An MLP and a linear model, both with 3 classes over 4 inputs."""
+    spec = MLPSpec((4, 6, 3), seed=1)
+    mlp = MLPClassifier(spec, init_weights(spec, np.random.default_rng(1)), identity="mlp")
+    linear = LinearClassifier(np.arange(12.0).reshape(3, 4) / 10, identity="linear")
+    return [mlp, linear]
+
+
+class TestGradientQueryChecks:
+    """Every ``xent_input_gradient`` checks access and labels as the other queries do."""
+
+    @pytest.mark.parametrize("model", gradient_handles(), ids=["mlp", "linear"])
+    def test_labels_handle_is_refused(self, model):
+        model.access = Access.LABELS
+        with pytest.raises(AccessInsufficient, match="gradient queries"):
+            model.xent_input_gradient(np.zeros((2, 4)), [1, 2])
+
+    @pytest.mark.parametrize("model", gradient_handles(), ids=["mlp", "linear"])
+    @pytest.mark.parametrize("label", [0, 4, -1])
+    def test_label_outside_one_to_c_is_bad_class(self, model, label):
+        with pytest.raises(BadClass, match=f"class index {label} out of range 1..3"):
+            model.xent_input_gradient(np.zeros((3, 4)), [1, label, 2])
 
 
 class TestWeightFiles:
