@@ -44,11 +44,11 @@ class Access(enum.IntEnum):
 class Classifier(abc.ABC):
     """A queryable, deterministic classifier.
 
-    Subclasses implement ``_probits`` (preferred) or ``_predict``.  The
-    public query methods enforce the handle's declared access level and
-    the label conventions: labels are integers in ``{1..C}``, top-k ties
-    are broken by ascending label index, and repeated queries on the same
-    input return identical answers.
+    Every public query is defined here: it checks the access level, shapes the batch,
+    checks labels against ``{1..C}``, calls a subclass hook (``_logits``, ``_probits``,
+    ``_predict``, ``_input_gradient``, ``_xent_input_gradient``) and raises
+    ``NonFiniteAnswer`` on a NaN or inf answer.  Top-k ties are broken by ascending
+    label index, and repeated queries on the same input return identical answers.
     """
 
     def __init__(
@@ -93,6 +93,7 @@ class Classifier(abc.ABC):
 
     def predict(self, X) -> np.ndarray:
         """Labels in ``{1..C}`` for a batch of points, shape ``(n,)``."""
+        self._require(Access.LABELS, "label queries")
         return self._predict(self._as_batch(X))
 
     def label(self, x) -> int:
@@ -120,73 +121,62 @@ class Classifier(abc.ABC):
     def probits(self, X) -> np.ndarray:
         """Probability vectors, shape ``(n, C)``; rows are >= 0 and sum to 1."""
         self._require(Access.PROBITS, "probit queries")
-        return self._finite_probits(self._as_batch(X))
+        return self._finite(self._probits(self._as_batch(X)), "probits")
+
+    def logits(self, X) -> np.ndarray:
+        """Raw logits, shape ``(n, C)``; same access level as probits."""
+        self._require(Access.PROBITS, "logit queries")
+        return self._finite(self._logits(self._as_batch(X)), "logits")
 
     def input_gradient(self, x, label: int) -> np.ndarray:
         """Gradient of the logit for ``label`` with respect to the input."""
         self._require(Access.GRADIENTS, "gradient queries")
-        self._check_label(label)
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if x.shape[0] != self.input_dim:
-            raise ValueError(f"expected dimension {self.input_dim}, got {x.shape[0]}")
-        return self._input_gradient(x, int(label))
+        x = self._as_batch(np.reshape(x, (1, -1)))[0]
+        (label,) = self._labels(label)
+        return self._finite(self._input_gradient(x, int(label)), "input gradients")
 
     def xent_input_gradient(self, X, labels) -> np.ndarray:
-        """Per-point input gradient of cross-entropy against ``labels``.
-
-        Batch helper used by gradient-based query samplers.  The generic
-        implementation composes per-logit gradients; parametric models
-        override it with a single vectorized backward pass.
-        """
-        X, labels = self._gradient_batch(X, labels)
-        P = self.probits(X)
-        grads = np.zeros_like(X)
-        for i, (x, y) in enumerate(zip(X, labels)):
-            # d(-log p_y)/dx = sum_c (p_c - 1[c=y]) * d z_c / dx
-            coeff = P[i].copy()
-            coeff[y - 1] -= 1.0
-            for c in range(1, self.num_classes + 1):
-                grads[i] += coeff[c - 1] * self._input_gradient(x, c)
-        return grads
-
-    # -- subclass hooks ----------------------------------------------------
-
-    def _gradient_batch(self, X, labels) -> tuple[np.ndarray, np.ndarray]:
-        """``(X, labels)`` checked for ``xent_input_gradient``: access, batch shape, labels in 1..C."""
+        """Per-point input gradient of cross-entropy against ``labels``, shape ``(n, d)``."""
         self._require(Access.GRADIENTS, "gradient queries")
         X = self._as_batch(X)
+        labels = self._labels(labels)
+        return self._finite(self._xent_input_gradient(X, labels), "input gradients")
+
+    def _labels(self, labels) -> np.ndarray:
+        """``labels`` as an int64 vector; ``BadClass`` names the first outside 1..C."""
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         bad = (labels < 1) | (labels > self.num_classes)
         if bad.any():
-            self._check_label(labels[bad][0])
-        return X, labels
+            raise BadClass(f"class index {labels[bad][0]} out of range 1..{self.num_classes}")
+        return labels
 
-    def _check_label(self, label: int) -> None:
-        if not 1 <= int(label) <= self.num_classes:
-            raise BadClass(
-                f"class index {label} out of range 1..{self.num_classes}"
-            )
+    def _finite(self, A: np.ndarray, what: str) -> np.ndarray:
+        """``A``, or ``NonFiniteAnswer`` if any entry is NaN or inf."""
+        if not np.isfinite(A).all():
+            raise NonFiniteAnswer(f"{self.identity}: {what} hold NaN or inf")
+        return A
 
-    def _finite_probits(self, X: np.ndarray) -> np.ndarray:
-        """``_probits``, raising ``NonFiniteAnswer`` on any NaN or inf entry."""
-        P = self._probits(X)
-        if not np.isfinite(P).all():
-            raise NonFiniteAnswer(f"{self.identity}: probits hold NaN or inf")
-        return P
+    # -- subclass hooks ----------------------------------------------------
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         # argmax picks the lowest index on ties, matching the top-k rule
-        return np.argmax(self._finite_probits(X), axis=1).astype(np.int64) + 1
+        return np.argmax(self._finite(self._probits(X), "probits"), axis=1).astype(np.int64) + 1
 
     def _top_k(self, X: np.ndarray, k: int) -> np.ndarray:
-        P = self._finite_probits(X)
+        P = self._finite(self._probits(X), "probits")
         order = np.argsort(-P, axis=1, kind="stable")
         return order[:, :k].astype(np.int64) + 1
 
     def _probits(self, X: np.ndarray) -> np.ndarray:
+        return softmax(self._logits(X))
+
+    def _logits(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _input_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def _xent_input_gradient(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def __repr__(self) -> str:  # noqa: D105
@@ -234,6 +224,13 @@ class LookupClassifier(Classifier):
 
     def _probits(self, X: np.ndarray) -> np.ndarray:
         return one_hot(self._predict(X), self.num_classes)
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    Z = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=-1, keepdims=True)
+    return Z
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:

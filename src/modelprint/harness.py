@@ -105,12 +105,23 @@ DESK_ARCH = MLPSpec(layer_widths=(8, 48, 24, 4), activation="relu")
 DESK_TRAIN = TrainConfig(epochs=80, learning_rate=0.05, batch_size=32)
 
 
-# The tag params that ``_build_stolen`` reads without a default, with the ranges
-# ``variants`` enforces after training: (key, type, wording, range check, range wording).
+# Every tag param ``_build_stolen`` reads, checked before any training: key -> (type,
+# wording, range check, range wording, required); ``index`` only names or tells tags apart.
+# The SGD tags' ``epochs`` and ``learning_rate`` are a ``TrainConfig`` over ``_SGD_TAGS``.
+_INDEX = (numbers.Integral, "an integer", lambda i: i >= 0, ">= 0", False)
+_COUNT = (numbers.Integral, "an integer", lambda n: n >= 1, ">= 1", False)
 _TAG_PARAMS = {
-    "prune": ("fraction", numbers.Real, "a numeric", lambda f: 0 <= f < 1, "in [0, 1)"),
-    "quantize": ("bits", numbers.Integral, "an integer", lambda b: b >= 2, ">= 2"),
+    "same": {"index": _INDEX},
+    "prune": {"fraction": (numbers.Real, "a numeric", lambda f: 0 <= f < 1, "in [0, 1)", True)},
+    "quantize": {"bits": (numbers.Integral, "an integer", lambda b: b >= 2, ">= 2", True)},
+    "finetune": {"index": _INDEX},
+    "transfer": {},
+    "probit_extraction": {"pool_size": _COUNT},
+    "label_extraction": {"pool_size": _COUNT},
+    "adversarial_label_extraction": {"pool_size": _COUNT, "n_adversarial": _COUNT},
 }
+_SGD_TAGS = {"finetune": {"epochs": 5, "learning_rate": 0.01},
+             "transfer": {"epochs": 20, "learning_rate": 0.02}}
 
 
 @dataclass(frozen=True)
@@ -139,13 +150,21 @@ class BenchmarkConfig:
         if self.n_unrelated < 1:
             raise ValueError(f"n_unrelated must be >= 1, got {self.n_unrelated}")
         for tag in self.stolen:
-            if tag.method in _TAG_PARAMS:
-                key, kind, what, in_range, bound = _TAG_PARAMS[tag.method]
+            if tag.method not in _TAG_PARAMS:
+                raise ValueError(f"no stolen model is built by method {tag.method!r}")
+            rules = _TAG_PARAMS[tag.method]
+            for key in tag.params:
+                if key not in rules and key not in _SGD_TAGS.get(tag.method, {}):
+                    raise ValueError(f"{tag.method} tag takes no {key!r} param")
+            for key, (kind, what, in_range, bound, required) in rules.items():
+                if key not in tag.params and not required:
+                    continue
                 value = tag.params.get(key)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{tag.method} tag needs {what} {key!r}, got {value!r}")
                 if not in_range(value):
                     raise ValueError(f"{tag.method} tag needs {key!r} {bound}, got {value!r}")
+            _stolen_train(tag, self)
 
     def to_record(self) -> dict:
         return dataclasses.asdict(self)
@@ -230,15 +249,9 @@ class BenchmarkTriplet:
 
 def _stolen_train(tag: TaskTag, config: BenchmarkConfig) -> TrainConfig | None:
     """The SGD run that trains ``tag``'s stolen model; None for a weight-space copy."""
-    params = tag.params
-    if tag.method == "finetune":
-        return TrainConfig(
-            epochs=params.get("epochs", 5), learning_rate=params.get("learning_rate", 0.01)
-        )
-    if tag.method == "transfer":
-        return TrainConfig(
-            epochs=params.get("epochs", 20), learning_rate=params.get("learning_rate", 0.02)
-        )
+    if tag.method in _SGD_TAGS:
+        sgd = {key: tag.params.get(key, default) for key, default in _SGD_TAGS[tag.method].items()}
+        return from_record(TrainConfig, sgd, f"{tag.method} tag ")
     return config.train if tag.method in EXTRACTION_MODES.values() else None
 
 
@@ -794,7 +807,7 @@ def evaluate(
             benchmark, spec.seed_split, skip_nonfinite_victims=True
         ):
             pair_statistics[f"{vid}|{model.identity}"] = {
-                "task": tag.method, "positive": tag.is_positive, **dataclasses.asdict(st)
+                "task": tag.method, "positive": tag.is_positive, **vars(st)
             }
 
     sample_victim = benchmark.victims[0]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Access, Classifier, LabeledDataset, one_hot
+from .core import Access, Classifier, LabeledDataset, one_hot, softmax
 from .errors import (
     CorruptWeights,
     IncompatibleTask,
@@ -123,6 +123,8 @@ class SyntheticTaskSpec:
             raise ValueError("label_noise must lie in [0, 0.5)")
         if self.noise_scale <= 0:
             raise ValueError("noise_scale must be positive")
+        if self.seed < 0 or self.concept_seed < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seed} and {self.concept_seed}")
 
 
 def _blob_centers(spec: SyntheticTaskSpec) -> np.ndarray:
@@ -220,13 +222,6 @@ def _act_grad(name: str, g: np.ndarray, A: np.ndarray) -> np.ndarray:
     np.multiply(A, A, out=A)
     np.subtract(1.0, A, out=A)
     return np.multiply(g, A, out=g)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    Z = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(Z, out=Z)
-    Z /= Z.sum(axis=-1, keepdims=True)
-    return Z
 
 
 def _affine(A: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -360,14 +355,6 @@ class MLPClassifier(Classifier):
         _, logits = _forward(self.weights, self.spec.activation, X)
         return logits
 
-    def logits(self, X) -> np.ndarray:
-        """Raw logits, shape (n, C); same access level as probits."""
-        self._require(Access.PROBITS, "logit queries")
-        return self._logits(self._as_batch(X))
-
-    def _probits(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self._logits(X))
-
     def _backprop_to_input(self, A, dlogits: np.ndarray) -> np.ndarray:
         """Input gradient of ``dlogits``, given ``_forward``'s activations ``A`` (consumed)."""
         g = dlogits
@@ -384,12 +371,14 @@ class MLPClassifier(Classifier):
         sel[0, label - 1] = 1.0
         return self._backprop_to_input(A, sel)[0]
 
-    def xent_input_gradient(self, X, labels) -> np.ndarray:
-        X, labels = self._gradient_batch(X, labels)
+    def _xent_input_gradient(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         A, logits = _forward(self.weights, self.spec.activation, X)
         D = softmax(logits)
         D[np.arange(X.shape[0]), labels - 1] -= 1.0
         return self._backprop_to_input(A, D)
+
+    # the benchmark's tracer patches this name on the class itself
+    xent_input_gradient = Classifier.xent_input_gradient
 
 
 class LinearClassifier(Classifier):
@@ -406,21 +395,19 @@ class LinearClassifier(Classifier):
         self.W = W
         self.b = b
 
-    def _probits(self, X: np.ndarray) -> np.ndarray:
-        return softmax(X @ self.W.T + self.b)
-
-    def logits(self, X) -> np.ndarray:
-        self._require(Access.PROBITS, "logit queries")
-        return self._as_batch(X) @ self.W.T + self.b
+    def _logits(self, X: np.ndarray) -> np.ndarray:
+        return X @ self.W.T + self.b
 
     def _input_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
         return self.W[label - 1].copy()
 
-    def xent_input_gradient(self, X, labels) -> np.ndarray:
-        X, labels = self._gradient_batch(X, labels)
+    def _xent_input_gradient(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         D = self._probits(X)
         D[np.arange(X.shape[0]), labels - 1] -= 1.0
         return D @ self.W
+
+    # the benchmark's tracer patches this name on the class itself
+    xent_input_gradient = Classifier.xent_input_gradient
 
 
 @dataclass

@@ -144,6 +144,26 @@ class TestGenerate:
              "dim x (n_train + n_test) = 250000000000000 values, more than 67108864"),
             ({"arch": MICRO_CONFIG["arch"] | {"layer_widths": [4, 10**12, 3]}},
              "hold 8000000000003 parameters, more than 67108864"),
+            # tag params that used to fail, or build the wrong models, after training victims
+            ({"stolen": [{"method": "finetune", "params": {"epochs": 2.5}}]},
+             "finetune tag epochs must be integral, got 2.5"),
+            ({"stolen": [{"method": "finetune", "params": {"epochs": 0}}]},
+             "epochs must be >= 1"),
+            ({"stolen": [{"method": "finetune", "params": {"learning_rate": "x"}}]},
+             "finetune tag learning_rate must be a number, got 'x'"),
+            ({"stolen": [{"method": "label_extraction", "params": {"pool_size": "abc"}}]},
+             "label_extraction tag needs an integer 'pool_size', got 'abc'"),
+            ({"stolen": [{"method": "label_extraction", "params": {"pool_size": -5}}]},
+             "label_extraction tag needs 'pool_size' >= 1, got -5"),
+            ({"stolen": [{"method": "finetune", "params": {"epoch": 50}}]},
+             "finetune tag takes no 'epoch' param"),
+            ({"stolen": [{"method": "same", "params": {"index": "a"}}]},
+             "same tag needs an integer 'index', got 'a'"),
+            ({"stolen": [{"method": "adversarial_label_extraction",
+                          "params": {"n_adversarial": -3}}]},
+             "adversarial_label_extraction tag needs 'n_adversarial' >= 1, got -3"),
+            ({"stolen": [{"method": "unrelated", "params": {}}]},
+             "no stolen model is built by method 'unrelated'"),
         ],
         ids=["no-victims", "no-unrelated", "prune-no-fraction", "prune-text-fraction",
              "quantize-no-bits", "quantize-float-bits", "prune-negative-fraction",
@@ -151,7 +171,10 @@ class TestGenerate:
              "fractional-seed", "overflowing-victims", "overflowing-width",
              "fractional-n-train", "fractional-epochs", "fractional-batch-size",
              "unknown-key", "text-learning-rate", "unknown-task-key", "unknown-tag-key",
-             "boolean-weight-decay", "list-arch", "task-too-large", "model-too-large"],
+             "boolean-weight-decay", "list-arch", "task-too-large", "model-too-large",
+             "fractional-tag-epochs", "zero-tag-epochs", "text-tag-learning-rate",
+             "text-pool-size", "negative-pool-size", "unread-tag-key", "text-same-index",
+             "negative-n-adversarial", "unrelated-stolen-tag"],
     )
     def test_config_that_cannot_build_is_corrupt_manifest(
         self, override, message, tmp_path, capsys
@@ -621,3 +644,50 @@ def test_unknown_key_with_a_control_character_stays_on_one_line(workspace, tmp_p
     assert rc == 2
     assert capsys.readouterr().err.endswith(
         "invalid scheme spec: 'de\\rtector' is not a field of SchemeSpec\n")
+
+
+# -- fuzzing the benchmark configs that ``generate`` builds -----------------
+
+# every stolen method with values for the tag params its build reads; epoch counts
+# stay small, so that every config that builds is a micro build
+TAG_PARAMS = {
+    "same": {"index": 1},
+    "prune": {"fraction": 0.3},
+    "quantize": {"bits": 6},
+    "finetune": {"epochs": 2, "learning_rate": 0.01, "index": 1},
+    "transfer": {"epochs": 2, "learning_rate": 0.02},
+    "probit_extraction": {"pool_size": 40},
+    "label_extraction": {"pool_size": 40},
+    "adversarial_label_extraction": {"pool_size": 40, "n_adversarial": 5},
+    "unrelated": {},
+}
+BAD_VALUES = st.sampled_from([None, "x", True, [], {}, INF, 0, -1])
+
+
+@st.composite
+def config_records(draw):
+    """``MICRO_CONFIG`` with one stolen tag, then up to two fields, tag params or new keys set
+    to a wrong type, ``None``, 1e400, 0 or -1."""
+    rec = json.loads(json.dumps(MICRO_CONFIG))
+    method = draw(st.sampled_from(sorted(TAG_PARAMS)))
+    params = {k: v for k, v in TAG_PARAMS[method].items() if draw(st.booleans())}
+    rec["stolen"] = [{"method": method, "params": params}]
+    objects = [rec, rec["task"], rec["arch"], rec["train"], rec["stolen"][0], params]
+    for _ in range(draw(st.integers(0, 2))):
+        obj = objects[draw(st.integers(0, len(objects) - 1))]
+        obj[draw(st.sampled_from([*sorted(obj), "junk"]))] = draw(BAD_VALUES)
+    return rec
+
+
+@settings(max_examples=60, deadline=None)
+@given(rec=config_records())
+def test_fuzzed_configs_exit_cleanly(rec):
+    """Any such config makes ``generate`` exit 0, or 2 with a coded error; never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json_with_1e400(rec))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["generate", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    last = err.getvalue().splitlines()[-1:]
+    assert rc == 0 or (rc == 2 and re.match(r"error: \[[a-z-]+\] ", last[0])), err.getvalue()

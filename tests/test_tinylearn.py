@@ -17,6 +17,7 @@ from modelprint.errors import (
     CorruptWeights,
     InfeasibleTask,
     ModelprintError,
+    NonFiniteAnswer,
     TrainingDiverged,
 )
 from modelprint.tinylearn import (
@@ -39,7 +40,7 @@ from modelprint.tinylearn import (
     train_job,
 )
 
-from conftest import QUICK_ARCH, QUICK_CFG, QUICK_TASK
+from conftest import QUICK_ARCH, QUICK_CFG, QUICK_TASK, nan_copy
 
 
 class TestGenerateTask:
@@ -421,8 +422,20 @@ class TestGradients:
         labels = rng.integers(1, 4, size=5)
         for model in (quick_model, LinearClassifier(rng.normal(size=(3, 4)))):
             fast = model.xent_input_gradient(X, labels)
-            slow = mp.Classifier.xent_input_gradient(model, X, labels)
+            slow = xent_gradient_by_composition(model, X, labels)
             np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+
+def xent_gradient_by_composition(model, X, labels):
+    """The per-class oracle: ``sum_c (p_c - 1[c=y]) * input_gradient(x, c)`` per point."""
+    P = model.probits(X)
+    grads = np.zeros_like(X)
+    for i, (x, y) in enumerate(zip(X, labels)):
+        coeff = P[i].copy()
+        coeff[y - 1] -= 1.0
+        for c in range(1, model.num_classes + 1):
+            grads[i] += coeff[c - 1] * model.input_gradient(x, c)
+    return grads
 
 
 def gradient_handles():
@@ -433,8 +446,49 @@ def gradient_handles():
     return [mlp, linear]
 
 
+# query name -> (access level it needs, the query on a gradient handle with label y)
+QUERIES = {
+    "logits": (Access.PROBITS, lambda model, y: model.logits(np.zeros((2, 4)))),
+    "probits": (Access.PROBITS, lambda model, y: model.probits(np.zeros((2, 4)))),
+    "input_gradient": (Access.GRADIENTS, lambda model, y: model.input_gradient(np.zeros(4), y)),
+    "xent_input_gradient": (
+        Access.GRADIENTS, lambda model, y: model.xent_input_gradient(np.zeros((2, 4)), [1, y])
+    ),
+}
+
+
 class TestGradientQueryChecks:
-    """Every ``xent_input_gradient`` checks access and labels as the other queries do."""
+    """Every query checks access, labels and finiteness in ``Classifier``, for every handle."""
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["mlp", "linear"])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_handle_below_the_query_level_is_refused(self, kind, query):
+        model = gradient_handles()[kind]
+        level, ask = QUERIES[query]
+        model.access = Access(level - 1)
+        with pytest.raises(AccessInsufficient, match=f"needs {level.name} access"):
+            ask(model, 1)
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["mlp", "linear"])
+    @pytest.mark.parametrize("query", ["input_gradient", "xent_input_gradient"])
+    @pytest.mark.parametrize("label", [0, 4])
+    def test_query_label_outside_one_to_c_is_bad_class(self, kind, query, label):
+        with pytest.raises(BadClass, match=f"class index {label} out of range 1..3"):
+            QUERIES[query][1](gradient_handles()[kind], label)
+
+    @pytest.mark.parametrize("query", ["logits", "input_gradient", "xent_input_gradient"])
+    def test_nan_weight_mlp_answer_is_non_finite(self, query):
+        model = nan_copy(gradient_handles()[0])
+        with pytest.raises(NonFiniteAnswer, match=r"mlp#nan: [a-z ]+ hold NaN or inf"):
+            QUERIES[query][1](model, 1)
+
+    def test_overflowing_gradient_is_non_finite_while_probits_are_finite(self):
+        model = LinearClassifier([[-1.5e308], [1.5e308], [1.5e308]], identity="huge")
+        assert np.isfinite(model.probits([[0.0]])).all()
+        with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteAnswer, match="huge: input gradients hold NaN or inf"
+        ):
+            model.xent_input_gradient([[0.0]], [1])
 
     @pytest.mark.parametrize("model", gradient_handles(), ids=["mlp", "linear"])
     def test_labels_handle_is_refused(self, model):

@@ -1,13 +1,15 @@
-"""Every unused import in ``src/modelprint`` is a lookup the benchmark's tracer patches.
+"""Every unused import or alias in ``src/modelprint`` is a lookup the benchmark's tracer patches.
 
 A ``# noqa: F401`` import keeps a name in a module that never uses it, so
-that ``perfbench/tracing.py`` can wrap it where the package looks it up.
-This test ties each such name to its patch point: an unused import that
-no patch point needs fails here, and once the tracer stops patching a
-name, its import fails here too and can go.
+that ``perfbench/tracing.py`` can wrap it where the package looks it up;
+a class attribute that only aliases a base-class function does the same
+for a method.  These tests tie each such name to its patch point: one
+that no patch point needs fails here, and once the tracer stops patching
+a name, it fails here too and can go.
 """
 
 import ast
+import importlib
 import sys
 import types
 from pathlib import Path
@@ -46,3 +48,26 @@ def test_every_unused_import_is_a_patch_point():
     assert found, "no noqa: F401 imports found; the scan is broken"
     for module, name in found:
         assert (module, name) in patched, f"{module} imports {name} but never uses it"
+
+
+def base_function_aliases():
+    """(class, name) for each class attribute that is the very function a modelprint base defines."""
+    for path in sorted((ROOT / "src" / "modelprint").glob("*.py")):
+        module = importlib.import_module(f"modelprint.{path.stem}")
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            for name, value in vars(cls).items():
+                if isinstance(value, types.FunctionType) and any(
+                    vars(base).get(name) is value
+                    for base in cls.__mro__[1:] if base.__module__.startswith("modelprint.")
+                ):
+                    yield cls, name
+
+
+def test_every_base_function_alias_is_a_patch_point():
+    patched = {(owner, attr) for owner, attr, _, _ in tracing.patch_points()}
+    found = list(base_function_aliases())
+    assert found, "no base-class function aliases found; the scan is broken"
+    for cls, name in found:
+        assert (cls, name) in patched, f"{cls.__qualname__}.{name} aliases a base-class function"
