@@ -14,6 +14,7 @@ import csv
 import enum
 import numbers
 import re
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -171,7 +172,7 @@ class Classifier(abc.ABC):
         return softmax(self._logits(X))
 
     def _logits(self, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        raise AccessInsufficient(f"{self.identity}: handle answers no logit queries")
 
     def _input_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
         raise NotImplementedError
@@ -436,13 +437,16 @@ def _check_number(annotation: str, value, where: str) -> None:
     items = value if "tuple[" in annotation and isinstance(value, list | tuple) else [value]
     if not all(isinstance(v, kind) and not isinstance(v, bool) for v in items):
         raise ValueError(f"{where} must be {what}, got {value!r}")
+    if base == "float" and not all(abs(v) <= sys.float_info.max for v in items):
+        raise ValueError(f"{where} must be finite, got {value!r}")
 
 
 def from_record(cls, rec, where: str = "", **built):
     """The ``cls`` that JSON ``rec`` describes: unknown keys refused, omitted ones defaulted.
 
-    ``int`` and ``float`` fields must hold integers and numbers.  ``built[name](value,
-    where)`` builds a nested record; ``where`` is the dotted path that prefixes messages.
+    ``int`` and ``float`` fields must hold integers and finite numbers.  ``built[name](value,
+    where)`` builds a nested record; ``where`` is the dotted path that prefixes messages,
+    also those of a ``ValueError`` or ``TypeError`` that ``cls`` raises.
     """
     if not isinstance(rec, dict):
         raise ValueError(f"{where.rstrip('.') or cls.__name__} must be a JSON object, got {rec!r}")
@@ -457,4 +461,9 @@ def from_record(cls, rec, where: str = "", **built):
         else:
             _check_number(annotations[name], value, f"{where}{name}")
         kwargs[name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as err:
+        if where and type(err) in (TypeError, ValueError):
+            err.args = (f"{where.rstrip('. ')}: {err}",)
+        raise

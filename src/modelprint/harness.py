@@ -44,7 +44,7 @@ from .tinylearn import (
     SyntheticTaskSpec,
     TrainConfig,
     TrainJob,
-    fit_stack_fields,
+    fit_stack,
     generate_task,
     load_weights,
     save_weights,
@@ -53,6 +53,7 @@ from .tinylearn import (
 )
 from .variants import (
     EXTRACTION_MODES,
+    SGD_TAG_DEFAULTS,
     TaskTag,
     extract,  # noqa: F401
     extract_job,
@@ -107,7 +108,7 @@ DESK_TRAIN = TrainConfig(epochs=80, learning_rate=0.05, batch_size=32)
 
 # Every tag param ``_build_stolen`` reads, checked before any training: key -> (type,
 # wording, range check, range wording, required); ``index`` only names or tells tags apart.
-# The SGD tags' ``epochs`` and ``learning_rate`` are a ``TrainConfig`` over ``_SGD_TAGS``.
+# The SGD tags' ``epochs`` and ``learning_rate`` are a ``TrainConfig`` over ``SGD_TAG_DEFAULTS``.
 _INDEX = (numbers.Integral, "an integer", lambda i: i >= 0, ">= 0", False)
 _COUNT = (numbers.Integral, "an integer", lambda n: n >= 1, ">= 1", False)
 _TAG_PARAMS = {
@@ -120,8 +121,6 @@ _TAG_PARAMS = {
     "label_extraction": {"pool_size": _COUNT},
     "adversarial_label_extraction": {"pool_size": _COUNT, "n_adversarial": _COUNT},
 }
-_SGD_TAGS = {"finetune": {"epochs": 5, "learning_rate": 0.01},
-             "transfer": {"epochs": 20, "learning_rate": 0.02}}
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ class BenchmarkConfig:
                 raise ValueError(f"no stolen model is built by method {tag.method!r}")
             rules = _TAG_PARAMS[tag.method]
             for key in tag.params:
-                if key not in rules and key not in _SGD_TAGS.get(tag.method, {}):
+                if key not in rules and key not in SGD_TAG_DEFAULTS.get(tag.method, {}):
                     raise ValueError(f"{tag.method} tag takes no {key!r} param")
             for key, (kind, what, in_range, bound, required) in rules.items():
                 if key not in tag.params and not required:
@@ -249,27 +248,24 @@ class BenchmarkTriplet:
 
 def _stolen_train(tag: TaskTag, config: BenchmarkConfig) -> TrainConfig | None:
     """The SGD run that trains ``tag``'s stolen model; None for a weight-space copy."""
-    if tag.method in _SGD_TAGS:
-        sgd = {key: tag.params.get(key, default) for key, default in _SGD_TAGS[tag.method].items()}
+    if tag.method in SGD_TAG_DEFAULTS:
+        sgd = {key: tag.params.get(key, default)
+               for key, default in SGD_TAG_DEFAULTS[tag.method].items()}
         return from_record(TrainConfig, sgd, f"{tag.method} tag ")
     return config.train if tag.method in EXTRACTION_MODES.values() else None
 
 
-def _build_stolen(
-    config: BenchmarkConfig, k: int, i: int, model: MLPClassifier, train_data: LabeledDataset
-) -> Classifier | TrainJob:
+def _build_stolen(config: BenchmarkConfig, k: int, i: int, model: MLPClassifier
+                  ) -> Classifier | TrainJob:
     """Victim ``i``'s stolen model of tag ``k``, or the job that trains it for SGD-trained tags."""
     tag, seed = config.stolen[k], derive_seed(config.seed, STREAM_STOLEN, i, k)
-    params = tag.params
     cfg = _stolen_train(tag, config)
     if tag.method == "same":
-        return same_copy(model, identity=f"{model.identity}#same{params.get('index', 0)}")
+        return same_copy(model, identity=f"{model.identity}#same{tag.params.get('index', 0)}")
     if tag.method == "prune":
-        return prune(model, params["fraction"], seed=seed)
+        return prune(model, tag.params["fraction"], seed=seed)
     if tag.method == "quantize":
-        return quantize(model, params["bits"])
-    if tag.method == "finetune":
-        return finetune_job(model, train_data, cfg, seed=seed)
+        return quantize(model, tag.params["bits"])
     if tag.method == "transfer":
         new_task = replace(
             config.task,
@@ -278,16 +274,19 @@ def _build_stolen(
         )
         new_train, _ = generate_task(new_task)
         return transfer_job(model, new_train, cfg, seed=seed)
+    train_data, _ = generate_task(_victim_task(config, i))
+    if tag.method == "finetune":
+        return finetune_job(model, train_data, cfg, seed=seed)
     if tag.method in EXTRACTION_MODES.values():
         pool = train_data
-        pool_size = params.get("pool_size")
+        pool_size = tag.params.get("pool_size")
         if pool_size and pool_size < len(pool):
             rng = np.random.default_rng(derive_seed(seed, STREAM_POOL))
             pool = pool.take(rng.choice(len(pool), pool_size, replace=False))
         mode = next(m for m, method in EXTRACTION_MODES.items() if method == tag.method)
         return extract_job(
             model, pool, config.arch, cfg, mode=mode, seed=seed,
-            n_adversarial=params.get("n_adversarial"),
+            n_adversarial=tag.params.get("n_adversarial"),
         )
     raise ValueError(f"cannot build stolen model for method {tag.method!r}")
 
@@ -296,8 +295,8 @@ def _victim_task(config: BenchmarkConfig, i: int) -> SyntheticTaskSpec:
     return replace(config.task, seed=derive_seed(config.seed, STREAM_VICTIM_TASK, i))
 
 
-def _victim_stack(config: BenchmarkConfig, i: int) -> list[dict]:
-    """Victim ``i`` and its unrelated models, fitted as one stack (``fit_stack_fields``)."""
+def _victim_stack(config: BenchmarkConfig, i: int) -> list[MLPClassifier]:
+    """Victim ``i`` and its unrelated models, fitted as one stack."""
     train_data, _ = generate_task(_victim_task(config, i))
     arch = replace(config.arch, seed=derive_seed(config.seed, STREAM_VICTIM_MODEL, i))
     jobs = [train_job(train_data, arch, config.train, identity=f"victim-{i}")]
@@ -308,15 +307,13 @@ def _victim_stack(config: BenchmarkConfig, i: int) -> list[dict]:
         jobs.append(unrelated_job(
             utrain, config.arch, config.train, useed, identity=f"victim-{i}/unrelated-{j}"
         ))
-    return fit_stack_fields(jobs)
+    return fit_stack(jobs)
 
 
-def _stolen_stack(config: BenchmarkConfig, k: int, models) -> list[dict]:
-    """Stolen tag ``k``'s SGD-trained models of the victim ``models``, fitted as one stack."""
-    return fit_stack_fields([
-        _build_stolen(config, k, i, model, generate_task(_victim_task(config, i))[0])
-        for i, model in enumerate(models)
-    ])
+def _stolen_column(config: BenchmarkConfig, k: int, models) -> list[Classifier]:
+    """Stolen tag ``k``'s models of the victim ``models``; an SGD-trained tag's as one stack."""
+    column = [_build_stolen(config, k, i, model) for i, model in enumerate(models)]
+    return fit_stack(column) if isinstance(column[0], TrainJob) else column
 
 
 # The build's process pool, made on first use: (owner pid, workers, executor)
@@ -354,7 +351,7 @@ def _with_errstate(errstate: dict, fn, *args):
         return fn(*args)
 
 
-def _fit_stacks(calls) -> list:
+def _map_calls(calls) -> list:
     """``fn(*args)`` for each ``(fn, *args)`` in ``calls``, in order.
 
     Two or more calls run in the fork pool, one worker per CPU this process
@@ -384,12 +381,13 @@ def build_benchmark(config: BenchmarkConfig) -> BenchmarkTriplet:
 
     Fully reproducible from the config: every task draw and training run
     is keyed by seeds derived from ``config.seed``.  Each victim trains in
-    one ``fit_stack`` with its unrelated models, then each SGD-trained
-    stolen tag's models across victims; stacking never changes a model's bits.
+    one ``fit_stack`` with its unrelated models, then each stolen tag's
+    models across victims: one stack for an SGD-trained tag, weight-space
+    copies otherwise; stacking never changes a model's bits.
 
     The stacks are independent, so they train in a pool of forked worker
     processes, one per CPU this process may use (``os.sched_getaffinity``),
-    longest stolen stack first.  Results are identical for any CPU count.
+    longest stolen column first.  Results are identical for any CPU count.
     On Python 3.12 and later, forking a process that runs threads (numpy's
     BLAS threads among them) emits a ``DeprecationWarning``.
     """
@@ -398,25 +396,20 @@ def build_benchmark(config: BenchmarkConfig) -> BenchmarkTriplet:
     victims: list[Victim] = []
     unrelated_map: dict[str, tuple] = {}
     calls = [(_victim_stack, config, i) for i in range(config.n_victims)]
-    for i, stack in enumerate(_fit_stacks(calls)):
-        model, *negatives = (MLPClassifier(**fields) for fields in stack)
+    for i, (model, *negatives) in enumerate(_map_calls(calls)):
         task = _victim_task(config, i)
         victims.append(Victim(model, *generate_task(task), task))
         unrelated_map[model.identity] = tuple((neg, neg.tag) for neg in negatives)
 
-    sgd = {k: cfg for k, tag in enumerate(config.stolen)
-           if (cfg := _stolen_train(tag, config)) is not None}
-    n_rows = config.task.n_train  # longest first: epochs x training rows
-    trained = sorted(sgd, key=lambda k: -sgd[k].epochs
-                     * min(config.stolen[k].params.get("pool_size") or n_rows, n_rows))
+    n_rows = config.task.n_train  # longest first: epochs x training rows, weight-space copies 0
+    costs = [0 if (cfg := _stolen_train(tag, config)) is None
+             else cfg.epochs * min(tag.params.get("pool_size") or n_rows, n_rows)
+             for tag in config.stolen]
+    order = sorted(range(len(costs)), key=lambda k: -costs[k])
     models = [v.model for v in victims]
-    stacks = _fit_stacks([(_stolen_stack, config, k, models) for k in trained])
-    columns = {k: [MLPClassifier(**f) for f in stack] for k, stack in zip(trained, stacks)}
-    for k in range(len(config.stolen)):
-        if k not in columns:
-            columns[k] = [_build_stolen(config, k, i, v.model, v.train_data)
-                          for i, v in enumerate(victims)]
-    rows = zip(victims, zip(*(columns[k] for k in sorted(columns))))
+    columns = _map_calls([(_stolen_column, config, k, models) for k in order])
+    by_tag = dict(zip(order, columns))
+    rows = zip(victims, zip(*(by_tag[k] for k in range(len(order)))))
     stolen = {v.model.identity: tuple((out, out.tag) for out in row) for v, row in rows}
     return BenchmarkTriplet(tuple(victims), stolen, unrelated_map, config)
 
@@ -741,7 +734,9 @@ def evaluate(
     Victims whose sampler is infeasible at ``spec.budget``, or that answer with
     NaN or inf, are skipped (logged, not fatal).  Two aggregates are
     reported per run and labeled explicitly: the mean of per-task TPRs and
-    the TPR of all pairs pooled across tasks.
+    the TPR of all pairs pooled across tasks.  The (run, victim) cells are
+    scored in this process whatever ``workers`` says; the parameter is kept
+    only for callers that pass it.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -750,29 +745,20 @@ def evaluate(
     spec_rec = spec.to_record()
     run_seeds = tuple(seed + r for r in range(n_runs))
 
-    cells = []
+    scores: list[PairScore] = []
+    skipped: list[dict] = []
     for run, rseed in enumerate(run_seeds):
         for vi, victim in enumerate(benchmark.victims):
             vid = victim.model.identity
             suspects = benchmark.stolen[vid] + benchmark.unrelated[vid]
-            cells.append((spec, victim, suspects, run, derive_seed(rseed, STREAM_QUERY, vi)))
-
-    if workers > 1 and cells:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_score_cell, *zip(*cells)))
-    else:
-        results = [_score_cell(*cell) for cell in cells]
-
-    scores: list[PairScore] = []
-    skipped: list[dict] = []
-    for cell_scores, skip in results:
-        if skip is not None:
-            log.warning("skipping victim %s in run %d: %s", skip["victim"], skip["run"], skip["error"])
-            skipped.append(skip)
-        else:
-            scores.extend(cell_scores)
+            qseed = derive_seed(rseed, STREAM_QUERY, vi)
+            cell_scores, skip = _score_cell(spec, victim, suspects, run, qseed)
+            if skip is not None:
+                log.warning("skipping victim %s in run %d: %s",
+                            skip["victim"], skip["run"], skip["error"])
+                skipped.append(skip)
+            else:
+                scores.extend(cell_scores)
     scores.sort(key=lambda s: (s.run, s.victim, s.suspect))
 
     tasks = benchmark.tasks

@@ -336,6 +336,11 @@ class MLPClassifier(Classifier):
         self.weights = tuple(frozen)
         self.train_loss = tuple(train_loss) if train_loss is not None else ()
 
+    def __setstate__(self, state):
+        vars(self).update(state)  # fresh arrays, frozen in place: a constructor copy slowed scoring
+        for array in (a for layer in self.weights for a in layer):
+            array.setflags(write=False)
+
     @property
     def n_params(self) -> int:
         return self.spec.n_params
@@ -424,10 +429,11 @@ class TrainJob:
     tag: object = None
 
 
-def fit_stack_fields(jobs) -> list[dict]:
-    """``fit_stack`` in plain data: each fitted model's ``MLPClassifier`` keyword arguments.
+def fit_stack(jobs) -> list[MLPClassifier]:
+    """Fit jobs as one stacked SGD pass; each model is bit-identical to fitting it alone.
 
-    The weights are views into the stacked arrays; ``MLPClassifier`` copies them.
+    The jobs must share layer widths, activation, data shapes and ``TrainConfig``
+    apart from ``loss``, which only says where the targets came from.
     """
     shapes = [(job.spec.layer_widths, job.spec.activation, replace(job.cfg, loss=LOSSES[0]),
                job.X.shape, job.T.shape) for job in jobs]
@@ -441,20 +447,11 @@ def fit_stack_fields(jobs) -> list[dict]:
         np.stack([job.T for job in jobs]), jobs[0].cfg, [job.rng for job in jobs],
         [job.identity or f"model {k}" for k, job in enumerate(jobs)],
     )
+    # ``MLPClassifier`` copies its views into the stacked arrays
     return [
-        {"spec": job.spec, "weights": [(W[k], b[k]) for W, b in weights],
-         "identity": job.identity, "tag": job.tag, "train_loss": history}
+        MLPClassifier(job.spec, [(W[k], b[k]) for W, b in weights], job.identity, job.tag, history)
         for k, (job, history) in enumerate(zip(jobs, histories))
     ]
-
-
-def fit_stack(jobs) -> list[MLPClassifier]:
-    """Fit jobs as one stacked SGD pass; each model is bit-identical to fitting it alone.
-
-    The jobs must share layer widths, activation, data shapes and ``TrainConfig``
-    apart from ``loss``, which only says where the targets came from.
-    """
-    return [MLPClassifier(**fields) for fields in fit_stack_fields(jobs)]
 
 
 def fitted(job_fn):

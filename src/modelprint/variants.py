@@ -51,6 +51,10 @@ STEALING_METHODS = (
     "unrelated",
 )
 
+# The SGD run of a finetune or transfer that is given no ``TrainConfig``
+SGD_TAG_DEFAULTS = {"finetune": {"epochs": 5, "learning_rate": 0.01},
+                    "transfer": {"epochs": 20, "learning_rate": 0.02}}
+
 EXTRACTION_MODES = {
     "labels": "label_extraction",
     "probits": "probit_extraction",
@@ -153,7 +157,7 @@ def finetune_job(
 ) -> TrainJob:
     """A few more SGD epochs from the victim's weights (``finetune`` fits this job)."""
     h = _require_mlp(h)
-    cfg = cfg or TrainConfig(epochs=5, learning_rate=0.01)
+    cfg = cfg or TrainConfig(**SGD_TAG_DEFAULTS["finetune"])
     tag = TaskTag("finetune", {"epochs": cfg.epochs, "seed": int(seed)})
     return continue_training_job(h, data, cfg, seed, identity=f"{h.identity}#ft{seed}", tag=tag)
 
@@ -166,7 +170,7 @@ def transfer_job(
 ) -> TrainJob:
     """Reinitialize the output layer, then train on another task (``transfer`` fits this job)."""
     h = _require_mlp(h)
-    cfg = cfg or TrainConfig(epochs=20, learning_rate=0.02)
+    cfg = cfg or TrainConfig(**SGD_TAG_DEFAULTS["transfer"])
     widths = h.spec.layer_widths[:-1] + (new_task_data.num_classes,)
     spec = MLPSpec(widths, h.spec.activation, seed=int(seed))
     rng = np.random.default_rng(seed)

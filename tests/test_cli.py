@@ -148,7 +148,16 @@ class TestGenerate:
             ({"stolen": [{"method": "finetune", "params": {"epochs": 2.5}}]},
              "finetune tag epochs must be integral, got 2.5"),
             ({"stolen": [{"method": "finetune", "params": {"epochs": 0}}]},
-             "epochs must be >= 1"),
+             "invalid benchmark config: finetune tag: epochs must be >= 1"),
+            ({"train": MICRO_CONFIG["train"] | {"epochs": 0}},
+             "invalid benchmark config: train: epochs must be >= 1"),
+            # infinite floats, which used to pass and fail only in SGD with training-diverged
+            ({"train": MICRO_CONFIG["train"] | {"learning_rate": INF}},
+             "train.learning_rate must be finite, got inf"),
+            ({"train": MICRO_CONFIG["train"] | {"weight_decay": INF}},
+             "train.weight_decay must be finite, got inf"),
+            ({"task": MICRO_CONFIG["task"] | {"noise_scale": INF}},
+             "task.noise_scale must be finite, got inf"),
             ({"stolen": [{"method": "finetune", "params": {"learning_rate": "x"}}]},
              "finetune tag learning_rate must be a number, got 'x'"),
             ({"stolen": [{"method": "label_extraction", "params": {"pool_size": "abc"}}]},
@@ -172,7 +181,9 @@ class TestGenerate:
              "fractional-n-train", "fractional-epochs", "fractional-batch-size",
              "unknown-key", "text-learning-rate", "unknown-task-key", "unknown-tag-key",
              "boolean-weight-decay", "list-arch", "task-too-large", "model-too-large",
-             "fractional-tag-epochs", "zero-tag-epochs", "text-tag-learning-rate",
+             "fractional-tag-epochs", "zero-tag-epochs", "zero-epochs",
+             "infinite-learning-rate", "infinite-weight-decay", "infinite-noise-scale",
+             "text-tag-learning-rate",
              "text-pool-size", "negative-pool-size", "unread-tag-key", "text-same-index",
              "negative-n-adversarial", "unrelated-stolen-tag"],
     )
@@ -308,7 +319,7 @@ UNUSABLE_INPUTS = {
     ),
     "overflowing-step-size": (
         evaluate_scheme(sampler=ADVERSARIAL | {"step_size": INF}),
-        "[modelprint-error]", "step_size must be finite and >= 0, got inf",
+        "[modelprint-error]", "sampler.step_size must be finite, got inf",
     ),
     "unknown-sampler-key": (
         evaluate_scheme(sampler={"kind": "negative", "budget": 10}),

@@ -781,12 +781,16 @@ class TestEvaluate:
         }
         assert report.model_scale["n_victims"] == 2
 
-    def test_workers_do_not_change_results(self, mini_benchmark):
+    def test_workers_do_not_change_results(self, mini_benchmark, monkeypatch):
         a = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
                      workers=1, compute_pair_stats=False)
+        scored, score_cell = [], harness._score_cell
+        monkeypatch.setattr(harness, "_score_cell",
+                            lambda *cell: scored.append(cell) or score_cell(*cell))
         b = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
                      workers=2, compute_pair_stats=False)
         assert a.to_json() == b.to_json()
+        assert len(scored) == 2 * len(mini_benchmark.victims)  # every cell scored in this process
 
     def test_infeasible_budget_skips_victims(self, mini_benchmark, caplog):
         with caplog.at_level("WARNING"):

@@ -1,5 +1,6 @@
 """Tests for synthetic tasks and the hand-rolled MLP training stack."""
 
+import pickle
 import struct
 import tempfile
 from pathlib import Path
@@ -512,6 +513,18 @@ class TestWeightFiles:
         for (Wa, ba), (Wb, bb) in zip(loaded.weights, quick_model.weights):
             np.testing.assert_array_equal(Wa, Wb)
             np.testing.assert_array_equal(ba, bb)
+
+    def test_pickle_round_trip_keeps_weights_read_only(self, quick_model):
+        """Worker processes hand models back by pickle; the copy must be as frozen."""
+        model = quick_model.clone("quick#tagged", tag=mp.TaskTag("same"))
+        model.access = Access.PROBITS
+        copy = pickle.loads(pickle.dumps(model))
+        assert (copy.identity, copy.tag, copy.spec, copy.train_loss, copy.access) == (
+            model.identity, model.tag, model.spec, model.train_loss, Access.PROBITS)
+        assert copy.train_loss
+        for (Wa, ba), (Wb, bb) in zip(copy.weights, model.weights):
+            assert Wa.tobytes() == Wb.tobytes() and ba.tobytes() == bb.tobytes()
+            assert not Wa.flags.writeable and not ba.flags.writeable
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.mpw"
