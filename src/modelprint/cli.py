@@ -8,12 +8,12 @@ run configuration and the toolkit version.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from .core import read_json, write_csv
 from .errors import EmptyEvaluationSet, ModelprintError
 from .harness import (
     TPR_CSV_HEADER,
@@ -23,7 +23,6 @@ from .harness import (
     evaluate,
     load_benchmark,
     save_benchmark,
-    write_csv_rows,
 )
 from .schemes import SchemeSpec
 
@@ -55,19 +54,8 @@ def _budgets(text: str) -> list[int]:
     return budgets
 
 
-def _load_json(path: Path) -> dict:
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except OSError as err:  # missing, or a directory
-        raise ModelprintError(f"{path}: {err.strerror}")
-    except json.JSONDecodeError as err:
-        raise ModelprintError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
-    except UnicodeDecodeError as err:
-        raise ModelprintError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}")
-
-
 def _load_scheme(path: Path) -> SchemeSpec:
-    rec = _load_json(path)
+    rec = read_json(path, ModelprintError)
     try:
         return SchemeSpec.from_record(rec)
     except (KeyError, TypeError, ValueError) as err:
@@ -93,7 +81,7 @@ def _require_scored(reports) -> None:
 
 
 def cmd_generate(args) -> int:
-    config = BenchmarkConfig.from_record(_load_json(Path(args.config)))
+    config = BenchmarkConfig.from_record(read_json(args.config, ModelprintError))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     bench = build_benchmark(config)
@@ -140,14 +128,14 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid_path = out / "sweep.csv"
     reports = []
-    with grid_path.open("w") as fh:
-        write_csv_rows(fh, [("scheme", *TPR_CSV_HEADER)])
+    with grid_path.open("w", newline="") as fh:
+        write_csv(fh, [("scheme", *TPR_CSV_HEADER)])
         for scheme_path in args.scheme:
             spec = _load_scheme(Path(scheme_path))
             label = spec.label()
 
             def flush(budget, report, label=label, fh=fh):
-                write_csv_rows(fh, ((label, *row) for row in report.csv_rows()))
+                write_csv(fh, ((label, *row) for row in report.csv_rows()))
                 fh.flush()
 
             sweep = budget_sweep(

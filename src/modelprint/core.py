@@ -12,6 +12,7 @@ from __future__ import annotations
 import abc
 import csv
 import enum
+import json
 import numbers
 import re
 import sys
@@ -305,12 +306,10 @@ class LabeledDataset:
     # -- CSV interface: columns x_1..x_d, label, split ----------------------
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x_{i + 1}" for i in range(self.dim)] + ["label", "split"])
-            for x, y, s in zip(self.points, self.labels, self.split):
-                writer.writerow([f"{v:.17g}" for v in x] + [int(y), s])
+        with Path(path).open("w", newline="") as fh:
+            write_csv(fh, [[f"x_{i + 1}" for i in range(self.dim)] + ["label", "split"]])
+            write_csv(fh, ([f"{v:.17g}" for v in x] + [int(y), s]
+                           for x, y, s in zip(self.points, self.labels, self.split)))
 
     @staticmethod
     def from_csv(path, num_classes: int | None = None) -> "LabeledDataset":
@@ -391,12 +390,7 @@ def conditioned_hamming(
     the conditioning event is empty.  Note this quantity is not symmetric
     in its model arguments.
     """
-    _check_nonempty(data)
-    yh = h.predict(data.points)
-    wrong = yh != data.labels
-    if not wrong.any():
-        return None
-    return float(np.mean(yh[wrong] != g.predict(data.points[wrong])))
+    return pair_stats(h, g, data).delta_c
 
 
 def pair_stats(h: Classifier, g: Classifier, data: LabeledDataset) -> PairStats:
@@ -421,6 +415,30 @@ def label_pair_stats(yh: np.ndarray, yg: np.ndarray, labels: np.ndarray) -> Pair
         delta_c=delta_c,
         n_eval=len(labels),
     )
+
+
+# -- files: CSV rows out, JSON records in -------------------------------------
+
+
+def write_csv(fh, rows) -> None:
+    """Write ``rows`` to the text file ``fh``, opened with ``newline=""``, one line each.
+
+    Lines end in ``\\n``.  A field holding a comma, a quote or a ``\\n`` is quoted, and
+    ``None`` is an empty field.
+    """
+    csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def read_json(path, error: type[Exception]):
+    """The JSON value in the UTF-8 file at ``path``; ``error(message)`` if it cannot be read."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:  # missing, a directory, or below a file
+        raise error(f"{path}: {err.strerror}") from err
+    except json.JSONDecodeError as err:
+        raise error(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from err
 
 
 # -- records: the JSON form of configs, tags, schemes and samplers ----------

@@ -19,6 +19,7 @@ import json
 import logging
 import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 # Names marked F401 are unused here, but the benchmark's tracer patches them in this module.
 from .core import Classifier, LabeledDataset, label_pair_stats, pair_stats  # noqa: F401
-from .core import from_record
+from .core import from_record, read_json, write_csv
 from .errors import (
     EmptyPairSet,
     EmptyTaskList,
@@ -121,6 +122,19 @@ _TAG_PARAMS = {
     "label_extraction": {"pool_size": _COUNT},
     "adversarial_label_extraction": {"pool_size": _COUNT, "n_adversarial": _COUNT},
 }
+# What a weight-space copy's identity adds to its victim's, as ``_build_stolen``, ``prune``
+# and ``quantize`` name it; unlike a trained model's, it holds no seed.
+_COPY_NAMES = {
+    "same": lambda params: f"#same{params.get('index', 0)}",
+    "prune": lambda params: f"#prune{params['fraction']:g}",
+    "quantize": lambda params: f"#q{params['bits']}",
+}
+
+
+def _refuse_repeats(keys: list, what: str) -> None:
+    """``ValueError`` naming the first key that ``keys`` holds twice."""
+    if repeated := [key for key, n in Counter(keys).items() if n > 1]:
+        raise ValueError(f"repeated {what} {repeated[0]!r}: two models would share an identity")
 
 
 @dataclass(frozen=True)
@@ -164,6 +178,8 @@ class BenchmarkConfig:
                 if not in_range(value):
                     raise ValueError(f"{tag.method} tag needs {key!r} {bound}, got {value!r}")
             _stolen_train(tag, self)
+        _refuse_repeats([_COPY_NAMES[tag.method](tag.params) for tag in self.stolen
+                         if tag.method in _COPY_NAMES], "stolen model name")
 
     def to_record(self) -> dict:
         return dataclasses.asdict(self)
@@ -225,10 +241,15 @@ class BenchmarkTriplet:
     _pair_stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.victims:
+            raise ValueError("a benchmark needs at least one victim")
+        _refuse_repeats([v.model.identity for v in self.victims], "victim id")
         for v in self.victims:
             vid = v.model.identity
             if not self.stolen.get(vid) or not self.unrelated.get(vid):
                 raise ValueError(f"victim {vid} needs nonempty stolen and unrelated sets")
+            suspects = self.stolen[vid] + self.unrelated[vid]
+            _refuse_repeats([model.identity for model, _ in suspects], f"suspect id of {vid}")
             for _, tag in self.stolen[vid]:
                 if not tag.is_positive:
                     raise ValueError(f"stolen set of {vid} carries an 'unrelated' tag")
@@ -261,7 +282,7 @@ def _build_stolen(config: BenchmarkConfig, k: int, i: int, model: MLPClassifier
     tag, seed = config.stolen[k], derive_seed(config.seed, STREAM_STOLEN, i, k)
     cfg = _stolen_train(tag, config)
     if tag.method == "same":
-        return same_copy(model, identity=f"{model.identity}#same{tag.params.get('index', 0)}")
+        return same_copy(model, identity=model.identity + _COPY_NAMES["same"](tag.params))
     if tag.method == "prune":
         return prune(model, tag.params["fraction"], seed=seed)
     if tag.method == "quantize":
@@ -453,14 +474,7 @@ def load_benchmark(bench_dir) -> BenchmarkTriplet:
     """
     bench_dir = Path(bench_dir)
     path = bench_dir / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as err:  # missing, or ``bench_dir`` is a file
-        raise ManifestError(f"no manifest at {path}") from err
-    except json.JSONDecodeError as err:
-        raise ManifestError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
-    except UnicodeDecodeError as err:
-        raise ManifestError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from err
+    manifest = read_json(path, ManifestError)
     root = bench_dir.resolve()
 
     def load_model(entry: dict, task: SyntheticTaskSpec, tag=None) -> MLPClassifier:
@@ -603,12 +617,6 @@ def tpr_at_fpr(curve: RocCurve, fpr_cap: float = 0.05) -> float:
 TPR_CSV_HEADER = ("task", "budget", "run", "seed", "tpr_at_cap")
 
 
-def write_csv_rows(fh, rows) -> None:
-    """Write each row as its ``str`` values joined by commas, one per line."""
-    for row in rows:
-        fh.write(",".join(str(v) for v in row) + "\n")
-
-
 def _all_pair_stats(benchmark: BenchmarkTriplet, split: str, skip_nonfinite_victims=False):
     """Yield (victim id, suspect, tag, PairStats) for every benchmark pair.
 
@@ -694,8 +702,8 @@ class EvalReport:
         jpath = out_dir / f"{stem}.json"
         jpath.write_text(self.to_json() + "\n")
         cpath = out_dir / f"{stem}.csv"
-        with cpath.open("w") as fh:
-            write_csv_rows(fh, [TPR_CSV_HEADER, *self.csv_rows()])
+        with cpath.open("w", newline="") as fh:
+            write_csv(fh, [TPR_CSV_HEADER, *self.csv_rows()])
         return jpath, cpath
 
 
@@ -845,12 +853,6 @@ class SweepReport:
             rows.extend(self.reports[budget].csv_rows())
         return rows
 
-    def save_csv(self, path) -> Path:
-        path = Path(path)
-        with path.open("w") as fh:
-            write_csv_rows(fh, [TPR_CSV_HEADER, *self.csv_rows()])
-        return path
-
 
 def budget_sweep(
     spec: SchemeSpec,
@@ -904,22 +906,13 @@ class DistanceReport:
     n_undefined: int
 
     def csv_rows(self) -> list[tuple]:
-        return [
-            (
-                r["victim"],
-                r["suspect"],
-                r["task"],
-                r["positive"],
-                "" if r["delta_c"] is None else r["delta_c"],
-            )
-            for r in self.rows
-        ]
+        return [(r["victim"], r["suspect"], r["task"], r["positive"], r["delta_c"])
+                for r in self.rows]
 
     def save_csv(self, path) -> Path:
         path = Path(path)
-        with path.open("w") as fh:
-            header = ("victim", "suspect", "task", "positive", "delta_c")
-            write_csv_rows(fh, [header, *self.csv_rows()])
+        with path.open("w", newline="") as fh:
+            write_csv(fh, [("victim", "suspect", "task", "positive", "delta_c"), *self.csv_rows()])
         return path
 
 

@@ -372,9 +372,7 @@ class MLPClassifier(Classifier):
 
     def _input_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
         A, _ = _forward(self.weights, self.spec.activation, x.reshape(1, -1))
-        sel = np.zeros((1, self.num_classes))
-        sel[0, label - 1] = 1.0
-        return self._backprop_to_input(A, sel)[0]
+        return self._backprop_to_input(A, one_hot([label], self.num_classes))[0]
 
     def _xent_input_gradient(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         A, logits = _forward(self.weights, self.spec.activation, X)

@@ -2,11 +2,14 @@
 
 import concurrent.futures
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -173,6 +176,13 @@ class TestGenerate:
              "adversarial_label_extraction tag needs 'n_adversarial' >= 1, got -3"),
             ({"stolen": [{"method": "unrelated", "params": {}}]},
              "no stolen model is built by method 'unrelated'"),
+            ({"stolen": [{"method": "same", "params": p} for p in ({}, {"index": 0})]},
+             "repeated stolen model name '#same0'"),
+            ({"stolen": [{"method": "prune", "params": {"fraction": f}}
+                         for f in (0.25, 0.2500001)]},
+             "repeated stolen model name '#prune0.25'"),
+            ({"stolen": [{"method": "quantize", "params": {"bits": 6}}] * 2},
+             "repeated stolen model name '#q6'"),
         ],
         ids=["no-victims", "no-unrelated", "prune-no-fraction", "prune-text-fraction",
              "quantize-no-bits", "quantize-float-bits", "prune-negative-fraction",
@@ -185,7 +195,8 @@ class TestGenerate:
              "infinite-learning-rate", "infinite-weight-decay", "infinite-noise-scale",
              "text-tag-learning-rate",
              "text-pool-size", "negative-pool-size", "unread-tag-key", "text-same-index",
-             "negative-n-adversarial", "unrelated-stolen-tag"],
+             "negative-n-adversarial", "unrelated-stolen-tag", "repeated-same",
+             "prune-fractions-with-one-name", "repeated-quantize"],
     )
     def test_config_that_cannot_build_is_corrupt_manifest(
         self, override, message, tmp_path, capsys
@@ -273,6 +284,14 @@ def non_utf8(path):
     return str(path)
 
 
+def manifest_with(tmp, **fields):
+    """A benchmark directory under ``tmp`` whose manifest holds only ``fields``."""
+    bench = tmp / "bench"
+    bench.mkdir()
+    (bench / "manifest.json").write_text(json.dumps({"version": 1, **fields}))
+    return bench
+
+
 def evaluate_scheme(**fields):
     """Argv that evaluates the baseline scheme with ``fields`` replaced, on the workspace bench."""
     return lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "bench"),
@@ -350,7 +369,12 @@ UNUSABLE_INPUTS = {
     "benchmark-is-a-file": (
         lambda ws, tmp: ["evaluate", "--benchmark", str(ws / "config.json"),
                          "--scheme", str(ws / "baseline.json")],
-        "[corrupt-manifest]", "no manifest at",
+        "[corrupt-manifest]", "manifest.json: Not a directory",
+    ),
+    "manifest-without-victims": (
+        lambda ws, tmp: ["evaluate", "--benchmark", str(manifest_with(tmp, victims=[])),
+                         "--scheme", str(ws / "baseline.json")],
+        "[corrupt-manifest]", "a benchmark needs at least one victim",
     ),
 }
 
@@ -384,6 +408,14 @@ class TestSweep:
         assert runs_per_cell == (n_tasks + 2) * 2
         # one line per scheme, over 2 budgets x 2 runs x 1 victim
         assert capsys.readouterr().out.count("over budgets [8, 16]: skipped 0 of 4 cells\n") == 2
+        # no field needs quoting, so each line is its row's str values joined by commas
+        bench = mp.load_benchmark(workspace / "bench")
+        expected = [lines[0]]
+        for name in ("baseline.json", "uniform.json"):
+            spec = SchemeSpec.from_record(json.loads((workspace / name).read_text()))
+            sweep = mp.budget_sweep(spec, bench, [8, 16], n_runs=2, seed=0)
+            expected += [",".join(map(str, (spec.label(), *row))) for row in sweep.csv_rows()]
+        assert (out / "sweep.csv").read_bytes() == "".join(f"{e}\n" for e in expected).encode()
 
     def test_empty_scheme_list_is_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -702,3 +734,51 @@ def test_fuzzed_configs_exit_cleanly(rec):
             rc = main(["generate", "--config", str(config), "--out", str(Path(tmp) / "out")])
     last = err.getvalue().splitlines()[-1:]
     assert rc == 0 or (rc == 2 and re.match(r"error: \[[a-z-]+\] ", last[0])), err.getvalue()
+
+
+# -- fuzzing the benchmark manifests that ``evaluate`` and ``sweep`` load -----
+
+MANIFEST_VALUES = [None, "x", True, [], {}, -1, 0, INF, "../x.mpw"]
+
+
+def json_paths(node, path=()):
+    """The key path of every value below ``node``."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield (*path, key)
+        yield from json_paths(child, (*path, key))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifests_exit_cleanly(workspace, data):
+    """The micro manifest with one field set, deleted, or given another model's id makes
+    ``evaluate`` and ``sweep`` exit 0, or 2 with a coded error; never a traceback."""
+    manifest = json.loads((workspace / "bench" / "manifest.json").read_text())
+    paths = sorted(json_paths(manifest), key=len)  # shallow first: whole lists and records
+    id_paths = [p for p in paths if p[-1] == "id"]
+    action = data.draw(st.sampled_from(["set", "delete", "repeat-id"]))
+    if action == "repeat-id":
+        *parents, key = data.draw(st.sampled_from(id_paths))
+        value = data.draw(st.sampled_from([functools.reduce(operator.getitem, p, manifest)
+                                           for p in id_paths]))
+    else:
+        *parents, key = data.draw(st.sampled_from(paths))
+        value = data.draw(st.sampled_from(MANIFEST_VALUES))
+    node = functools.reduce(operator.getitem, parents, manifest)
+    if action == "delete":
+        del node[key]
+    else:
+        node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        bench = shutil.copytree(workspace / "bench", Path(tmp) / "bench")
+        (bench / "manifest.json").write_text(json_with_1e400(manifest))
+        for argv in (["evaluate", "--runs", "1"], ["sweep", "--budgets", "8", "--runs", "1"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main([*argv, "--benchmark", str(bench), "--scheme",
+                           str(workspace / "baseline.json"), "--out", str(Path(tmp) / argv[0])])
+            last = err.getvalue().splitlines()[-1:]
+            assert rc == 0 or (rc == 2 and re.match(r"error: \[[a-z-]+\] ", last[0])), \
+                err.getvalue()

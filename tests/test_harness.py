@@ -1,5 +1,6 @@
 """Tests for benchmark construction, metrics, evaluation, and reports."""
 
+import csv
 import json
 import os
 import re
@@ -107,6 +108,19 @@ class TestBuildBenchmark:
             mp.BenchmarkTriplet(
                 mini_benchmark.victims, bad_stolen, mini_benchmark.unrelated
             )
+
+    def test_repeated_victim_id_rejected(self, mini_benchmark):
+        victim = mini_benchmark.victims[0]
+        with pytest.raises(ValueError, match="repeated victim id 'victim-0'"):
+            mp.BenchmarkTriplet((victim, victim), mini_benchmark.stolen, mini_benchmark.unrelated)
+
+    def test_repeated_suspect_id_rejected(self, mini_benchmark):
+        """Pair statistics are keyed by victim and suspect id, so a repeat would merge two pairs."""
+        vid = mini_benchmark.victims[0].model.identity
+        unrelated = dict(mini_benchmark.unrelated)
+        unrelated[vid] += unrelated[vid][:1]
+        with pytest.raises(ValueError, match=f"repeated suspect id of {vid} '{vid}/unrelated-0'"):
+            mp.BenchmarkTriplet(mini_benchmark.victims, mini_benchmark.stolen, unrelated)
 
     def test_transfer_and_adversarial_extraction_buildable(self):
         tags = (
@@ -765,6 +779,14 @@ class TestEvaluate:
         assert len(rows) == (n_tasks + 2) * 3
         assert {r[2] for r in rows} == {0, 1, 2}
 
+    def test_csv_of_ordinary_labels_is_the_plain_comma_join(self, mini_benchmark, tmp_path):
+        """No field needs quoting, so the bytes are each row's ``str`` values joined by commas."""
+        report = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
+                          compute_pair_stats=False)
+        _, cpath = report.save(tmp_path)
+        rows = [harness.TPR_CSV_HEADER, *report.csv_rows()]
+        assert cpath.read_bytes() == "".join(",".join(map(str, r)) + "\n" for r in rows).encode()
+
     def test_run_seeds_default_to_contiguous_range(self, mini_benchmark):
         report = evaluate(
             mistake_match_scheme(budget=20), mini_benchmark, n_runs=3, seed=0,
@@ -915,3 +937,17 @@ class TestDistanceReport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "victim,suspect,task,positive,delta_c"
         assert len(lines) == 1 + len(report.rows)
+
+    def test_csv_round_trip_of_identities_with_commas_quotes_and_line_breaks(self, tmp_path):
+        rows = tuple(
+            {"victim": victim, "suspect": suspect, "task": "same", "positive": True,
+             "delta_c": delta_c}
+            for victim, suspect, delta_c in [("a,b", 'say "hi"', 0.25),
+                                             ("two\nlines", "crlf\r\nend", None)]
+        )
+        path = harness.DistanceReport(rows, {}, None, 1).save_csv(tmp_path / "dc.csv")
+        with path.open(newline="") as fh:
+            back = list(csv.reader(fh))
+        assert back == [["victim", "suspect", "task", "positive", "delta_c"],
+                        ["a,b", 'say "hi"', "same", "True", "0.25"],
+                        ["two\nlines", "crlf\r\nend", "same", "True", ""]]
