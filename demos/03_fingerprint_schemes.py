@@ -60,8 +60,8 @@ pool_models = [
 ]
 qs = scheme.query_set(victim, test_ds, seed=1)
 fp_victim = scheme.fingerprint(victim, qs)
-pool = tuple(scheme.fingerprint(m, qs) for m in pool_models)
-threshold = mp.calibrate_threshold(fp_victim, pool, target_fpr=0.05)
+pool = [mp.fingerprint_distance(fp_victim, scheme.fingerprint(m, qs)) for m in pool_models]
+threshold = mp.quantile_threshold(pool, target_fpr=0.05)
 for name, suspect in [("copy", copycat), ("stranger", stranger)]:
     d = mp.fingerprint_distance(fp_victim, scheme.fingerprint(suspect, qs))
     print(f"calibrated threshold {threshold:.2f}: {name} at distance {d:.2f} "

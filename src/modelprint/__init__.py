@@ -55,12 +55,9 @@ from .samplers import (
 )
 from .fingerprints import (
     Fingerprint,
-    calibrate_threshold,
-    cosine_distance,
     fingerprint_distance,
-    load_fingerprint,
+    quantile_threshold,
     represent,
-    save_fingerprint,
 )
 from .schemes import (
     DetectorSpec,

@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -423,10 +424,13 @@ def label_pair_stats(yh: np.ndarray, yg: np.ndarray, labels: np.ndarray) -> Pair
 def write_csv(fh, rows) -> None:
     """Write ``rows`` to the text file ``fh``, opened with ``newline=""``, one line each.
 
-    Lines end in ``\\n``.  A field holding a comma, a quote or a ``\\n`` is quoted, and
-    ``None`` is an empty field.
+    Lines end in ``\\n``.  A field holding a comma, a quote, a ``\\n`` or a ``\\r`` is
+    quoted, and ``None`` is an empty field.
     """
-    csv.writer(fh, lineterminator="\n").writerows(rows)
+    # Before Python 3.13 a writer quotes only the line breaks in its terminator, so it
+    # writes "\r\n" and each row's last two characters become "\n".
+    lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
+    csv.writer(lf, lineterminator="\r\n").writerows(rows)
 
 
 def read_json(path, error: type[Exception]):

@@ -124,9 +124,3 @@ class CorruptDataset(ModelprintError, ValueError):
     """A dataset CSV that is not what ``LabeledDataset.to_csv`` writes."""
 
     code = "corrupt-dataset"
-
-
-class CorruptFingerprint(ModelprintError, ValueError):
-    """A fingerprint file that is not exactly what ``save_fingerprint`` writes."""
-
-    code = "corrupt-fingerprint"

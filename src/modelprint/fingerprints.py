@@ -4,23 +4,18 @@ A fingerprint is a compact representation of a model's answers on a
 query set: the raw labels, the raw probit vectors, per-pair answer
 distances for paired query sets, or the full answer-similarity matrix.
 Fingerprints built from the same query set can be compared with a
-distance, and a pool of unrelated-model fingerprints calibrates the
-detection threshold at a target false-positive rate.
+distance, and the distances of a pool of unrelated-model fingerprints
+calibrate the detection threshold at a target false-positive rate.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     AccessInsufficient,
-    CorruptFingerprint,
     EmptyCalibrationPool,
     IncomparableFingerprints,
     PairingRequired,
@@ -53,11 +48,6 @@ def cosine_rows(U, V) -> np.ndarray:
     dist[(nu == 0.0) | (nv == 0.0)] = 1.0
     dist[(U == V).all(axis=1)] = 0.0
     return dist
-
-
-def cosine_distance(u, v) -> float:
-    """``cosine_rows`` of two vectors, each flattened to one row."""
-    return float(cosine_rows(np.ravel(u)[None], np.ravel(v)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -254,20 +244,13 @@ def fingerprint_distances(
     return out
 
 
-def calibrate_threshold(victim_fp: Fingerprint, pool, target_fpr: float) -> float:
-    """Largest threshold flagging at most ``target_fpr`` of the pool.
+def quantile_threshold(distances, target_fpr: float) -> float:
+    """Largest threshold flagging at most ``target_fpr`` of a pool, from its distances.
 
-    ``pool`` is any iterable of fingerprints comparable with the victim's.
+    ``distances`` are the pool members' fingerprint distances to the victim.
     The flag rule is ``distance < threshold  =>  stolen``, and at most
     ``target_fpr`` of the pool lies strictly below the returned threshold.
     """
-    return quantile_threshold(
-        [fingerprint_distance(victim_fp, fp) for fp in pool], target_fpr
-    )
-
-
-def quantile_threshold(distances, target_fpr: float) -> float:
-    """``calibrate_threshold`` on the pool members' distances to the victim."""
     if not 0.0 <= target_fpr <= 1.0:
         raise ValueError("target_fpr must lie in [0, 1]")
     if len(distances) == 0:
@@ -278,56 +261,3 @@ def quantile_threshold(distances, target_fpr: float) -> float:
     if allowed >= m:
         return float(dists[-1]) + 1.0
     return float(dists[allowed])
-
-
-# ---------------------------------------------------------------------------
-# Serialization: JSON header followed by the raw little-endian payload.
-# ---------------------------------------------------------------------------
-
-_FP_MAGIC = b"FPR1"
-
-
-def save_fingerprint(fp: Fingerprint, path) -> None:
-    header = json.dumps(
-        {
-            "kind": fp.kind,
-            "n_queries": fp.n_queries,
-            "shape": list(fp.payload.shape),
-            "dtype": fp.payload.dtype.str,
-            "query_provenance": fp.query_provenance,
-        },
-        sort_keys=True,
-    ).encode()
-    with Path(path).open("wb") as fh:
-        fh.write(_FP_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(np.ascontiguousarray(fp.payload).tobytes())
-
-
-def load_fingerprint(path) -> Fingerprint:
-    """Inverse of ``save_fingerprint``; any other byte string raises ``CorruptFingerprint``."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _FP_MAGIC or len(raw) < 8 or len(raw) < 8 + struct.unpack_from("<I", raw, 4)[0]:
-        raise CorruptFingerprint(f"{path}: not a fingerprint file, or cut inside its header")
-    offset = 8 + struct.unpack_from("<I", raw, 4)[0]
-    try:
-        header = json.loads(raw[8:offset])
-        kind, n_queries, shape, provenance = (
-            header[key] for key in ("kind", "n_queries", "shape", "query_provenance")
-        )
-        dtype = np.dtype(header["dtype"])
-    except (KeyError, TypeError, ValueError, RecursionError) as err:
-        raise CorruptFingerprint(f"{path}: bad header: {err!r}") from err
-    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)
-            and type(n_queries) is int and isinstance(provenance, dict) and dtype.kind in "biuf"):
-        raise CorruptFingerprint(f"{path}: header has a field of the wrong type or dtype {dtype}")
-    size = math.prod(shape)
-    if len(raw) - offset != size * dtype.itemsize:
-        raise CorruptFingerprint(f"{path}: payload is {len(raw) - offset} bytes, "
-                                 f"shape {shape} of {dtype} needs {size * dtype.itemsize}")
-    payload = np.frombuffer(raw, dtype, size, offset).reshape(shape)
-    try:
-        return Fingerprint(kind, payload, provenance, n_queries)
-    except ValueError as err:
-        raise CorruptFingerprint(f"{path}: {err}") from err

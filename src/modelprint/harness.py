@@ -17,7 +17,6 @@ import atexit
 import dataclasses
 import json
 import logging
-import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -53,8 +52,10 @@ from .tinylearn import (
     train_job,
 )
 from .variants import (
+    COPY_NAMES,
     EXTRACTION_MODES,
     SGD_TAG_DEFAULTS,
+    TAG_PARAMS,
     TaskTag,
     extract,  # noqa: F401
     extract_job,
@@ -107,30 +108,6 @@ DESK_ARCH = MLPSpec(layer_widths=(8, 48, 24, 4), activation="relu")
 DESK_TRAIN = TrainConfig(epochs=80, learning_rate=0.05, batch_size=32)
 
 
-# Every tag param ``_build_stolen`` reads, checked before any training: key -> (type,
-# wording, range check, range wording, required); ``index`` only names or tells tags apart.
-# The SGD tags' ``epochs`` and ``learning_rate`` are a ``TrainConfig`` over ``SGD_TAG_DEFAULTS``.
-_INDEX = (numbers.Integral, "an integer", lambda i: i >= 0, ">= 0", False)
-_COUNT = (numbers.Integral, "an integer", lambda n: n >= 1, ">= 1", False)
-_TAG_PARAMS = {
-    "same": {"index": _INDEX},
-    "prune": {"fraction": (numbers.Real, "a numeric", lambda f: 0 <= f < 1, "in [0, 1)", True)},
-    "quantize": {"bits": (numbers.Integral, "an integer", lambda b: b >= 2, ">= 2", True)},
-    "finetune": {"index": _INDEX},
-    "transfer": {},
-    "probit_extraction": {"pool_size": _COUNT},
-    "label_extraction": {"pool_size": _COUNT},
-    "adversarial_label_extraction": {"pool_size": _COUNT, "n_adversarial": _COUNT},
-}
-# What a weight-space copy's identity adds to its victim's, as ``_build_stolen``, ``prune``
-# and ``quantize`` name it; unlike a trained model's, it holds no seed.
-_COPY_NAMES = {
-    "same": lambda params: f"#same{params.get('index', 0)}",
-    "prune": lambda params: f"#prune{params['fraction']:g}",
-    "quantize": lambda params: f"#q{params['bits']}",
-}
-
-
 def _refuse_repeats(keys: list, what: str) -> None:
     """``ValueError`` naming the first key that ``keys`` holds twice."""
     if repeated := [key for key, n in Counter(keys).items() if n > 1]:
@@ -163,9 +140,9 @@ class BenchmarkConfig:
         if self.n_unrelated < 1:
             raise ValueError(f"n_unrelated must be >= 1, got {self.n_unrelated}")
         for tag in self.stolen:
-            if tag.method not in _TAG_PARAMS:
+            if tag.method not in TAG_PARAMS:
                 raise ValueError(f"no stolen model is built by method {tag.method!r}")
-            rules = _TAG_PARAMS[tag.method]
+            rules = TAG_PARAMS[tag.method]
             for key in tag.params:
                 if key not in rules and key not in SGD_TAG_DEFAULTS.get(tag.method, {}):
                     raise ValueError(f"{tag.method} tag takes no {key!r} param")
@@ -178,8 +155,8 @@ class BenchmarkConfig:
                 if not in_range(value):
                     raise ValueError(f"{tag.method} tag needs {key!r} {bound}, got {value!r}")
             _stolen_train(tag, self)
-        _refuse_repeats([_COPY_NAMES[tag.method](tag.params) for tag in self.stolen
-                         if tag.method in _COPY_NAMES], "stolen model name")
+        _refuse_repeats([COPY_NAMES[tag.method](tag.params) for tag in self.stolen
+                         if tag.method in COPY_NAMES], "stolen model name")
 
     def to_record(self) -> dict:
         return dataclasses.asdict(self)
@@ -196,8 +173,8 @@ class BenchmarkConfig:
             raise ManifestError(f"invalid benchmark config: {err}") from err
 
 
-def default_stolen_tags() -> tuple[TaskTag, ...]:
-    """The desk ladder: five stolen models per stealing/obfuscation task."""
+def default_benchmark_config(seed: int = 0, **overrides) -> BenchmarkConfig:
+    """The desk benchmark: 5 victims, 5 stolen per task, 10 unrelated each."""
     tags: list[TaskTag] = []
     tags += [TaskTag("same", {"index": i}) for i in range(5)]
     tags += [TaskTag("prune", {"fraction": f}) for f in (0.05, 0.15, 0.25, 0.35, 0.45)]
@@ -211,12 +188,7 @@ def default_stolen_tags() -> tuple[TaskTag, ...]:
         TaskTag("label_extraction", {"pool_size": p})
         for p in (60, 100, 160, 250, 400)
     ]
-    return tuple(tags)
-
-
-def default_benchmark_config(seed: int = 0, **overrides) -> BenchmarkConfig:
-    """The desk benchmark: 5 victims, 5 stolen per task, 10 unrelated each."""
-    return BenchmarkConfig(stolen=default_stolen_tags(), seed=seed, **overrides)
+    return BenchmarkConfig(stolen=tuple(tags), seed=seed, **overrides)
 
 
 @dataclass
@@ -282,7 +254,7 @@ def _build_stolen(config: BenchmarkConfig, k: int, i: int, model: MLPClassifier
     tag, seed = config.stolen[k], derive_seed(config.seed, STREAM_STOLEN, i, k)
     cfg = _stolen_train(tag, config)
     if tag.method == "same":
-        return same_copy(model, identity=model.identity + _COPY_NAMES["same"](tag.params))
+        return same_copy(model, identity=model.identity + COPY_NAMES["same"](tag.params))
     if tag.method == "prune":
         return prune(model, tag.params["fraction"], seed=seed)
     if tag.method == "quantize":
@@ -743,8 +715,9 @@ def evaluate(
     NaN or inf, are skipped (logged, not fatal).  Two aggregates are
     reported per run and labeled explicitly: the mean of per-task TPRs and
     the TPR of all pairs pooled across tasks.  The (run, victim) cells are
-    scored in this process whatever ``workers`` says; the parameter is kept
-    only for callers that pass it.
+    scored in this process whatever ``workers`` says.  The parameter stays
+    because ``perfbench/workloads.py`` passes it and the benchmark tracer's
+    ``_evaluate_hook`` reads it.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

@@ -63,9 +63,6 @@ class DetectorSpec:
         if not 0.0 <= self.target_fpr <= 1.0:
             raise ValueError("target_fpr must lie in [0, 1]")
 
-    def to_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SchemeSpec:

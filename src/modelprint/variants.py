@@ -10,6 +10,7 @@ never mutated.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -39,17 +40,30 @@ from .tinylearn import (
     train_job,
 )
 
-STEALING_METHODS = (
-    "same",
-    "prune",
-    "quantize",
-    "finetune",
-    "transfer",
-    "probit_extraction",
-    "label_extraction",
-    "adversarial_label_extraction",
-    "unrelated",
-)
+# Every tag param ``harness._build_stolen`` reads, checked before any training: key -> (type,
+# wording, range check, range wording, required); ``index`` only names or tells tags apart.
+# The SGD tags' ``epochs`` and ``learning_rate`` are a ``TrainConfig`` over ``SGD_TAG_DEFAULTS``.
+_INDEX = (numbers.Integral, "an integer", lambda i: i >= 0, ">= 0", False)
+_COUNT = (numbers.Integral, "an integer", lambda n: n >= 1, ">= 1", False)
+TAG_PARAMS = {
+    "same": {"index": _INDEX},
+    "prune": {"fraction": (numbers.Real, "a numeric", lambda f: 0 <= f < 1, "in [0, 1)", True)},
+    "quantize": {"bits": (numbers.Integral, "an integer", lambda b: b >= 2, ">= 2", True)},
+    "finetune": {"index": _INDEX},
+    "transfer": {},
+    "probit_extraction": {"pool_size": _COUNT},
+    "label_extraction": {"pool_size": _COUNT},
+    "adversarial_label_extraction": {"pool_size": _COUNT, "n_adversarial": _COUNT},
+}
+STEALING_METHODS = (*TAG_PARAMS, "unrelated")
+
+# What a weight-space copy's identity adds to its victim's, as ``harness._build_stolen``,
+# ``prune`` and ``quantize`` name it; unlike a trained model's, it holds no seed.
+COPY_NAMES = {
+    "same": lambda params: f"#same{params.get('index', 0)}",
+    "prune": lambda params: f"#prune{params['fraction']:g}",
+    "quantize": lambda params: f"#q{params['bits']}",
+}
 
 # The SGD run of a finetune or transfer that is given no ``TrainConfig``
 SGD_TAG_DEFAULTS = {"finetune": {"epochs": 5, "learning_rate": 0.01},
@@ -123,7 +137,7 @@ def prune(h: Classifier, fraction: float, seed: int = 0) -> MLPClassifier:
             offset += W.size
     tag = TaskTag("prune", {"fraction": float(fraction), "seed": int(seed)})
     weights = [(W, b.copy()) for W, (_, b) in zip(mats, h.weights)]
-    return h.clone(f"{h.identity}#prune{fraction:g}", weights=weights, tag=tag)
+    return h.clone(h.identity + COPY_NAMES["prune"](tag.params), weights=weights, tag=tag)
 
 
 def quantize(h: Classifier, bits: int) -> MLPClassifier:
@@ -146,7 +160,7 @@ def quantize(h: Classifier, bits: int) -> MLPClassifier:
         q = np.clip(np.round((W + wmax) / delta), 0, levels - 1) * delta - wmax
         weights.append((q, b.copy()))
     tag = TaskTag("quantize", {"bits": int(bits)})
-    return h.clone(f"{h.identity}#q{bits}", weights=weights, tag=tag)
+    return h.clone(h.identity + COPY_NAMES["quantize"](tag.params), weights=weights, tag=tag)
 
 
 def finetune_job(

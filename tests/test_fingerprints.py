@@ -1,10 +1,5 @@
 """Tests for fingerprint representations, distances, and calibration."""
 
-import json
-import struct
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,21 +7,16 @@ from hypothesis import strategies as st
 
 from modelprint.errors import (
     AccessInsufficient,
-    CorruptFingerprint,
-    ModelprintError,
     EmptyCalibrationPool,
     IncomparableFingerprints,
     PairingRequired,
 )
 from modelprint.fingerprints import (
     Fingerprint,
-    calibrate_threshold,
-    cosine_distance,
     cosine_rows,
     fingerprint_distance,
-    load_fingerprint,
+    quantile_threshold,
     represent,
-    save_fingerprint,
 )
 from modelprint.samplers import QuerySet
 
@@ -152,9 +142,9 @@ class TestDistance:
             assert err.value.code == "incomparable-fingerprints"
 
     def test_cosine_zero_vector_convention(self):
-        assert cosine_distance(np.zeros(3), np.zeros(3)) == 0.0
-        assert cosine_distance(np.zeros(3), np.ones(3)) == 1.0
-        assert cosine_distance(np.ones(3), np.ones(3)) == pytest.approx(0.0, abs=1e-12)
+        assert cosine_rows([np.zeros(3)], [np.zeros(3)])[0] == 0.0
+        assert cosine_rows([np.zeros(3)], [np.ones(3)])[0] == 1.0
+        assert cosine_rows([np.ones(3)], [np.ones(3)])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 ROW_KINDS = ("probits", "scaled", "zero_u", "zero_v", "zero_both", "identical", "sign")
@@ -183,7 +173,7 @@ def oracle_rows(rng, kinds, c):
 
 
 class TestCosineMatchesScalarOracle:
-    """``cosine_rows`` and ``cosine_distance`` give the scalar loop's exact bits."""
+    """``cosine_rows`` gives the scalar loop's exact bits, on one row or many."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -196,16 +186,16 @@ class TestCosineMatchesScalarOracle:
         want = np.array([reference_cosine_distance(u, v) for u, v in zip(U, V)])
         assert cosine_rows(U, V).tobytes() == want.tobytes()
         for u, v, w in zip(U, V, want):
-            assert cosine_distance(u, v) == w
+            assert cosine_rows([u], [v])[0] == w
         # the flattened payloads of pairwise and listwise fingerprints
-        assert cosine_distance(U, V) == reference_cosine_distance(U, V)
+        assert cosine_rows([U.ravel()], [V.ravel()])[0] == reference_cosine_distance(U, V)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 99, 100, 2500, 10_000])
     def test_long_vectors_bit_equal(self, n):
         rng = np.random.default_rng(n)
         for _ in range(20):
             u, v = rng.random(n), rng.random(n)
-            assert cosine_distance(u, v) == reference_cosine_distance(u, v)
+            assert cosine_rows([u], [v])[0] == reference_cosine_distance(u, v)
 
 
 def labels_fingerprint(qs, mismatches, s):
@@ -216,6 +206,11 @@ def labels_fingerprint(qs, mismatches, s):
         represent(qs, base, "raw_labels", "labels"),
         represent(qs, other, "raw_labels", "labels"),
     )
+
+
+def calibrate(victim, pool, target_fpr):
+    """The quantile threshold of the pool members' distances to the victim."""
+    return quantile_threshold([fingerprint_distance(victim, fp) for fp in pool], target_fpr)
 
 
 class TestCalibration:
@@ -233,31 +228,31 @@ class TestCalibration:
     def test_hand_quantile(self):
         distances = [k / 10 for k in range(1, 11)]
         victim, pool = self.build_pool(distances)
-        thr = calibrate_threshold(victim, pool, 0.05)
+        thr = calibrate(victim, pool, 0.05)
         assert thr <= 0.1
         flagged = [fingerprint_distance(victim, fp) < thr for fp in pool]
         assert sum(flagged) == 0
 
     def test_target_one_flags_everything(self):
         victim, pool = self.build_pool([0.1, 0.5, 1.0])
-        thr = calibrate_threshold(victim, pool, 1.0)
+        thr = calibrate(victim, pool, 1.0)
         assert thr > 1.0  # strictly above the max pool distance
 
     def test_target_zero(self):
         victim, pool = self.build_pool([0.3, 0.6])
-        assert calibrate_threshold(victim, pool, 0.0) <= 0.3
+        assert calibrate(victim, pool, 0.0) <= 0.3
 
     def test_empty_pool_rejected(self):
         qs = plain_query_set(4)
         victim = represent(qs, np.ones(4, dtype=np.int64), "raw_labels", "labels")
         with pytest.raises(EmptyCalibrationPool):
-            calibrate_threshold(victim, (), 0.1)
+            calibrate(victim, (), 0.1)
 
     def test_heterogeneous_pool_rejected(self):
         a = represent(plain_query_set(4, 0), np.ones(4, dtype=np.int64), "raw_labels", "labels")
         b = represent(plain_query_set(4, 1), np.ones(4, dtype=np.int64), "raw_labels", "labels")
         with pytest.raises(IncomparableFingerprints):
-            calibrate_threshold(a, (a, b), 0.1)
+            calibrate(a, (a, b), 0.1)
 
     @given(
         mism=st.lists(st.integers(0, 20), min_size=1, max_size=25),
@@ -265,133 +260,13 @@ class TestCalibration:
     )
     @settings(max_examples=80, deadline=None)
     def test_pool_fpr_never_exceeds_target(self, mism, target):
-        qs = plain_query_set(20)
-        victim = represent(qs, np.ones(20, dtype=np.int64), "raw_labels", "labels")
-        members = []
-        for m in mism:
-            answers = np.ones(20, dtype=np.int64)
-            answers[:m] = 2
-            members.append(represent(qs, answers, "raw_labels", "labels"))
-        pool = tuple(members)
-        thr = calibrate_threshold(victim, pool, target)
-        fpr = np.mean(
-            [fingerprint_distance(victim, fp) < thr for fp in pool]
-        )
+        distances = [m / 20 for m in mism]  # label fingerprints of 20 queries, m mismatches
+        thr = quantile_threshold(distances, target)
+        fpr = np.mean([d < thr for d in distances])
         assert fpr <= target + 1e-9
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        qs = paired_query_set(8)
-        fp = represent(qs, random_probits(np.random.default_rng(5), 8), "pairwise")
-        path = tmp_path / "fp.bin"
-        save_fingerprint(fp, path)
-        loaded = load_fingerprint(path)
-        assert loaded.kind == fp.kind
-        assert loaded.query_provenance == fp.query_provenance
-        np.testing.assert_array_equal(loaded.payload, fp.payload)
-        assert fingerprint_distance(fp, loaded) == 0.0
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Fingerprint("pairwise", np.zeros(3), {"sampler": "x"}, 8)
-
-
-def fingerprint_bytes(header: dict, payload: bytes) -> bytes:
-    head = json.dumps(header).encode()
-    return b"FPR1" + struct.pack("<I", len(head)) + head + payload
-
-
-def mutated_label_fingerprint(n, at, value, keep):
-    """A valid raw-label fingerprint of n queries, one byte set to value, cut to keep bytes."""
-    header = {"kind": "raw_labels", "n_queries": n, "shape": [n], "dtype": "<i8",
-              "query_provenance": {"sampler": "uniform"}}
-    data = bytearray(fingerprint_bytes(header, np.arange(n, dtype="<i8").tobytes()))
-    data[at % len(data)] = value
-    return bytes(data[: max(keep, len(data) - 8)])
-
-
-class TestCorruptFingerprint:
-    @pytest.fixture
-    def raw(self, tmp_path):
-        qs = paired_query_set(8)
-        fp = represent(qs, random_probits(np.random.default_rng(5), 8), "raw_probits")
-        path = tmp_path / "fp.bin"
-        save_fingerprint(fp, path)
-        return path.read_bytes()
-
-    def load(self, data: bytes, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(data)
-        with pytest.raises(CorruptFingerprint) as err:
-            load_fingerprint(path)
-        assert err.value.code == "corrupt-fingerprint"
-        return str(err.value)
-
-    def header(self, raw):
-        (hlen,) = struct.unpack_from("<I", raw, 4)
-        return json.loads(raw[8 : 8 + hlen]), raw[8 + hlen :]
-
-    def test_foreign_file(self, tmp_path):
-        assert "not a fingerprint" in self.load(b"junk", tmp_path)
-
-    @pytest.mark.parametrize("keep", [4, 6, 20])
-    def test_short_header(self, raw, tmp_path, keep):
-        assert "header" in self.load(raw[:keep], tmp_path)
-
-    def test_bad_header_json(self, raw, tmp_path):
-        head = b"{not json"
-        assert "bad header" in self.load(b"FPR1" + struct.pack("<I", len(head)) + head, tmp_path)
-
-    @pytest.mark.parametrize("key", ["kind", "n_queries", "shape", "dtype", "query_provenance"])
-    def test_missing_header_key(self, raw, tmp_path, key):
-        header, payload = self.header(raw)
-        del header[key]
-        assert key in self.load(fingerprint_bytes(header, payload), tmp_path)
-
-    @pytest.mark.parametrize("dtype", ["|O", "<U4", "complex128", "nonsense"])
-    def test_unknown_dtype(self, raw, tmp_path, dtype):
-        header, payload = self.header(raw)
-        header["dtype"] = dtype
-        self.load(fingerprint_bytes(header, payload), tmp_path)
-
-    def test_truncated_payload(self, raw, tmp_path):
-        assert "payload" in self.load(raw[:-3], tmp_path)
-
-    def test_trailing_bytes(self, raw, tmp_path):
-        assert "payload" in self.load(raw + b"\x00", tmp_path)
-
-    def test_shape_disagrees_with_payload(self, raw, tmp_path):
-        header, payload = self.header(raw)
-        header["shape"] = header["shape"][::-1]
-        self.load(fingerprint_bytes(header, payload), tmp_path)
-
-    @given(data=st.one_of(
-        st.builds(mutated_label_fingerprint, st.integers(0, 6), st.integers(0, 300),
-                  st.integers(0, 255), st.integers(0, 300)),
-        st.binary(max_size=64),
-        st.binary(max_size=64).map(lambda tail: b"FPR1" + tail),
-        st.builds(
-            lambda header, payload: fingerprint_bytes(header, payload),
-            st.fixed_dictionaries({
-                "kind": st.sampled_from(["raw_labels", "raw_probits", "pairwise", "listwise", 3]),
-                "n_queries": st.one_of(st.integers(-2, 6), st.booleans(), st.text(max_size=2)),
-                "shape": st.one_of(st.lists(st.integers(-1, 6), max_size=3), st.integers()),
-                "dtype": st.sampled_from(["<f8", "<i8", ">f4", "|b1", "|O", "<U2", "x", 7]),
-                "query_provenance": st.one_of(st.dictionaries(st.text(max_size=3), st.integers()),
-                                              st.none()),
-            }),
-            st.binary(max_size=96),
-        ),
-    ))
-    @settings(max_examples=300, deadline=None)
-    def test_any_bytes_load_or_raise_modelprint_error(self, data):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "fuzz.bin"
-            path.write_bytes(data)
-            try:
-                fp = load_fingerprint(path)
-            except ModelprintError:
-                return
-        assert isinstance(fp, Fingerprint)
-        assert fp.payload.dtype.kind in "biuf"

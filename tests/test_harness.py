@@ -42,7 +42,9 @@ from modelprint.harness import (
 from modelprint.samplers import AdversarialSampler, Subsampler, UniformSampler
 from modelprint.schemes import SchemeSpec, mistake_match_scheme
 from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig, generate_task, train
-from modelprint.variants import extract, finetune, quantize, same_copy, transfer, unrelated
+from modelprint.variants import (
+    COPY_NAMES, extract, finetune, quantize, same_copy, transfer, unrelated,
+)
 
 from conftest import nan_copy, reference_cosine_distance
 
@@ -95,6 +97,16 @@ class TestBuildBenchmark:
                 np.testing.assert_array_equal(
                     model.predict(probe), victim.model.predict(probe)
                 )
+
+    def test_copies_are_named_as_the_config_check_names_them(self, mini_benchmark):
+        """A same/prune/quantize copy is its victim's id plus ``COPY_NAMES`` of its config tag."""
+        config = mini_benchmark.config
+        for victim in mini_benchmark.victims:
+            vid = victim.model.identity
+            names = [(model.identity, vid + COPY_NAMES[tag.method](tag.params))
+                     for (model, _), tag in zip(mini_benchmark.stolen[vid], config.stolen)
+                     if tag.method in COPY_NAMES]
+            assert len(names) == 3 and all(built == named for built, named in names), names
 
     def test_empty_task_list_rejected(self):
         with pytest.raises(EmptyTaskList):
@@ -943,11 +955,13 @@ class TestDistanceReport:
             {"victim": victim, "suspect": suspect, "task": "same", "positive": True,
              "delta_c": delta_c}
             for victim, suspect, delta_c in [("a,b", 'say "hi"', 0.25),
-                                             ("two\nlines", "crlf\r\nend", None)]
+                                             ("two\nlines", "crlf\r\nend", None),
+                                             ("lone\rcr", "plain", 0.5)]
         )
         path = harness.DistanceReport(rows, {}, None, 1).save_csv(tmp_path / "dc.csv")
         with path.open(newline="") as fh:
             back = list(csv.reader(fh))
         assert back == [["victim", "suspect", "task", "positive", "delta_c"],
                         ["a,b", 'say "hi"', "same", "True", "0.25"],
-                        ["two\nlines", "crlf\r\nend", "same", "True", ""]]
+                        ["two\nlines", "crlf\r\nend", "same", "True", ""],
+                        ["lone\rcr", "plain", "same", "True", "0.5"]]
