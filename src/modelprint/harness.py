@@ -254,7 +254,7 @@ def _build_stolen(config: BenchmarkConfig, k: int, i: int, model: MLPClassifier
     tag, seed = config.stolen[k], derive_seed(config.seed, STREAM_STOLEN, i, k)
     cfg = _stolen_train(tag, config)
     if tag.method == "same":
-        return same_copy(model, identity=model.identity + COPY_NAMES["same"](tag.params))
+        return same_copy(model, tag.params.get("index", 0))
     if tag.method == "prune":
         return prune(model, tag.params["fraction"], seed=seed)
     if tag.method == "quantize":
@@ -288,25 +288,16 @@ def _victim_task(config: BenchmarkConfig, i: int) -> SyntheticTaskSpec:
     return replace(config.task, seed=derive_seed(config.seed, STREAM_VICTIM_TASK, i))
 
 
-def _victim_stack(config: BenchmarkConfig, i: int) -> list[MLPClassifier]:
-    """Victim ``i`` and its unrelated models, fitted as one stack."""
-    train_data, _ = generate_task(_victim_task(config, i))
-    arch = replace(config.arch, seed=derive_seed(config.seed, STREAM_VICTIM_MODEL, i))
-    jobs = [train_job(train_data, arch, config.train, identity=f"victim-{i}")]
-    for j in range(config.n_unrelated):
-        utask = replace(config.task, seed=derive_seed(config.seed, STREAM_UNRELATED_TASK, i, j))
-        utrain, _ = generate_task(utask)
-        useed = derive_seed(config.seed, STREAM_UNRELATED_MODEL, i, j)
-        jobs.append(unrelated_job(
-            utrain, config.arch, config.train, useed, identity=f"victim-{i}/unrelated-{j}"
-        ))
-    return fit_stack(jobs)
-
-
-def _stolen_column(config: BenchmarkConfig, k: int, models) -> list[Classifier]:
-    """Stolen tag ``k``'s models of the victim ``models``; an SGD-trained tag's as one stack."""
-    column = [_build_stolen(config, k, i, model) for i, model in enumerate(models)]
-    return fit_stack(column) if isinstance(column[0], TrainJob) else column
+def _negative_job(config: BenchmarkConfig, i: int, j: int | None) -> TrainJob:
+    """Victim ``i``'s training job when ``j`` is None, else that of its unrelated model ``j``."""
+    if j is None:
+        train_data, _ = generate_task(_victim_task(config, i))
+        arch = replace(config.arch, seed=derive_seed(config.seed, STREAM_VICTIM_MODEL, i))
+        return train_job(train_data, arch, config.train, identity=f"victim-{i}")
+    utask = replace(config.task, seed=derive_seed(config.seed, STREAM_UNRELATED_TASK, i, j))
+    useed = derive_seed(config.seed, STREAM_UNRELATED_MODEL, i, j)
+    return unrelated_job(generate_task(utask)[0], config.arch, config.train, useed,
+                         identity=f"victim-{i}/unrelated-{j}")
 
 
 # The build's process pool, made on first use: (owner pid, workers, executor)
@@ -339,26 +330,28 @@ def _pool(workers: int):
     return _POOL[2]
 
 
-def _with_errstate(errstate: dict, fn, *args):
+def _cpus() -> int:
+    """How many CPUs this process may use."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fit_recipes(errstate: dict, recipes) -> list[MLPClassifier]:
+    """The jobs ``make(*args)`` of the ``(make, *args)`` recipes, fitted as one stack."""
     with np.errstate(**errstate):
-        return fn(*args)
+        return fit_stack([make(*args) for make, *args in recipes])
 
 
-def _map_calls(calls) -> list:
-    """``fn(*args)`` for each ``(fn, *args)`` in ``calls``, in order.
-
-    Two or more calls run in the fork pool, one worker per CPU this process
-    may use; the caller's ``np.geterr()`` holds in each.
-    """
+def _fit_stacks(stacks) -> list[list[MLPClassifier]]:
+    """``_fit_recipes`` of each stack, in order: two or more run in the fork pool, one worker
+    per CPU this process may use, and the caller's ``np.geterr()`` holds in each."""
     errstate = np.geterr()
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cpus or 1, len(calls))
+    workers = min(_cpus(), len(stacks))
     if workers < 2 or not hasattr(os, "fork"):
-        return [fn(*args) for fn, *args in calls]
+        return [_fit_recipes(errstate, recipes) for recipes in stacks]
     from concurrent.futures import BrokenExecutor
 
     pool = _pool(workers)
-    futures = [pool.submit(_with_errstate, errstate, *call) for call in calls]
+    futures = [pool.submit(_fit_recipes, errstate, recipes) for recipes in stacks]
     try:
         return [future.result() for future in futures]
     except BaseException as err:
@@ -373,37 +366,42 @@ def build_benchmark(config: BenchmarkConfig) -> BenchmarkTriplet:
     """Train victims, derive their stolen sets, and train unrelated models.
 
     Fully reproducible from the config: every task draw and training run
-    is keyed by seeds derived from ``config.seed``.  Each victim trains in
-    one ``fit_stack`` with its unrelated models, then each stolen tag's
-    models across victims: one stack for an SGD-trained tag, weight-space
-    copies otherwise; stacking never changes a model's bits.
-
-    The stacks are independent, so they train in a pool of forked worker
-    processes, one per CPU this process may use (``os.sched_getaffinity``),
-    longest stolen column first.  Results are identical for any CPU count.
-    On Python 3.12 and later, forking a process that runs threads (numpy's
-    BLAS threads among them) emits a ``DeprecationWarning``.
+    is keyed by seeds derived from ``config.seed``.  Stacking never changes
+    a model's bits, so this function chooses every ``fit_stack``: the
+    victims and their unrelated models, victim by victim, cut into one
+    contiguous stack per CPU this process may use (``os.sched_getaffinity``),
+    then one stack per SGD-trained stolen tag across the victims, longest
+    first.  Weight-space copies are made in this process.  Two or more
+    stacks train in a reused pool of forked workers, each building its own
+    jobs; results are identical for any CPU count.  On Python 3.12 and later,
+    forking a process that runs threads (numpy's BLAS threads among them)
+    emits a ``DeprecationWarning``.
     """
     if not config.stolen:
         raise EmptyTaskList("benchmark config lists no stolen-model tags")
-    victims: list[Victim] = []
-    unrelated_map: dict[str, tuple] = {}
-    calls = [(_victim_stack, config, i) for i in range(config.n_victims)]
-    for i, (model, *negatives) in enumerate(_map_calls(calls)):
+    recipes = [(_negative_job, config, i, j) for i in range(config.n_victims)
+               for j in (None, *range(config.n_unrelated))]
+    N, n, per = len(recipes), min(_cpus(), len(recipes)), 1 + config.n_unrelated
+    stacks = [recipes[w * N // n:(w + 1) * N // n] for w in range(n)]
+    fitted = [model for stack in _fit_stacks(stacks) for model in stack]
+    victims, unrelated_map = [], {}
+    for i in range(config.n_victims):
+        model, *negatives = fitted[i * per:(i + 1) * per]
         task = _victim_task(config, i)
         victims.append(Victim(model, *generate_task(task), task))
         unrelated_map[model.identity] = tuple((neg, neg.tag) for neg in negatives)
 
-    n_rows = config.task.n_train  # longest first: epochs x training rows, weight-space copies 0
-    costs = [0 if (cfg := _stolen_train(tag, config)) is None
-             else cfg.epochs * min(tag.params.get("pool_size") or n_rows, n_rows)
-             for tag in config.stolen]
-    order = sorted(range(len(costs)), key=lambda k: -costs[k])
-    models = [v.model for v in victims]
-    columns = _map_calls([(_stolen_column, config, k, models) for k in order])
-    by_tag = dict(zip(order, columns))
-    rows = zip(victims, zip(*(by_tag[k] for k in range(len(order)))))
-    stolen = {v.model.identity: tuple((out, out.tag) for out in row) for v, row in rows}
+    n_rows = config.task.n_train  # longest first: epochs x training rows
+    costs = {k: cfg.epochs * min(tag.params.get("pool_size") or n_rows, n_rows)
+             for k, tag in enumerate(config.stolen)
+             if (cfg := _stolen_train(tag, config)) is not None}
+    order = sorted(costs, key=lambda k: -costs[k])
+    recipes = [[(_build_stolen, config, k, i, v.model) for i, v in enumerate(victims)]
+               for k in range(len(config.stolen))]
+    by_tag = dict(zip(order, _fit_stacks([recipes[k] for k in order])))
+    columns = [by_tag.get(k) or [make(*args) for make, *args in c] for k, c in enumerate(recipes)]
+    stolen = {v.model.identity: tuple((out, out.tag) for out in row)
+              for v, row in zip(victims, zip(*columns))}
     return BenchmarkTriplet(tuple(victims), stolen, unrelated_map, config)
 
 

@@ -57,8 +57,8 @@ TAG_PARAMS = {
 }
 STEALING_METHODS = (*TAG_PARAMS, "unrelated")
 
-# What a weight-space copy's identity adds to its victim's, as ``harness._build_stolen``,
-# ``prune`` and ``quantize`` name it; unlike a trained model's, it holds no seed.
+# What a weight-space copy's identity adds to its victim's, as ``same_copy``, ``prune`` and
+# ``quantize`` name it; unlike a trained model's, it holds no seed.
 COPY_NAMES = {
     "same": lambda params: f"#same{params.get('index', 0)}",
     "prune": lambda params: f"#prune{params['fraction']:g}",
@@ -108,10 +108,11 @@ def _require_mlp(h: Classifier) -> MLPClassifier:
     return h
 
 
-def same_copy(h: MLPClassifier, identity: str | None = None) -> MLPClassifier:
-    """A verbatim copy of the victim (direct model leak)."""
+def same_copy(h: MLPClassifier, index: int = 0) -> MLPClassifier:
+    """A verbatim copy of the victim (direct model leak); ``index`` tells copies apart."""
     h = _require_mlp(h)
-    return h.clone(identity or f"{h.identity}#same", tag=TaskTag("same"))
+    tag = TaskTag("same", {"index": int(index)})
+    return h.clone(h.identity + COPY_NAMES["same"](tag.params), tag=tag)
 
 
 def prune(h: Classifier, fraction: float, seed: int = 0) -> MLPClassifier:

@@ -1,5 +1,6 @@
 """Tests for benchmark construction, metrics, evaluation, and reports."""
 
+import concurrent.futures
 import csv
 import json
 import os
@@ -108,6 +109,14 @@ class TestBuildBenchmark:
                      if tag.method in COPY_NAMES]
             assert len(names) == 3 and all(built == named for built, named in names), names
 
+    def test_same_copies_keep_their_index(self):
+        tags = (mp.TaskTag("same", {"index": 0}), mp.TaskTag("same", {"index": 1}))
+        bench = build_benchmark(micro_config(n_victims=1, stolen=tags, n_unrelated=1))
+        copies = [model for model, _ in bench.stolen["victim-0"]]
+        assert [model.tag for model in copies] == list(tags)
+        for model in copies:
+            assert model.identity.endswith(COPY_NAMES["same"](model.tag.params))
+
     def test_empty_task_list_rejected(self):
         with pytest.raises(EmptyTaskList):
             build_benchmark(micro_config(stolen=()))
@@ -155,7 +164,7 @@ def one_at_a_time(config: BenchmarkConfig, i: int) -> list:
     for k, tag in enumerate(config.stolen):
         seed, params = derive_seed(root, STREAM_STOLEN, i, k), tag.params
         if tag.method == "same":
-            models.append(same_copy(victim, identity=f"victim-{i}#same0"))
+            models.append(same_copy(victim, params.get("index", 0)))
         elif tag.method == "finetune":
             cfg = TrainConfig(epochs=params["epochs"], learning_rate=0.01)
             models.append(finetune(victim, train_data, cfg, seed=seed))
@@ -239,14 +248,44 @@ class TestBuildPool:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
         return use
 
-    def test_pool_build_byte_equal_to_in_process_build(self, mini_benchmark, cpus):
-        cpus(2)
+    @pytest.mark.parametrize("n", [2, 3])  # 3 cuts the 8 phase-1 recipes 2/3/3, across victims
+    def test_pool_build_byte_equal_to_in_process_build(self, mini_benchmark, cpus, n):
+        cpus(n)
         pooled = build_benchmark(mini_benchmark.config)
         assert harness._POOL is not None
         cpus(1)
         in_process = build_benchmark(mini_benchmark.config)
         assert model_bytes(pooled) == model_bytes(in_process)
         assert model_bytes(pooled) == model_bytes(mini_benchmark)
+
+    def test_first_build_forks_one_pool(self, mini_benchmark, cpus, monkeypatch):
+        """4 CPUs cut the 8 phase-1 recipes into 4 stacks; the 2 stolen stacks reuse that pool."""
+        made, executor = [], concurrent.futures.ProcessPoolExecutor
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return executor(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+        harness._shutdown_pool()
+        cpus(4)
+        try:
+            build_benchmark(mini_benchmark.config)
+        finally:
+            harness._shutdown_pool()
+        assert len(made) == 1
+
+    def test_weight_space_copies_are_made_in_the_caller(self, mini_benchmark, cpus, monkeypatch):
+        """A call made in a worker would not reach this process's record."""
+        calls = []
+        for name in ("same_copy", "prune", "quantize"):
+            def record(*args, _copy=getattr(harness, name), **kwargs):
+                calls.append(_copy.__name__)
+                return _copy(*args, **kwargs)
+            monkeypatch.setattr(harness, name, record)
+        cpus(2)
+        build_benchmark(mini_benchmark.config)
+        assert sorted(calls) == sorted(["same_copy", "prune", "quantize"] * 2)
 
     def test_every_model_is_read_only(self, mini_benchmark, cpus):
         cpus(2)
