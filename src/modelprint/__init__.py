@@ -32,7 +32,6 @@ from .tinylearn import (
     train,
 )
 from .variants import (
-    OutputNoiseWrapper,
     ProbitPerturbation,
     TaskTag,
     TopKOnly,

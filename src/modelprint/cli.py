@@ -124,15 +124,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     bench = load_benchmark(args.benchmark)
+    specs = {}  # label -> (scheme file, spec); sweep.csv tells its rows apart by label
+    for path in args.scheme:
+        spec = _load_scheme(Path(path))
+        if (label := spec.label()) in specs:
+            raise ModelprintError(f"{specs[label][0]} and {path} share the scheme label "
+                                  f"{label!r}, so their sweep.csv rows could not be told apart")
+        specs[label] = path, spec
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid_path = out / "sweep.csv"
     reports = []
     with grid_path.open("w", newline="") as fh:
         write_csv(fh, [("scheme", *TPR_CSV_HEADER)])
-        for scheme_path in args.scheme:
-            spec = _load_scheme(Path(scheme_path))
-            label = spec.label()
+        for label, (_, spec) in specs.items():
 
             def flush(budget, report, label=label, fh=fh):
                 write_csv(fh, ((label, *row) for row in report.csv_rows()))

@@ -60,7 +60,6 @@ class Classifier(abc.ABC):
         num_classes: int,
         input_dim: int,
         access: Access,
-        top_k_limit: int | None = None,
         tag=None,
     ):
         if num_classes < 2:
@@ -71,7 +70,6 @@ class Classifier(abc.ABC):
         self.num_classes = int(num_classes)
         self.input_dim = int(input_dim)
         self.access = Access(access)
-        self.top_k_limit = top_k_limit
         self.tag = tag
 
     # -- access plumbing ---------------------------------------------------
@@ -111,14 +109,6 @@ class Classifier(abc.ABC):
         self._require(Access.TOP_K, "top-k queries")
         if not 1 <= k <= self.num_classes:
             raise BadClass(f"k must be in 1..{self.num_classes}, got {k}")
-        if (
-            self.access == Access.TOP_K
-            and self.top_k_limit is not None
-            and k > self.top_k_limit
-        ):
-            raise AccessInsufficient(
-                f"{self.identity}: handle only exposes top-{self.top_k_limit}"
-            )
         return self._top_k(self._as_batch(X), k)
 
     def probits(self, X) -> np.ndarray:

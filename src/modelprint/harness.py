@@ -350,15 +350,10 @@ def _fit_stacks(stacks) -> list[list[MLPClassifier]]:
         return [_fit_recipes(errstate, recipes) for recipes in stacks]
     from concurrent.futures import BrokenExecutor
 
-    pool = _pool(workers)
-    futures = [pool.submit(_fit_recipes, errstate, recipes) for recipes in stacks]
     try:
-        return [future.result() for future in futures]
-    except BaseException as err:
-        for future in futures:
-            future.cancel()
-        if isinstance(err, BrokenExecutor):
-            _shutdown_pool()
+        return list(_pool(workers).map(_fit_recipes, [errstate] * len(stacks), stacks))
+    except BrokenExecutor:
+        _shutdown_pool()
         raise
 
 
@@ -677,26 +672,6 @@ class EvalReport:
         return jpath, cpath
 
 
-def _score_cell(spec: SchemeSpec, victim: Victim, suspects, run: int, qseed: int):
-    """Score one (run, victim) cell; returns PairScores or a skip record.
-
-    Only a failure in sampling or in the victim's fingerprint skips the
-    cell; a suspect-side error propagates.
-    """
-    scheme = FingerprintScheme(spec)
-    vid = victim.model.identity
-    try:
-        qs = scheme.query_set(victim.model, victim.data(spec.seed_split), qseed)
-        fp_v = scheme.fingerprint(victim.model, qs)
-    except ModelprintError as err:
-        return None, {"run": run, "victim": vid, "error": err.code, "detail": str(err)}
-    dists = scheme.distances(fp_v, [model for model, _ in suspects], qs)
-    return [
-        PairScore(run, vid, model.identity, tag.method, tag.is_positive, -dist)
-        for (model, tag), dist in zip(suspects, dists)
-    ], None
-
-
 def evaluate(
     spec: SchemeSpec,
     benchmark: BenchmarkTriplet,
@@ -721,30 +696,36 @@ def evaluate(
         raise ValueError(f"seed must be >= 0, got {seed}")
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+    if not 0.0 <= fpr_cap <= 1.0:
+        raise ValueError(f"fpr_cap must lie in [0, 1], got {fpr_cap}")
     spec_rec = spec.to_record()
     run_seeds = tuple(seed + r for r in range(n_runs))
-
-    scores: list[PairScore] = []
-    skipped: list[dict] = []
-    for run, rseed in enumerate(run_seeds):
-        for vi, victim in enumerate(benchmark.victims):
-            vid = victim.model.identity
-            suspects = benchmark.stolen[vid] + benchmark.unrelated[vid]
-            qseed = derive_seed(rseed, STREAM_QUERY, vi)
-            cell_scores, skip = _score_cell(spec, victim, suspects, run, qseed)
-            if skip is not None:
-                log.warning("skipping victim %s in run %d: %s",
-                            skip["victim"], skip["run"], skip["error"])
-                skipped.append(skip)
-            else:
-                scores.extend(cell_scores)
-    scores.sort(key=lambda s: (s.run, s.victim, s.suspect))
+    scheme = FingerprintScheme(spec)
 
     tasks = benchmark.tasks
+    scores: list[PairScore] = []
+    skipped: list[dict] = []
     per_task = {t: [] for t in tasks}
     pooled = []
-    for run in range(n_runs):
-        run_scores = [s for s in scores if s.run == run]
+    for run, rseed in enumerate(run_seeds):
+        run_scores = []
+        for vi, victim in enumerate(benchmark.victims):
+            vid = victim.model.identity
+            # only a failure in sampling or in the victim's fingerprint skips the cell
+            try:
+                qs = scheme.query_set(victim.model, victim.data(spec.seed_split),
+                                      derive_seed(rseed, STREAM_QUERY, vi))
+                fp_v = scheme.fingerprint(victim.model, qs)
+            except ModelprintError as err:
+                log.warning("skipping victim %s in run %d: %s", vid, run, err.code)
+                skipped.append({"run": run, "victim": vid, "error": err.code, "detail": str(err)})
+                continue
+            suspects = benchmark.stolen[vid] + benchmark.unrelated[vid]
+            dists = scheme.distances(fp_v, [model for model, _ in suspects], qs)
+            run_scores += [PairScore(run, vid, model.identity, tag.method, tag.is_positive, -dist)
+                           for (model, tag), dist in zip(suspects, dists)]
+        run_scores.sort(key=lambda s: (s.victim, s.suspect))
+        scores += run_scores
         negatives = [s for s in run_scores if not s.positive]
         run_victims = sorted({s.victim for s in run_scores})
         if not run_victims or not negatives:

@@ -2,7 +2,7 @@
 
 Implements the stealing routes (direct leak, label/probit/adversarial
 extraction) and the weight-space obfuscations (pruning, quantization,
-finetuning, transfer) plus output-noise wrappers.  Every operation
+finetuning, transfer) plus output-noise handles.  Every operation
 returns a fresh handle carrying a provenance tag; source models are
 never mutated.
 """
@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import Access, Classifier, LabeledDataset, from_record
 from .errors import (
+    AccessInsufficient,
     DegeneratePrune,
     DegenerateQuantization,
     EmptyQueryPool,
@@ -279,69 +280,48 @@ unrelated = fitted(unrelated_job)
 
 
 # ---------------------------------------------------------------------------
-# Output-noise obfuscation wrappers
+# Output-noise obfuscation handles
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopKOnly:
-    """Expose only the top-k labels; never changes the argmax."""
+class TopKOnly(Classifier):
+    """Expose only the top-``k`` labels of ``inner``; never changes the argmax."""
 
-    k: int
-
-
-@dataclass(frozen=True)
-class ProbitPerturbation:
-    """Multiplicative per-query probit noise, deterministic per input point."""
-
-    scale: float
-    seed: int = 0
-
-
-class OutputNoiseWrapper(Classifier):
-    """Restrict or perturb a model's outputs without touching its weights.
-
-    Wrapped handles stay deterministic: the perturbation noise is keyed
-    by a hash of the query point, so repeated queries agree.
-    """
-
-    def __init__(self, inner: Classifier, mode):
-        if isinstance(mode, TopKOnly):
-            if not 1 <= mode.k <= inner.num_classes:
-                raise ValueError(f"k must lie in 1..{inner.num_classes}")
-            access, limit = Access.TOP_K, mode.k
-        elif isinstance(mode, ProbitPerturbation):
-            access, limit = Access.PROBITS, None
-        else:
-            raise ValueError(f"unknown output-noise mode {mode!r}")
-        super().__init__(
-            f"{inner.identity}#noise",
-            inner.num_classes,
-            inner.input_dim,
-            access,
-            top_k_limit=limit,
-            tag=inner.tag,
-        )
-        self.inner = inner
-        self.mode = mode
+    def __init__(self, inner: Classifier, k: int):
+        if not 1 <= k <= inner.num_classes:
+            raise ValueError(f"k must lie in 1..{inner.num_classes}")
+        super().__init__(f"{inner.identity}#noise", inner.num_classes, inner.input_dim,
+                         Access.TOP_K, tag=inner.tag)
+        self.inner, self.k = inner, k
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        if isinstance(self.mode, TopKOnly):
-            return self.inner.predict(X)
-        return super()._predict(X)
+        return self.inner.predict(X)
 
     def _top_k(self, X: np.ndarray, k: int) -> np.ndarray:
-        if isinstance(self.mode, TopKOnly):
-            return self.inner.top_k(X, k)
-        return super()._top_k(X, k)
+        if k > self.k:
+            raise AccessInsufficient(f"{self.identity}: handle only exposes top-{self.k}")
+        return self.inner.top_k(X, k)
+
+
+class ProbitPerturbation(Classifier):
+    """Multiplicative per-query noise on the probits of ``inner``, without touching its weights.
+
+    The handle stays deterministic: the noise is keyed by ``seed`` and a hash of
+    the query point, so repeated queries agree.
+    """
+
+    def __init__(self, inner: Classifier, scale: float, seed: int = 0):
+        super().__init__(f"{inner.identity}#noise", inner.num_classes, inner.input_dim,
+                         Access.PROBITS, tag=inner.tag)
+        self.inner, self.scale, self.seed = inner, scale, seed
 
     def _probits(self, X: np.ndarray) -> np.ndarray:
         P = self.inner.probits(X)
         out = np.empty_like(P)
-        key = int(self.mode.seed).to_bytes(8, "little", signed=True)
+        key = int(self.seed).to_bytes(8, "little", signed=True)
         for i, (x, p) in enumerate(zip(X, P)):
             digest = hashlib.blake2b(x.tobytes(), digest_size=8, key=key).digest()
             rng = np.random.default_rng(int.from_bytes(digest, "little"))
-            noisy = p * np.exp(self.mode.scale * rng.standard_normal(p.size))
+            noisy = p * np.exp(self.scale * rng.standard_normal(p.size))
             out[i] = noisy / noisy.sum()
         return out

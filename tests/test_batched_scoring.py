@@ -9,6 +9,7 @@ are checked against them too.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import modelprint as mp
 from modelprint.core import Access
 from modelprint.errors import AccessInsufficient, IncomparableFingerprints, NonFiniteAnswer
 from modelprint.fingerprints import KINDS, fingerprint_distance, represent
-from modelprint.harness import _score_cell
+from modelprint.harness import evaluate
 from modelprint.samplers import Subsampler, UniformSampler
 from modelprint.schemes import FingerprintScheme, SchemeSpec
 from modelprint.tinylearn import MLPSpec, init_weights
@@ -122,8 +123,7 @@ def suspect(kind, rng, victim, qs, arch_a, arch_b, i, label_scheme):
         return SparseProbits(int(rng.integers(2**32)), C, d, name)
     inner = random_mlp(rng, *arch_a, f"{name}-inner")
     if kind == "noise":
-        mode = mp.TopKOnly(1) if label_scheme else mp.ProbitPerturbation(0.5, seed=i)
-        return mp.OutputNoiseWrapper(inner, mode)
+        return mp.TopKOnly(inner, 1) if label_scheme else mp.ProbitPerturbation(inner, 0.5, seed=i)
     # "function": label-only, so a probit scheme gets one more linear model
     if label_scheme:
         return mp.FunctionClassifier(inner.predict, C, d, identity=name)
@@ -249,15 +249,18 @@ class TestErrorSemantics:
         assert label_scheme.distances(quick_model, [labels_only], qs) == [0.0]
 
     def test_score_cell_skips_only_victim_errors(self, mini_benchmark):
-        victim = mini_benchmark.victims[0]
+        """In ``evaluate``, a victim-side error skips its cell; a suspect-side error raises."""
+        victim, *others = mini_benchmark.victims
         vid = victim.model.identity
-        suspects = list(mini_benchmark.stolen[vid] + mini_benchmark.unrelated[vid])
         broken = type(victim)(nan_copy(victim.model, vid), victim.train_data,
                               victim.test_data, victim.task)
-        scores, skip = _score_cell(PROBIT_SPEC, broken, suspects, 0, 1)
-        assert scores is None and skip["error"] == "non-finite-answer"
-        (model, tag), *rest = suspects
+        bench = replace(mini_benchmark, victims=(broken, *others))
+        report = evaluate(PROBIT_SPEC, bench, n_runs=1, compute_pair_stats=False)
+        assert [(s["victim"], s["error"]) for s in report.skipped] == [(vid, "non-finite-answer")]
+        (model, tag), *rest = mini_benchmark.stolen[vid]
         for bad in (nan_copy(model), lowered(model, "labels-only", Access.LABELS)):
+            bench = replace(mini_benchmark, stolen={**mini_benchmark.stolen,
+                                                    vid: ((bad, tag), *rest)})
             with pytest.raises((NonFiniteAnswer, AccessInsufficient),
                                match=re.escape(bad.identity)):
-                _score_cell(PROBIT_SPEC, victim, [*rest, (bad, tag)], 0, 1)
+                evaluate(PROBIT_SPEC, bench, n_runs=1, compute_pair_stats=False)

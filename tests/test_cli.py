@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import modelprint as mp
 from modelprint.cli import build_parser, main
 from modelprint.schemes import mistake_match_scheme
-from modelprint.samplers import UniformSampler
+from modelprint.samplers import AdversarialSampler, UniformSampler
 from modelprint.schemes import SchemeSpec
 
 
@@ -416,6 +416,22 @@ class TestSweep:
             sweep = mp.budget_sweep(spec, bench, [8, 16], n_runs=2, seed=0)
             expected += [",".join(map(str, (spec.label(), *row))) for row in sweep.csv_rows()]
         assert (out / "sweep.csv").read_bytes() == "".join(f"{e}\n" for e in expected).encode()
+
+    def test_schemes_sharing_a_label_are_refused(self, workspace, tmp_path, capsys):
+        """A label leaves out the sampler's params, so these two would write rows with one key."""
+        paths = []
+        for steps in (2, 40):
+            spec = SchemeSpec(sampler=AdversarialSampler(steps=steps),
+                              representation="raw_probits", budget=8)
+            paths.append(tmp_path / f"adv{steps}.json")
+            paths[-1].write_text(json.dumps(spec.to_record()))
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--benchmark", str(workspace / "bench"),
+                   "--scheme", *map(str, paths), "--budgets", "8", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{paths[0]} and {paths[1]} share the scheme label" in err
+        assert not out.exists()
 
     def test_empty_scheme_list_is_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:

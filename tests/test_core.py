@@ -189,7 +189,7 @@ class TestClassifierContract:
             h.input_gradient(np.zeros(1), 1)
 
     @pytest.mark.parametrize("handle", [
-        mp.OutputNoiseWrapper(LinearClassifier(np.eye(3, 4)), mp.ProbitPerturbation(0.1)),
+        mp.ProbitPerturbation(LinearClassifier(np.eye(3, 4)), 0.1),
         mp.LookupClassifier(np.zeros((1, 4)), [2], 3),
     ], ids=["probit-noise", "lookup"])
     def test_probit_handle_without_logits_refuses_them(self, handle):

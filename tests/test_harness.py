@@ -6,6 +6,7 @@ import json
 import os
 import re
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -286,6 +287,15 @@ class TestBuildPool:
         cpus(2)
         build_benchmark(mini_benchmark.config)
         assert sorted(calls) == sorted(["same_copy", "prune", "quantize"] * 2)
+
+    def test_broken_pool_is_dropped_and_the_next_build_forks_a_fresh_one(self, mini_benchmark,
+                                                                          cpus):
+        cpus(2)
+        with pytest.raises(BrokenProcessPool):
+            harness._fit_stacks([[(os._exit, 1)], [(os._exit, 1)]])
+        assert harness._POOL is None
+        assert model_bytes(build_benchmark(mini_benchmark.config)) == model_bytes(mini_benchmark)
+        assert harness._POOL is not None
 
     def test_every_model_is_read_only(self, mini_benchmark, cpus):
         cpus(2)
@@ -857,13 +867,14 @@ class TestEvaluate:
     def test_workers_do_not_change_results(self, mini_benchmark, monkeypatch):
         a = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
                      workers=1, compute_pair_stats=False)
-        scored, score_cell = [], harness._score_cell
-        monkeypatch.setattr(harness, "_score_cell",
-                            lambda *cell: scored.append(cell) or score_cell(*cell))
+        scored, query_set = [], harness.FingerprintScheme.query_set
+        monkeypatch.setattr(harness.FingerprintScheme, "query_set",
+                            lambda *args: scored.append(os.getpid()) or query_set(*args))
         b = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
                      workers=2, compute_pair_stats=False)
         assert a.to_json() == b.to_json()
-        assert len(scored) == 2 * len(mini_benchmark.victims)  # every cell scored in this process
+        # every cell scored in this process
+        assert scored == [os.getpid()] * (2 * len(mini_benchmark.victims))
 
     def test_infeasible_budget_skips_victims(self, mini_benchmark, caplog):
         with caplog.at_level("WARNING"):
@@ -883,6 +894,12 @@ class TestEvaluate:
         assert not report.scores
         assert len(report.skipped) == len(mini_benchmark.victims)
         assert {s["error"] for s in report.skipped} == {"incompatible-task"}
+
+    @pytest.mark.parametrize("fpr_cap", [float("nan"), -0.1, 1.5])
+    def test_fpr_cap_outside_unit_interval_rejected(self, mini_benchmark, fpr_cap):
+        message = f"fpr_cap must lie in [0, 1], got {fpr_cap}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(mistake_match_scheme(), mini_benchmark, fpr_cap=fpr_cap)
 
     def test_run_count_below_one_rejected(self, mini_benchmark):
         for n_runs in (0, -2):

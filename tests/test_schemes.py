@@ -268,7 +268,7 @@ class TestEnumeration:
 
     def test_access_restricted_suspect_fails_probit_schemes(self, quick_model, quick_task):
         _, test = quick_task
-        wrapped = mp.OutputNoiseWrapper(quick_model, mp.TopKOnly(1))
+        wrapped = mp.TopKOnly(quick_model, 1)
         spec = SchemeSpec(sampler=UniformSampler(), representation="raw_probits", budget=10)
         with pytest.raises(mp.errors.AccessInsufficient):
             assemble_scheme(spec).score(quick_model, wrapped, test, 0)

@@ -27,7 +27,6 @@ from modelprint.tinylearn import (
     train,
 )
 from modelprint.variants import (
-    OutputNoiseWrapper,
     ProbitPerturbation,
     TaskTag,
     TopKOnly,
@@ -228,20 +227,20 @@ class TestNonMutation:
         transfer(quick_model, train_ds, TrainConfig(epochs=2, learning_rate=0.1), seed=0)
         extract(quick_model, train_ds, QUICK_ARCH, TrainConfig(epochs=2), "labels", seed=0)
         same_copy(quick_model)
-        OutputNoiseWrapper(quick_model, ProbitPerturbation(scale=2.0)).probits(probe)
+        ProbitPerturbation(quick_model, scale=2.0).probits(probe)
         assert output_hash(quick_model, probe) == before
 
 
 class TestOutputNoise:
     def test_top_k_wrapper_preserves_argmax(self, quick_model, probe):
-        wrapped = OutputNoiseWrapper(quick_model, TopKOnly(2))
+        wrapped = TopKOnly(quick_model, 2)
         np.testing.assert_array_equal(wrapped.predict(probe), quick_model.predict(probe))
         np.testing.assert_array_equal(
             wrapped.top_k(probe, 2)[:, 0], quick_model.predict(probe)
         )
 
     def test_top_k_wrapper_limits_access(self, quick_model, probe):
-        wrapped = OutputNoiseWrapper(quick_model, TopKOnly(2))
+        wrapped = TopKOnly(quick_model, 2)
         with pytest.raises(AccessInsufficient):
             wrapped.top_k(probe, 3)
         with pytest.raises(AccessInsufficient):
@@ -250,7 +249,7 @@ class TestOutputNoise:
             wrapped.input_gradient(probe[0], 1)
 
     def test_probit_perturbation_is_deterministic(self, quick_model, probe):
-        wrapped = OutputNoiseWrapper(quick_model, ProbitPerturbation(scale=0.5, seed=3))
+        wrapped = ProbitPerturbation(quick_model, scale=0.5, seed=3)
         P1 = wrapped.probits(probe)
         P2 = wrapped.probits(probe)
         np.testing.assert_array_equal(P1, P2)
@@ -258,7 +257,7 @@ class TestOutputNoise:
         assert (P1 >= 0).all()
 
     def test_probit_perturbation_actually_perturbs(self, quick_model, probe):
-        wrapped = OutputNoiseWrapper(quick_model, ProbitPerturbation(scale=0.5, seed=3))
+        wrapped = ProbitPerturbation(quick_model, scale=0.5, seed=3)
         assert np.abs(wrapped.probits(probe) - quick_model.probits(probe)).max() > 1e-3
 
 
