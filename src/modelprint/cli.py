@@ -99,6 +99,15 @@ def cmd_evaluate(args) -> int:
     spec = _load_scheme(Path(args.scheme))
     if args.budget is not None:
         spec = replace(spec, budget=args.budget)
+    stem = f"evaluate_{spec.label().replace('/', '-')}"
+    prior = Path(args.out) / f"{stem}.json"
+    if prior.exists():  # the label leaves out sampler params, so another scheme may own it
+        try:
+            same = SchemeSpec.from_record(read_json(prior, ModelprintError)["scheme"]) == spec
+        except (ModelprintError, KeyError, TypeError, ValueError):
+            same = False
+        if not same:
+            raise ModelprintError(f"{prior} holds no report of this scheme; use another --out")
     report = evaluate(
         spec,
         bench,
@@ -109,8 +118,7 @@ def cmd_evaluate(args) -> int:
         "benchmark": str(args.benchmark),
         "scheme": str(args.scheme),
     }
-    out = Path(args.out)
-    jpath, cpath = report.save(out, stem=f"evaluate_{spec.label().replace('/', '-')}")
+    jpath, cpath = report.save(args.out, stem=stem)
     for task in sorted(report.per_task):
         entry = report.per_task[task]
         print(f"{task}: tpr@{report.fpr_cap:g} = {entry['mean']:.3f} +- {entry['std']:.3f}")

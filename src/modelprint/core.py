@@ -239,34 +239,29 @@ SPLITS = ("train", "test")
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Points with ground-truth concept labels and per-row split tags.
+    """Points with ground-truth concept labels.
 
-    ``points`` is ``(n, d)`` float64, ``labels`` is ``(n,)`` int64 with
-    every value in ``{1..num_classes}``, and ``split`` holds "train" or
-    "test" per row.  Row order is meaningful and preserved by I/O.
+    ``points`` is ``(n, d)`` float64 and ``labels`` is ``(n,)`` int64 with
+    every value in ``{1..num_classes}``.  Row order is meaningful and
+    preserved by I/O.
     """
 
     points: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: np.ndarray
 
     def __post_init__(self):
         points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        split = np.asarray(self.split).astype("<U5").reshape(-1)
-        if points.shape[0] != labels.shape[0] or points.shape[0] != split.shape[0]:
-            raise ValueError("points, labels, and split must have equal length")
+        if points.shape[0] != labels.shape[0]:
+            raise ValueError("points and labels must have equal length")
         if labels.size and (labels.min() < 1 or labels.max() > self.num_classes):
             raise ValueError(
                 f"labels must lie in 1..{self.num_classes}; "
                 f"saw range {labels.min()}..{labels.max()}"
             )
-        if split.size and not np.isin(split, SPLITS).all():
-            raise ValueError("split tags must be 'train' or 'test'")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "split", split)
 
     def __len__(self) -> int:  # noqa: D105
         return self.points.shape[0]
@@ -275,54 +270,42 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def subset(self, split: str) -> "LabeledDataset":
-        """Rows carrying the given split tag, order preserved."""
-        if split not in SPLITS:
-            raise ValueError(f"unknown split {split!r}")
-        mask = self.split == split
-        return LabeledDataset(
-            self.points[mask], self.labels[mask], self.num_classes, self.split[mask]
-        )
-
     def take(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            self.points[idx], self.labels[idx], self.num_classes, self.split[idx]
-        )
+        return LabeledDataset(self.points[idx], self.labels[idx], self.num_classes)
 
     def as_lookup_classifier(self, identity: str = "concept") -> LookupClassifier:
         """The ground-truth concept on this point set, viewed as a model."""
         return LookupClassifier(self.points, self.labels, self.num_classes, identity)
 
-    # -- CSV interface: columns x_1..x_d, label, split ----------------------
+    # -- CSV interface: columns x_1..x_d, label -------------------------------
 
     def to_csv(self, path) -> None:
         with Path(path).open("w", newline="") as fh:
-            write_csv(fh, [[f"x_{i + 1}" for i in range(self.dim)] + ["label", "split"]])
-            write_csv(fh, ([f"{v:.17g}" for v in x] + [int(y), s]
-                           for x, y, s in zip(self.points, self.labels, self.split)))
+            write_csv(fh, [[f"x_{i + 1}" for i in range(self.dim)] + ["label"]])
+            write_csv(fh, ([f"{v:.17g}" for v in x] + [int(y)]
+                           for x, y in zip(self.points, self.labels)))
 
     @staticmethod
     def from_csv(path, num_classes: int | None = None) -> "LabeledDataset":
         """The dataset ``to_csv`` wrote; ``CorruptDataset`` on anything else."""
         path = Path(path)
-        pts, labels, split = [], [], []
+        pts, labels = [], []
         try:
             with path.open(newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 header = next(reader, [])
-                if header[-2:] != ["label", "split"]:
-                    raise ValueError("expected trailing 'label,split' columns")
-                dim = len(header) - 2
+                if header[-1:] != ["label"]:
+                    raise ValueError("expected a trailing 'label' column")
+                dim = len(header) - 1
                 for row in reader:
                     pts.append([float(v) for v in row[:dim]])
                     labels.append(int(row[dim]))
-                    split.append(row[dim + 1])
             labels = np.asarray(labels, dtype=np.int64)
             if num_classes is None:
                 num_classes = int(labels.max()) if labels.size else 2
-            return LabeledDataset(np.asarray(pts), labels, num_classes, np.asarray(split))
-        # a bad header or short row, a non-number, a label or split out of range, non-UTF-8 bytes
+            return LabeledDataset(np.asarray(pts), labels, num_classes)
+        # a bad header or short row, a non-number, a label out of range, non-UTF-8 bytes
         except (IndexError, ValueError) as err:
             raise CorruptDataset(f"{path}: {err}") from err
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 # Names marked F401 are unused here, but the benchmark's tracer patches them in this module.
 from .core import Classifier, LabeledDataset, label_pair_stats, pair_stats  # noqa: F401
-from .core import from_record, read_json, write_csv
+from .core import SPLITS, from_record, read_json, write_csv
 from .errors import (
     EmptyPairSet,
     EmptyTaskList,
@@ -199,6 +199,8 @@ class Victim:
     task: SyntheticTaskSpec
 
     def data(self, split: str) -> LabeledDataset:
+        if split not in SPLITS:
+            raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
         return self.train_data if split == "train" else self.test_data
 
 
@@ -571,6 +573,8 @@ def roc_curve(scores, victims=None) -> RocCurve:
 
 def tpr_at_fpr(curve: RocCurve, fpr_cap: float = 0.05) -> float:
     """Best TPR among curve points with FPR at most the cap; 0 if none."""
+    if not 0.0 <= fpr_cap <= 1.0:
+        raise ValueError(f"fpr_cap must lie in [0, 1], got {fpr_cap}")
     feasible = [tpr for fpr, tpr in curve.points if fpr <= fpr_cap]
     return max(feasible) if feasible else 0.0
 
@@ -794,16 +798,9 @@ def evaluate(
 
 @dataclass
 class SweepReport:
-    """TPR@cap per budget; the data behind budget-vs-performance plots."""
+    """Each budget's ``EvalReport``, keyed in ascending budget order."""
 
-    budgets: tuple[int, ...]
     reports: dict
-
-    def csv_rows(self) -> list[tuple]:
-        rows = []
-        for budget in self.budgets:
-            rows.extend(self.reports[budget].csv_rows())
-        return rows
 
 
 def budget_sweep(
@@ -840,7 +837,7 @@ def budget_sweep(
         reports[budget] = report
         if cell_callback is not None:
             cell_callback(budget, report)
-    return SweepReport(tuple(budgets), reports)
+    return SweepReport(reports)
 
 
 @dataclass

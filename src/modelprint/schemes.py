@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import Classifier, LabeledDataset, from_record
+from .core import SPLITS, Classifier, LabeledDataset, from_record
 from .errors import IncompatibleScheme, InsufficientNegatives
 from .fingerprints import (
     INNER_DISTANCES,
@@ -86,8 +86,8 @@ class SchemeSpec:
             raise ValueError(f"inner_distance must be one of {INNER_DISTANCES}")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.seed_split not in ("train", "test"):
-            raise ValueError("seed_split must be 'train' or 'test'")
+        if self.seed_split not in SPLITS:
+            raise ValueError(f"seed_split must be one of {SPLITS}")
         if self.representation == "pairwise":
             if self.sampler.pairing_length(self.budget) == 0:
                 raise IncompatibleScheme(

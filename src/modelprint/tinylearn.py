@@ -194,11 +194,8 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[LabeledDataset, LabeledDatas
         offsets = rng.integers(1, spec.num_classes, n_flip)
         y_train[idx] = (y_train[idx] - 1 + offsets) % spec.num_classes + 1
 
-    train = LabeledDataset(
-        X_train, y_train, spec.num_classes, np.full(spec.n_train, "train")
-    )
-    test = LabeledDataset(X_test, y_test, spec.num_classes, np.full(spec.n_test, "test"))
-    return train, test
+    train = LabeledDataset(X_train, y_train, spec.num_classes)
+    return train, LabeledDataset(X_test, y_test, spec.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +344,9 @@ class MLPClassifier(Classifier):
 
     def clone(self, identity: str, weights=None, tag=None) -> "MLPClassifier":
         """New handle sharing this architecture, with fresh weight copies."""
-        src = weights if weights is not None else self.weights
         return MLPClassifier(
             self.spec,
-            [(W.copy(), b.copy()) for W, b in src],
+            weights if weights is not None else self.weights,
             identity=identity,
             tag=tag,
             train_loss=self.train_loss,
@@ -577,6 +573,6 @@ def load_weights(path, identity: str | None = None, tag=None) -> MLPClassifier:
         offset += 8 * fan_in * fan_out
         b = np.frombuffer(raw, "<f8", fan_out, offset)
         offset += 8 * fan_out
-        weights.append((W.copy(), b.copy()))
+        weights.append((W, b))
     return MLPClassifier(spec, weights, identity=identity, tag=tag)
 

@@ -138,7 +138,7 @@ def prune(h: Classifier, fraction: float, seed: int = 0) -> MLPClassifier:
             W.ravel()[kill[offset : offset + W.size]] = 0.0
             offset += W.size
     tag = TaskTag("prune", {"fraction": float(fraction), "seed": int(seed)})
-    weights = [(W, b.copy()) for W, (_, b) in zip(mats, h.weights)]
+    weights = [(W, b) for W, (_, b) in zip(mats, h.weights)]
     return h.clone(h.identity + COPY_NAMES["prune"](tag.params), weights=weights, tag=tag)
 
 
@@ -155,12 +155,10 @@ def quantize(h: Classifier, bits: int) -> MLPClassifier:
     weights = []
     for W, b in h.weights:
         wmax = np.abs(W).max()
-        if wmax == 0.0:
-            weights.append((W.copy(), b.copy()))
-            continue
-        delta = 2.0 * wmax / (levels - 1)
-        q = np.clip(np.round((W + wmax) / delta), 0, levels - 1) * delta - wmax
-        weights.append((q, b.copy()))
+        if wmax != 0.0:
+            delta = 2.0 * wmax / (levels - 1)
+            W = np.clip(np.round((W + wmax) / delta), 0, levels - 1) * delta - wmax
+        weights.append((W, b))
     tag = TaskTag("quantize", {"bits": int(bits)})
     return h.clone(h.identity + COPY_NAMES["quantize"](tag.params), weights=weights, tag=tag)
 
@@ -224,7 +222,7 @@ def extract_job(
     X = query_pool.points
     victim_labels = h_victim.predict(X)
     tag = TaskTag(method, {"pool_size": len(query_pool), "seed": int(seed)})
-    ds = LabeledDataset(X, victim_labels, h_victim.num_classes, np.full(len(X), "train"))
+    ds = LabeledDataset(X, victim_labels, h_victim.num_classes)
 
     if mode == "probits":
         kl_cfg = replace(cfg, loss="distillation-kl")
@@ -249,9 +247,7 @@ def extract_job(
     U = AdversarialSampler().perturb(interim, query_pool, X[idx])
     aug_X = np.concatenate([X, U], axis=0)
     aug_y = np.concatenate([victim_labels, h_victim.predict(U)])
-    aug = LabeledDataset(
-        aug_X, aug_y, h_victim.num_classes, np.full(len(aug_X), "train")
-    )
+    aug = LabeledDataset(aug_X, aug_y, h_victim.num_classes)
     rest_cfg = replace(cfg, epochs=max(1, cfg.epochs - warmup))
     tag = TaskTag(
         method,

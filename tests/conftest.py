@@ -64,12 +64,8 @@ def desk_benchmark():
 def make_indexed_dataset(labels, num_classes):
     """Dataset whose points are 1-d indices 0..n-1; handy for constructed pairs."""
     labels = np.asarray(labels, dtype=np.int64)
-    n = labels.size
     return mp.LabeledDataset(
-        np.arange(n, dtype=np.float64).reshape(-1, 1),
-        labels,
-        num_classes,
-        np.full(n, "test"),
+        np.arange(labels.size, dtype=np.float64).reshape(-1, 1), labels, num_classes
     )
 
 

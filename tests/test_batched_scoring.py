@@ -146,8 +146,7 @@ def cells(draw):
     acts = st.sampled_from(["relu", "tanh"])
     arch_a = ((d, draw(st.integers(1, 8)), C), draw(acts))
     arch_b = ((d, draw(st.integers(1, 8)), draw(st.integers(1, 8)), C), draw(acts))
-    pool = mp.LabeledDataset(rng.normal(0.0, 2.0, (60, d)), rng.integers(1, C + 1, 60), C,
-                             np.full(60, "test"))
+    pool = mp.LabeledDataset(rng.normal(0.0, 2.0, (60, d)), rng.integers(1, C + 1, 60), C)
     victim = random_mlp(rng, *arch_a, "victim")
     scheme = FingerprintScheme(spec)
     qs = scheme.query_set(victim, pool, int(rng.integers(0, 1000)))

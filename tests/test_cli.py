@@ -262,6 +262,25 @@ class TestEvaluate:
             "budget"
         ] == 20
 
+    def test_another_schemes_report_is_not_overwritten(self, workspace, tmp_path, capsys):
+        """A label leaves out the sampler's params, so these two would share one report file."""
+        out = tmp_path / "reports"
+
+        def run(steps):
+            path = tmp_path / f"adv{steps}.json"
+            spec = SchemeSpec(sampler=AdversarialSampler(steps=steps),
+                              representation="raw_probits", budget=8)
+            path.write_text(json.dumps(spec.to_record()))
+            return main(["evaluate", "--benchmark", str(workspace / "bench"),
+                         "--scheme", str(path), "--runs", "1", "--out", str(out)])
+
+        report = out / "evaluate_adversarial-raw_probits-quantile@8.json"
+        assert run(2) == 0
+        assert run(40) == 2
+        assert f"{report} holds no report of this scheme" in capsys.readouterr().err
+        assert json.loads(report.read_text())["scheme"]["sampler"]["steps"] == 2
+        assert run(2) == 0
+
     def test_corrupt_manifest_exit_code(self, workspace, tmp_path, capsys):
         bad_dir = tmp_path / "corrupt"
         bad_dir.mkdir()
@@ -414,7 +433,8 @@ class TestSweep:
         for name in ("baseline.json", "uniform.json"):
             spec = SchemeSpec.from_record(json.loads((workspace / name).read_text()))
             sweep = mp.budget_sweep(spec, bench, [8, 16], n_runs=2, seed=0)
-            expected += [",".join(map(str, (spec.label(), *row))) for row in sweep.csv_rows()]
+            expected += [",".join(map(str, (spec.label(), *row)))
+                         for r in sweep.reports.values() for row in r.csv_rows()]
         assert (out / "sweep.csv").read_bytes() == "".join(f"{e}\n" for e in expected).encode()
 
     def test_schemes_sharing_a_label_are_refused(self, workspace, tmp_path, capsys):

@@ -33,7 +33,7 @@ class TestAccuracy:
         pts = grid_points()
         model = LinearClassifier(W=[[1.0, 0.0], [-1.0, 0.0]])
         concept = np.array([1 if x1 + x2 > 0 else 2 for x1, x2 in pts], np.int64)
-        data = mp.LabeledDataset(pts, concept, 2, np.full(9, "test"))
+        data = mp.LabeledDataset(pts, concept, 2)
 
         expected_hits = 0
         for (x1, x2), c in zip(pts, concept):
@@ -42,7 +42,7 @@ class TestAccuracy:
         assert mp.accuracy(model, data) == expected_hits / 9
 
     def test_empty_dataset_rejected(self):
-        data = mp.LabeledDataset(np.empty((0, 1)), [], 2, [])
+        data = mp.LabeledDataset(np.empty((0, 1)), [], 2)
         h = indexed_classifier([1], 2)
         with pytest.raises(EmptyEvaluationSet):
             mp.accuracy(h, data)
@@ -209,11 +209,11 @@ class TestClassifierContract:
 class TestLabeledDataset:
     def test_validates_label_range(self):
         with pytest.raises(ValueError):
-            mp.LabeledDataset([[0.0]], [3], 2, ["test"])
+            mp.LabeledDataset([[0.0]], [3], 2)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            mp.LabeledDataset([[0.0], [1.0]], [1], 2, ["test", "test"])
+            mp.LabeledDataset([[0.0], [1.0]], [1], 2)
 
     def test_csv_round_trip_preserves_order_and_values(self, quick_task, tmp_path):
         train, test = quick_task
@@ -221,30 +221,26 @@ class TestLabeledDataset:
             np.concatenate([train.points, test.points]),
             np.concatenate([train.labels, test.labels]),
             train.num_classes,
-            np.concatenate([train.split, test.split]),
         )
         path = tmp_path / "task.csv"
         combined.to_csv(path)
         loaded = mp.LabeledDataset.from_csv(path, num_classes=combined.num_classes)
         np.testing.assert_array_equal(loaded.points, combined.points)
         np.testing.assert_array_equal(loaded.labels, combined.labels)
-        np.testing.assert_array_equal(loaded.split, combined.split)
-        assert loaded.subset("train").points.shape == train.points.shape
 
     @pytest.mark.parametrize(
         "data, message",
         [
-            (b"", "expected trailing 'label,split' columns"),
-            (b"x_1,x_2,label\n0,1,2\n", "expected trailing 'label,split' columns"),
-            (b"x_1,x_2,label,split\n0,1,2\n", "index out of range"),
-            (b"x_1,x_2,label,split\n0,one,2,test\n", "could not convert string to float"),
-            (b"x_1,x_2,label,split\n0,1,2.5,test\n", "invalid literal for int()"),
-            (b"x_1,x_2,label,split\n0,1,0,test\n", "labels must lie in 1.."),
-            (b"x_1,x_2,label,split\n0,1,2,dev\n", "split tags must be 'train' or 'test'"),
+            (b"", "expected a trailing 'label' column"),
+            (b"x_1,x_2,label,split\n0,1,2,test\n", "expected a trailing 'label' column"),
+            (b"x_1,x_2,label\n0,1\n", "index out of range"),
+            (b"x_1,x_2,label\n0,one,2\n", "could not convert string to float"),
+            (b"x_1,x_2,label\n0,1,2.5\n", "invalid literal for int()"),
+            (b"x_1,x_2,label\n0,1,0\n", "labels must lie in 1.."),
             (b"\x80\x81", "can't decode byte 0x80"),
         ],
-        ids=["empty", "no-split-column", "short-row", "text-coordinate", "fractional-label",
-             "label-out-of-range", "unknown-split", "not-utf-8"],
+        ids=["empty", "old-split-column", "short-row", "text-coordinate", "fractional-label",
+             "label-out-of-range", "not-utf-8"],
     )
     def test_unreadable_csv_is_corrupt_dataset(self, data, message, tmp_path):
         path = tmp_path / "task.csv"

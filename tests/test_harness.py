@@ -553,6 +553,13 @@ class TestRocCurve:
                     best = max(best, tpr)
             assert tpr_at_fpr(curve, 0.05) == best
 
+    @pytest.mark.parametrize("fpr_cap", [float("nan"), -0.1, 1.5])
+    def test_cap_outside_unit_interval_rejected(self, fpr_cap):
+        curve = RocCurve(((0.0, 0.0), (0.0, 1.0), (1.0, 1.0)), 1.0)
+        message = f"fpr_cap must lie in [0, 1], got {fpr_cap}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tpr_at_fpr(curve, fpr_cap)
+
 
 def reference_tpr_fpr_at_threshold(
     scores, threshold: float, victims=None
@@ -963,7 +970,7 @@ class TestBudgetSweep:
             cell_callback=lambda budget, report: seen.append(budget),
         )
         assert seen == [10, 20]
-        rows = sweep.csv_rows()
+        rows = [row for r in sweep.reports.values() for row in r.csv_rows()]
         assert {r[1] for r in rows} == {10, 20}
 
     def test_partial_grid_on_infeasible_budget(self, mini_benchmark):
@@ -998,6 +1005,13 @@ class TestDistanceReport:
         report = pair_distance_report(mini_benchmark)
         assert report.groups["label_extraction"]["mean"] > report.groups["same"]["mean"]
         assert report.groups["unrelated"]["mean"] > report.groups["quantize"]["mean"]
+
+    def test_unknown_split_rejected(self, mini_benchmark):
+        message = "split must be one of ('train', 'test'), got 'dev'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pair_distance_report(mini_benchmark, "dev")
+        with pytest.raises(ValueError, match="got 'validation'"):
+            mini_benchmark.victims[0].data("validation")
 
     def test_csv_export(self, mini_benchmark, tmp_path):
         report = pair_distance_report(mini_benchmark)

@@ -127,7 +127,7 @@ class TestAdversarial:
         W = np.array([[1.0, 0.3], [-1.0, -0.3]])
         model = LinearClassifier(W=W, identity="margin")
         x = np.array([[0.5, 0.0]])
-        pool = mp.LabeledDataset(x, [1], 2, ["test"])
+        pool = mp.LabeledDataset(x, [1], 2)
         gap = (W[0] - W[1]) @ x[0]  # logit_1 - logit_2 at the seed point
         l1 = np.abs(W[1] - W[0]).sum()
         for eps in (0.2, 0.6):

@@ -106,7 +106,7 @@ class TestBaseline:
             assert flag == 0 and match == 0.0
 
     def test_empty_data_rejected(self):
-        data = mp.LabeledDataset(np.empty((0, 1)), [], 2, [])
+        data = mp.LabeledDataset(np.empty((0, 1)), [], 2)
         h = indexed_classifier([1], 2)
         with pytest.raises(InsufficientNegatives):
             mistake_match_test(h, h, data, 1, 0)

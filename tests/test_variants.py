@@ -24,6 +24,8 @@ from modelprint.tinylearn import (
     SyntheticTaskSpec,
     TrainConfig,
     continue_training,
+    load_weights,
+    save_weights,
     train,
 )
 from modelprint.variants import (
@@ -183,7 +185,7 @@ class TestExtraction:
         assert 1.0 - mp.hamming_distance(quick_model, substitute, test_ds) > 0.6
 
     def test_empty_pool_rejected(self, quick_model):
-        empty = mp.LabeledDataset(np.empty((0, 4)), [], 3, [])
+        empty = mp.LabeledDataset(np.empty((0, 4)), [], 3)
         with pytest.raises(EmptyQueryPool):
             extract(quick_model, empty, QUICK_ARCH, QUICK_CFG, "labels")
 
@@ -229,6 +231,16 @@ class TestNonMutation:
         same_copy(quick_model)
         ProbitPerturbation(quick_model, scale=2.0).probits(probe)
         assert output_hash(quick_model, probe) == before
+
+    def test_copies_own_read_only_weights(self, quick_model, tmp_path):
+        save_weights(quick_model, tmp_path / "victim.mpw")
+        copies = [same_copy(quick_model), prune(quick_model, 0.4), quantize(quick_model, 3),
+                  load_weights(tmp_path / "victim.mpw")]
+        for copy in copies:
+            for (W, b), (W0, b0) in zip(copy.weights, quick_model.weights):
+                for a, a0 in ((W, W0), (b, b0)):
+                    assert a.flags.owndata and not a.flags.writeable, copy.identity
+                    assert not np.shares_memory(a, a0), copy.identity
 
 
 class TestOutputNoise:
@@ -287,7 +299,7 @@ def reference_adversarial_extract(h_victim, query_pool, arch, cfg, seed=0, n_adv
     identity = f"{h_victim.identity}#adversarial_labels-x{seed}"
     X = query_pool.points
     victim_labels = h_victim.predict(X)
-    ds = LabeledDataset(X, victim_labels, h_victim.num_classes, np.full(len(X), "train"))
+    ds = LabeledDataset(X, victim_labels, h_victim.num_classes)
     warmup = max(1, cfg.epochs // 2)
     s_warm, s_rest = (
         int(v) for v in np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
@@ -306,7 +318,7 @@ def reference_adversarial_extract(h_victim, query_pool, arch, cfg, seed=0, n_adv
     )
     aug_X = np.concatenate([X, U], axis=0)
     aug_y = np.concatenate([victim_labels, h_victim.predict(U)])
-    aug = LabeledDataset(aug_X, aug_y, h_victim.num_classes, np.full(len(aug_X), "train"))
+    aug = LabeledDataset(aug_X, aug_y, h_victim.num_classes)
     rest_cfg = replace(cfg, epochs=max(1, cfg.epochs - warmup))
     tag = TaskTag(
         "adversarial_label_extraction",
