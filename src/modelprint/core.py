@@ -51,7 +51,9 @@ class Classifier(abc.ABC):
     checks labels against ``{1..C}``, calls a subclass hook (``_logits``, ``_probits``,
     ``_predict``, ``_input_gradient``, ``_xent_input_gradient``) and raises
     ``NonFiniteAnswer`` on a NaN or inf answer.  Top-k ties are broken by ascending
-    label index, and repeated queries on the same input return identical answers.
+    label index.  Repeated queries on the same batch return identical answers, but a
+    point answered in another batch may differ in its last bits: BLAS treats a row by
+    where it falls in the batch, and numpy sends a one-row product through gemv.
     """
 
     def __init__(
@@ -92,10 +94,13 @@ class Classifier(abc.ABC):
 
     # -- queries -----------------------------------------------------------
 
-    def predict(self, X) -> np.ndarray:
-        """Labels in ``{1..C}`` for a batch of points, shape ``(n,)``."""
+    def predict(self, X, blocks: int = 1) -> np.ndarray:
+        """Labels in ``{1..C}`` for a batch of points, shape ``(n,)``.
+
+        ``X`` may hold ``blocks`` equal query sets, each answered bit for bit as if alone.
+        """
         self._require(Access.LABELS, "label queries")
-        return self._predict(self._as_batch(X))
+        return self._blocks(self._predict, self._as_batch(X), blocks)
 
     def label(self, x) -> int:
         """Label of a single point."""
@@ -111,10 +116,13 @@ class Classifier(abc.ABC):
             raise BadClass(f"k must be in 1..{self.num_classes}, got {k}")
         return self._top_k(self._as_batch(X), k)
 
-    def probits(self, X) -> np.ndarray:
-        """Probability vectors, shape ``(n, C)``; rows are >= 0 and sum to 1."""
+    def probits(self, X, blocks: int = 1) -> np.ndarray:
+        """Probability vectors, shape ``(n, C)``; rows are >= 0 and sum to 1.
+
+        ``blocks`` is as in ``predict``.
+        """
         self._require(Access.PROBITS, "probit queries")
-        return self._finite(self._probits(self._as_batch(X)), "probits")
+        return self._finite(self._blocks(self._probits, self._as_batch(X), blocks), "probits")
 
     def logits(self, X) -> np.ndarray:
         """Raw logits, shape ``(n, C)``; same access level as probits."""
@@ -143,6 +151,20 @@ class Classifier(abc.ABC):
             raise BadClass(f"class index {labels[bad][0]} out of range 1..{self.num_classes}")
         return labels
 
+    # True where the hooks answer a stack (blocks, n, d) with one BLAS product per block
+    _stacks_blocks = False
+
+    def _blocks(self, hook, X: np.ndarray, blocks: int) -> np.ndarray:
+        """``hook``'s answers to ``blocks`` equal row blocks of ``X``, each as if it were alone."""
+        if blocks == 1:
+            return hook(X)
+        if blocks < 1 or len(X) % blocks:
+            raise ValueError(f"{len(X)} points do not split into {blocks} equal blocks")
+        if not self._stacks_blocks:
+            return np.concatenate([hook(x) for x in np.split(X, blocks)])
+        out = hook(X.reshape(blocks, -1, X.shape[1]))
+        return out.reshape(len(X), *out.shape[2:])
+
     def _finite(self, A: np.ndarray, what: str) -> np.ndarray:
         """``A``, or ``NonFiniteAnswer`` if any entry is NaN or inf."""
         if not np.isfinite(A).all():
@@ -153,7 +175,7 @@ class Classifier(abc.ABC):
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         # argmax picks the lowest index on ties, matching the top-k rule
-        return np.argmax(self._finite(self._probits(X), "probits"), axis=1).astype(np.int64) + 1
+        return np.argmax(self._finite(self._probits(X), "probits"), axis=-1).astype(np.int64) + 1
 
     def _top_k(self, X: np.ndarray, k: int) -> np.ndarray:
         P = self._finite(self._probits(X), "probits")
@@ -297,16 +319,18 @@ class LabeledDataset:
                 header = next(reader, [])
                 if header[-1:] != ["label"]:
                     raise ValueError("expected a trailing 'label' column")
-                dim = len(header) - 1
                 for row in reader:
-                    pts.append([float(v) for v in row[:dim]])
-                    labels.append(int(row[dim]))
+                    if len(row) != len(header):
+                        raise ValueError(f"line {reader.line_num}: {len(row)} fields, "
+                                         f"the header has {len(header)}")
+                    pts.append([float(v) for v in row[:-1]])
+                    labels.append(int(row[-1]))
             labels = np.asarray(labels, dtype=np.int64)
             if num_classes is None:
                 num_classes = int(labels.max()) if labels.size else 2
             return LabeledDataset(np.asarray(pts), labels, num_classes)
-        # a bad header or short row, a non-number, a label out of range, non-UTF-8 bytes
-        except (IndexError, ValueError) as err:
+        # a bad header, a row of another length, a non-number, a bad label, non-UTF-8 bytes
+        except ValueError as err:
             raise CorruptDataset(f"{path}: {err}") from err
 
 

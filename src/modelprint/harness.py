@@ -691,9 +691,12 @@ def evaluate(
     Victims whose sampler is infeasible at ``spec.budget``, or that answer with
     NaN or inf, are skipped (logged, not fatal).  Two aggregates are
     reported per run and labeled explicitly: the mean of per-task TPRs and
-    the TPR of all pairs pooled across tasks.  The (run, victim) cells are
-    scored in this process whatever ``workers`` says.  The parameter stays
-    because ``perfbench/workloads.py`` passes it and the benchmark tracer's
+    the TPR of all pairs pooled across tasks.  Each suspect answers all of a
+    victim's (run, victim) cells in one query, bit for bit as one cell at a
+    time, so one victim's answers are held at a time; see
+    ``FingerprintScheme.cell_distances``.  Cells are scored in this process
+    whatever ``workers`` says.  The parameter stays because
+    ``perfbench/workloads.py`` passes it and the benchmark tracer's
     ``_evaluate_hook`` reads it.
     """
     if seed < 0:
@@ -711,25 +714,27 @@ def evaluate(
     skipped: list[dict] = []
     per_task = {t: [] for t in tasks}
     pooled = []
-    for run, rseed in enumerate(run_seeds):
-        run_scores = []
-        for vi, victim in enumerate(benchmark.victims):
-            vid = victim.model.identity
+    for vi, victim in enumerate(benchmark.victims):
+        vid = victim.model.identity
+        cells = {}
+        for run, rseed in enumerate(run_seeds):
             # only a failure in sampling or in the victim's fingerprint skips the cell
             try:
                 qs = scheme.query_set(victim.model, victim.data(spec.seed_split),
                                       derive_seed(rseed, STREAM_QUERY, vi))
-                fp_v = scheme.fingerprint(victim.model, qs)
+                cells[run] = (scheme.fingerprint(victim.model, qs), qs)
             except ModelprintError as err:
                 log.warning("skipping victim %s in run %d: %s", vid, run, err.code)
                 skipped.append({"run": run, "victim": vid, "error": err.code, "detail": str(err)})
-                continue
-            suspects = benchmark.stolen[vid] + benchmark.unrelated[vid]
-            dists = scheme.distances(fp_v, [model for model, _ in suspects], qs)
-            run_scores += [PairScore(run, vid, model.identity, tag.method, tag.is_positive, -dist)
-                           for (model, tag), dist in zip(suspects, dists)]
-        run_scores.sort(key=lambda s: (s.victim, s.suspect))
-        scores += run_scores
+        suspects = benchmark.stolen[vid] + benchmark.unrelated[vid]
+        dists = scheme.cell_distances(list(cells.values()), [m for m, _ in suspects])
+        for run, run_dists in zip(cells, dists):
+            scores += [PairScore(run, vid, model.identity, tag.method, tag.is_positive, -dist)
+                       for (model, tag), dist in zip(suspects, run_dists)]
+    scores.sort(key=lambda s: (s.run, s.victim, s.suspect))
+    skipped.sort(key=lambda s: s["run"])
+    for run in range(n_runs):
+        run_scores = [s for s in scores if s.run == run]
         negatives = [s for s in run_scores if not s.positive]
         run_victims = sorted({s.victim for s in run_scores})
         if not run_victims or not negatives:

@@ -135,36 +135,50 @@ class FingerprintScheme:
     ) -> QuerySet:
         return self.spec.sampler.sample(seed_set, victim, self.spec.budget, seed)
 
-    def _answers(self, model: Classifier, qs: QuerySet) -> np.ndarray:
+    def _answers(self, model: Classifier, X: np.ndarray, blocks: int = 1) -> np.ndarray:
         if self.spec.needs_probits:
-            return model.probits(qs.points)
-        return model.predict(qs.points)
+            return model.probits(X, blocks)
+        return model.predict(X, blocks)
 
     def fingerprint(self, model: Classifier, qs: QuerySet) -> Fingerprint:
         return represent(
             qs,
-            self._answers(model, qs),
+            self._answers(model, qs.points),
             self.spec.representation,
             self.spec.inner_distance,
         )
+
+    def cell_distances(self, cells: list, models) -> list[list[float]]:
+        """``distances(fp, models, qs)`` for each ``(fp, qs)`` cell of a victim fingerprint.
+
+        Each model answers all cells of one size in one query, as ``blocks``, bit for bit
+        as one cell at a time; the answers to every cell are held at once.
+        """
+        by_size: dict[int, list[int]] = {}
+        for i, (_, qs) in enumerate(cells):
+            by_size.setdefault(qs.size, []).append(i)
+        queries = [(g, np.concatenate([cells[i][1].points for i in g])) for g in by_size.values()]
+        answers = [[] for _ in cells]
+        for model in models:
+            for group, X in queries:
+                A = self._answers(model, X, len(group))
+                for i, a in zip(group, A.reshape(len(group), -1, *A.shape[1:])):
+                    answers[i].append(a)
+        return [fingerprint_distances(fp, qs, a, self.spec.representation,
+                                      self.spec.inner_distance)
+                for (fp, qs), a in zip(cells, answers)]
 
     def distances(self, victim, models, qs: QuerySet) -> list[float]:
         """Fingerprint distance from the victim to each model on one query set.
 
         ``victim`` is the victim's fingerprint on ``qs`` or the victim itself.
-        Each model answers through its own query method, and the answers are
-        represented and compared as arrays; each distance is bit-equal to
+        This is ``cell_distances``' one-cell case: each model answers ``qs`` in
+        one query of its own, and each distance is bit-equal to
         ``fingerprint_distance(victim, self.fingerprint(model, qs))``.
         """
         if not isinstance(victim, Fingerprint):
             victim = self.fingerprint(victim, qs)
-        return fingerprint_distances(
-            victim,
-            qs,
-            [self._answers(m, qs) for m in models],
-            self.spec.representation,
-            self.spec.inner_distance,
-        )
+        return self.cell_distances([(victim, qs)], models)[0]
 
     def score(
         self,

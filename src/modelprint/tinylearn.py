@@ -352,6 +352,8 @@ class MLPClassifier(Classifier):
             train_loss=self.train_loss,
         )
 
+    _stacks_blocks = True  # _forward and softmax broadcast over a leading block axis
+
     def _logits(self, X: np.ndarray) -> np.ndarray:
         _, logits = _forward(self.weights, self.spec.activation, X)
         return logits
@@ -393,6 +395,8 @@ class LinearClassifier(Classifier):
         super().__init__(identity, W.shape[0], W.shape[1], Access.GRADIENTS, tag=tag)
         self.W = W
         self.b = b
+
+    _stacks_blocks = True  # the product and softmax broadcast over a leading block axis
 
     def _logits(self, X: np.ndarray) -> np.ndarray:
         return X @ self.W.T + self.b

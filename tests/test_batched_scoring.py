@@ -6,9 +6,16 @@ per-model payload code ``represent`` used to hold, and compare with the
 per-fingerprint distance.  Both are kept here, so the public ``represent``
 and ``fingerprint_distance`` (now K=1 callers of the stacked functions)
 are checked against them too.
+
+``evaluate`` has each suspect answer all of a victim's runs in one query.
+Its oracle is the runs-first loop it replaced, with one ``distances`` call
+per (run, victim) cell.  That relies on ``probits(X, blocks)`` and
+``predict(X, blocks)`` answering each block bit for bit as if it were
+queried alone, which is checked here as well.
 """
 
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,14 +25,31 @@ from hypothesis import strategies as st
 
 import modelprint as mp
 from modelprint.core import Access
-from modelprint.errors import AccessInsufficient, IncomparableFingerprints, NonFiniteAnswer
+from modelprint.errors import (
+    AccessInsufficient,
+    IncomparableFingerprints,
+    ModelprintError,
+    NonFiniteAnswer,
+)
 from modelprint.fingerprints import KINDS, fingerprint_distance, represent
-from modelprint.harness import evaluate
-from modelprint.samplers import Subsampler, UniformSampler
+from modelprint.harness import (
+    DESK_ARCH,
+    STREAM_QUERY,
+    BenchmarkTriplet,
+    EvalReport,
+    PairScore,
+    Victim,
+    _mean_std,
+    derive_seed,
+    evaluate,
+    roc_curve,
+    tpr_at_fpr,
+)
+from modelprint.samplers import NegativeSampler, Subsampler, UniformSampler
 from modelprint.schemes import FingerprintScheme, SchemeSpec
 from modelprint.tinylearn import MLPSpec, init_weights
 
-from conftest import nan_copy, reference_cosine_distance
+from conftest import QUICK_TASK, nan_copy, reference_cosine_distance
 
 
 def reference_payload(qs, answers, kind, inner):
@@ -170,9 +194,9 @@ class TestMatchesOneModelAtATime:
         kind, inner = spec.representation, spec.inner_distance
         # the public per-fingerprint functions, K=1 callers of the stacked ones
         assert fp_v.payload.tobytes() == reference_payload(
-            qs, scheme._answers(victim, qs), kind, inner).tobytes()
+            qs, scheme._answers(victim, qs.points), kind, inner).tobytes()
         one_at_a_time = [
-            fingerprint_distance(fp_v, represent(qs, scheme._answers(m, qs), kind, inner))
+            fingerprint_distance(fp_v, represent(qs, scheme._answers(m, qs.points), kind, inner))
             for m in models
         ]
         assert bits(one_at_a_time) == bits(want)
@@ -263,3 +287,191 @@ class TestErrorSemantics:
             with pytest.raises((NonFiniteAnswer, AccessInsufficient),
                                match=re.escape(bad.identity)):
                 evaluate(PROBIT_SPEC, bench, n_runs=1, compute_pair_stats=False)
+
+
+def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
+    """``evaluate`` without pair statistics, as it was before suspects answered per victim.
+
+    Runs come first, and each (run, victim) cell makes its own ``distances`` call.
+    """
+    scheme = FingerprintScheme(spec)
+    tasks = bench.tasks
+    scores, skipped, per_task, pooled = [], [], {t: [] for t in tasks}, []
+    for run in range(n_runs):
+        run_scores = []
+        for vi, victim in enumerate(bench.victims):
+            vid = victim.model.identity
+            try:
+                qs = scheme.query_set(victim.model, victim.data(spec.seed_split),
+                                      derive_seed(seed + run, STREAM_QUERY, vi))
+                fp_v = scheme.fingerprint(victim.model, qs)
+            except ModelprintError as err:
+                skipped.append({"run": run, "victim": vid, "error": err.code, "detail": str(err)})
+                continue
+            suspects = bench.stolen[vid] + bench.unrelated[vid]
+            dists = scheme.distances(fp_v, [model for model, _ in suspects], qs)
+            run_scores += [PairScore(run, vid, model.identity, tag.method, tag.is_positive, -d)
+                           for (model, tag), d in zip(suspects, dists)]
+        run_scores.sort(key=lambda s: (s.victim, s.suspect))
+        scores += run_scores
+        negatives = [s for s in run_scores if not s.positive]
+        run_victims = sorted({s.victim for s in run_scores})
+        scored = bool(run_victims and negatives)
+        for t in tasks:
+            subset = [s for s in run_scores if s.positive and s.task == t] + negatives
+            per_task[t].append(tpr_at_fpr(roc_curve(subset, run_victims), fpr_cap)
+                               if scored else 0.0)
+        pooled.append(tpr_at_fpr(roc_curve(run_scores, run_victims), fpr_cap) if scored else 0.0)
+    mean_over_tasks = [float(np.mean([per_task[t][r] for t in tasks])) for r in range(n_runs)]
+    first = bench.victims[0]
+    return EvalReport(
+        scheme=spec.to_record(),
+        budget=spec.budget,
+        n_runs=n_runs,
+        run_seeds=tuple(seed + r for r in range(n_runs)),
+        fpr_cap=fpr_cap,
+        per_task={t: _mean_std(v) for t, v in per_task.items()},
+        aggregate={"mean_over_tasks": _mean_std(mean_over_tasks),
+                   "pooled_pairs": _mean_std(pooled)},
+        scores=tuple(scores),
+        pair_statistics={},
+        skipped=tuple(skipped),
+        model_scale={
+            "layer_widths": list(first.model.spec.layer_widths),
+            "n_params": first.model.n_params,
+            "n_victims": len(bench.victims),
+            "n_train": len(first.train_data),
+            "n_test": len(first.test_data),
+        },
+        run_config={"scheme": spec.to_record(), "budget": spec.budget, "n_runs": n_runs,
+                    "seed": seed, "fpr_cap": fpr_cap},
+    )
+
+
+STOLEN_METHODS = ("same", "prune", "quantize", "finetune", "label_extraction")
+BENCH_SUSPECT_KINDS = ("mlp_a", "mlp_b", "linear", "lookup", "noise")
+
+
+@st.composite
+def benchmarks(draw):
+    """A scheme, an untrained benchmark with mixed suspects, a run count and a root seed.
+
+    One victim may answer NaN, and each victim misclassifies its own number of
+    pool points, so a negative-sampling budget can be out of reach for some.
+    """
+    kind = draw(st.sampled_from(KINDS))
+    inner = draw(st.sampled_from(["cosine", "labels"]))
+    sampler = Subsampler(k_variants=1) if kind == "pairwise" else draw(
+        st.sampled_from([UniformSampler(), NegativeSampler(), Subsampler(k_variants=1)]))
+    budget = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 13]))
+    if isinstance(sampler, Subsampler):
+        budget += budget % 2
+    spec = SchemeSpec(sampler=sampler, representation=kind, inner_distance=inner, budget=budget)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a layer of 16 or more inputs into 1-3 (mod 8) outputs is one where OpenBLAS answers
+    # a row by where it falls in the batch
+    d, C = draw(st.integers(1, 8)), draw(st.sampled_from([2, 3, 4, 5]))
+    widths = st.sampled_from([2, 5, 8, 16, 19, 24])
+    acts = st.sampled_from(["relu", "tanh"])
+    arch_a = ((d, draw(widths), C), draw(acts))
+    arch_b = ((d, draw(widths), draw(widths), C), draw(acts))
+    n_victims, n_stolen = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    nan_victim = draw(st.integers(-1, n_victims - 1))  # -1: every victim answers
+    victims, stolen, unrelated = [], {}, {}
+    for v in range(n_victims):
+        model = random_mlp(rng, *arch_a, f"victim-{v}")
+        points = rng.normal(0.0, 2.0, (30, d))
+        labels = model.predict(points)
+        wrong = rng.choice(30, draw(st.integers(0, 10)), replace=False)
+        labels[wrong] = labels[wrong] % C + 1
+        pool = mp.LabeledDataset(points, labels, C)
+        if v == nan_victim:
+            model = nan_copy(model)
+        victims.append(Victim(model, pool, pool, QUICK_TASK))
+
+        def suspects(kinds, prefix):
+            out = []
+            for i, k in enumerate(kinds):
+                name = f"{model.identity}-{prefix}{i}"
+                if k == "lookup" and isinstance(sampler, Subsampler):
+                    k = "linear"  # vicinity points lie outside the lookup table
+                if k == "mlp_a":
+                    out.append(random_mlp(rng, *arch_a, name))
+                elif k == "mlp_b":
+                    out.append(random_mlp(rng, *arch_b, name))
+                elif k == "linear":
+                    out.append(mp.LinearClassifier(rng.normal(0.0, 2.0, (C, d)),
+                                                   rng.normal(0.0, 1.0, C), name))
+                elif k == "lookup":
+                    out.append(mp.LookupClassifier(points, rng.integers(1, C + 1, 30), C, name))
+                else:
+                    noisy = random_mlp(rng, *arch_a, name)
+                    out.append(mp.ProbitPerturbation(noisy, 0.5, seed=i) if spec.needs_probits
+                               else mp.TopKOnly(noisy, 1))
+            return out
+
+        # every victim has one stolen model per task, as in a built benchmark
+        kinds = st.lists(st.sampled_from(BENCH_SUSPECT_KINDS), min_size=n_stolen,
+                         max_size=n_stolen)
+        stolen[model.identity] = tuple(
+            (m, mp.TaskTag(method))
+            for m, method in zip(suspects(draw(kinds), "s"), STOLEN_METHODS))
+        kinds = st.lists(st.sampled_from(BENCH_SUSPECT_KINDS), min_size=1, max_size=4)
+        unrelated[model.identity] = tuple(
+            (m, mp.TaskTag("unrelated")) for m in suspects(draw(kinds), "u"))
+    bench = BenchmarkTriplet(tuple(victims), stolen, unrelated)
+    return spec, bench, draw(st.integers(1, 4)), draw(st.integers(0, 100))
+
+
+class TestEvaluateAnswersPerVictim:
+    @settings(max_examples=150, deadline=None)
+    @given(case=benchmarks())
+    def test_report_bytes_equal_the_runs_first_loop(self, case):
+        spec, bench, n_runs, seed = case
+        got = evaluate(spec, bench, n_runs=n_runs, seed=seed, compute_pair_stats=False)
+        assert got.to_json() == reference_evaluate(spec, bench, n_runs, seed).to_json()
+
+    @pytest.mark.parametrize("budget", [10, 2, 1])
+    def test_each_suspect_answers_once_per_victim(self, budget, mini_benchmark, monkeypatch):
+        """Also at budget 1, where one query per run would use gemv, not gemm."""
+        spec = replace(PROBIT_SPEC, budget=budget)
+        want = reference_evaluate(spec, mini_benchmark, 5, 0).to_json()
+        calls = Counter()
+        probits = mp.Classifier.probits
+
+        def counting(self, *args):
+            calls[self.identity] += 1
+            return probits(self, *args)
+
+        monkeypatch.setattr(mp.Classifier, "probits", counting)
+        report = evaluate(spec, mini_benchmark, n_runs=5, compute_pair_stats=False)
+        assert not report.skipped and report.to_json() == want
+        victims = [v.model.identity for v in mini_benchmark.victims]
+        suspects = Counter(model.identity for vid in victims for model, _ in
+                           mini_benchmark.stolen[vid] + mini_benchmark.unrelated[vid])
+        assert calls == suspects + Counter(dict.fromkeys(victims, 5))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("widths", [DESK_ARCH.layer_widths, (4, 16, 3)],
+                             ids=["desk", "16-into-3"])
+    @pytest.mark.parametrize("blocks, size", [(5, 1), (5, 2), (3, 13), (4, 100), (2, 500)])
+    def test_blocks_answer_bit_for_bit_as_alone(self, widths, blocks, size):
+        """Stacked (MLP, linear) and block-by-block (noise wrapper) handles alike.
+
+        A 500-row block reaches OpenBLAS's threaded path.  A 16-wide layer into 3
+        classes answers a row by where it falls in one product over all rows.
+        """
+        rng = np.random.default_rng(size)
+        mlp = random_mlp(rng, widths, "relu", "mlp")
+        linear = mp.LinearClassifier(rng.normal(0.0, 2.0, (widths[-1], widths[0])))
+        X = rng.normal(0.0, 2.0, (blocks * size, widths[0]))
+        for handle in (mlp, linear, mp.ProbitPerturbation(mlp, 0.5)):
+            for query in (handle.probits, handle.predict):
+                alone = np.concatenate([query(x) for x in np.split(X, blocks)])
+                assert query(X, blocks).tobytes() == alone.tobytes()
+
+    def test_blocks_must_split_evenly(self, quick_model):
+        for blocks in (0, -1, 4):
+            with pytest.raises(ValueError, match=f"10 points do not split into {blocks} equal"):
+                quick_model.probits(np.zeros((10, 4)), blocks)

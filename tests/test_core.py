@@ -233,14 +233,15 @@ class TestLabeledDataset:
         [
             (b"", "expected a trailing 'label' column"),
             (b"x_1,x_2,label,split\n0,1,2,test\n", "expected a trailing 'label' column"),
-            (b"x_1,x_2,label\n0,1\n", "index out of range"),
+            (b"x_1,x_2,label\n0,1\n", "line 2: 2 fields, the header has 3"),
+            (b"x_1,x_2,label\n0,1,2\n0,1,2,7\n", "line 3: 4 fields, the header has 3"),
             (b"x_1,x_2,label\n0,one,2\n", "could not convert string to float"),
             (b"x_1,x_2,label\n0,1,2.5\n", "invalid literal for int()"),
             (b"x_1,x_2,label\n0,1,0\n", "labels must lie in 1.."),
             (b"\x80\x81", "can't decode byte 0x80"),
         ],
-        ids=["empty", "old-split-column", "short-row", "text-coordinate", "fractional-label",
-             "label-out-of-range", "not-utf-8"],
+        ids=["empty", "old-split-column", "short-row", "long-row", "text-coordinate",
+             "fractional-label", "label-out-of-range", "not-utf-8"],
     )
     def test_unreadable_csv_is_corrupt_dataset(self, data, message, tmp_path):
         path = tmp_path / "task.csv"

@@ -713,10 +713,10 @@ def count_split_predicts(monkeypatch, bench):
     splits = [v.test_data.points for v in bench.victims]
     original = Classifier.predict
 
-    def counting(self, X):
+    def counting(self, X, *args):
         if any(X is points for points in splits):
             counts[self.identity] += 1
-        return original(self, X)
+        return original(self, X, *args)
 
     monkeypatch.setattr(Classifier, "predict", counting)
     return counts
