@@ -136,12 +136,13 @@ class Classifier(abc.ABC):
         (label,) = self._labels(label)
         return self._finite(self._input_gradient(x, int(label)), "input gradients")
 
-    def xent_input_gradient(self, X, labels) -> np.ndarray:
-        """Per-point input gradient of cross-entropy against ``labels``, shape ``(n, d)``."""
+    def xent_input_gradient(self, X, labels, blocks: int = 1) -> np.ndarray:
+        """Per-point input gradient of cross-entropy against ``labels``, shape ``(n, d)``;
+        ``blocks`` is as in ``predict``, with ``labels`` split alongside ``X``."""
         self._require(Access.GRADIENTS, "gradient queries")
-        X = self._as_batch(X)
-        labels = self._labels(labels)
-        return self._finite(self._xent_input_gradient(X, labels), "input gradients")
+        X, labels = self._as_batch(X), self._labels(labels)
+        grads = self._blocks(self._xent_input_gradient, X, blocks, labels)
+        return self._finite(grads, "input gradients")
 
     def _labels(self, labels) -> np.ndarray:
         """``labels`` as an int64 vector; ``BadClass`` names the first outside 1..C."""
@@ -154,15 +155,17 @@ class Classifier(abc.ABC):
     # True where the hooks answer a stack (blocks, n, d) with one BLAS product per block
     _stacks_blocks = False
 
-    def _blocks(self, hook, X: np.ndarray, blocks: int) -> np.ndarray:
-        """``hook``'s answers to ``blocks`` equal row blocks of ``X``, each as if it were alone."""
+    def _blocks(self, hook, X: np.ndarray, blocks: int, *rows) -> np.ndarray:
+        """``hook``'s answers to ``blocks`` equal row blocks of ``X``, each as if it were alone;
+        each array in ``rows`` (one entry per point) is split into the same blocks."""
         if blocks == 1:
-            return hook(X)
+            return hook(X, *rows)
         if blocks < 1 or len(X) % blocks:
             raise ValueError(f"{len(X)} points do not split into {blocks} equal blocks")
+        split = (X.reshape(blocks, -1, X.shape[1]), *(r.reshape(blocks, -1) for r in rows))
         if not self._stacks_blocks:
-            return np.concatenate([hook(x) for x in np.split(X, blocks)])
-        out = hook(X.reshape(blocks, -1, X.shape[1]))
+            return np.concatenate([hook(*block) for block in zip(*split)])
+        out = hook(*split)
         return out.reshape(len(X), *out.shape[2:])
 
     def _finite(self, A: np.ndarray, what: str) -> np.ndarray:

@@ -217,9 +217,10 @@ class BenchmarkTriplet:
     def __post_init__(self):
         if not self.victims:
             raise ValueError("a benchmark needs at least one victim")
-        _refuse_repeats([v.model.identity for v in self.victims], "victim id")
-        for v in self.victims:
-            vid = v.model.identity
+        ids = [v.model.identity for v in self.victims]
+        _refuse_repeats(ids, "victim id")
+        want = {tag.method for _, tag in self.stolen.get(ids[0], ())}
+        for vid in ids:
             if not self.stolen.get(vid) or not self.unrelated.get(vid):
                 raise ValueError(f"victim {vid} needs nonempty stolen and unrelated sets")
             suspects = self.stolen[vid] + self.unrelated[vid]
@@ -230,15 +231,15 @@ class BenchmarkTriplet:
             for _, tag in self.unrelated[vid]:
                 if tag.is_positive:
                     raise ValueError(f"unrelated set of {vid} carries a positive tag")
+            if (have := {tag.method for _, tag in self.stolen[vid]}) != want:
+                raise ValueError(f"victims {ids[0]} and {vid} differ in stolen tasks: "
+                                 f"{', '.join(sorted(want ^ have))}")
 
     @property
     def tasks(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for v in self.victims:
-            for _, tag in self.stolen[v.model.identity]:
-                if tag.method not in seen:
-                    seen.append(tag.method)
-        return tuple(seen)
+        """The stolen tasks, which every victim shares, in the first victim's order."""
+        first = self.stolen[self.victims[0].model.identity]
+        return tuple(dict.fromkeys(tag.method for _, tag in first))
 
 
 def _stolen_train(tag: TaskTag, config: BenchmarkConfig) -> TrainConfig | None:
@@ -691,13 +692,11 @@ def evaluate(
     Victims whose sampler is infeasible at ``spec.budget``, or that answer with
     NaN or inf, are skipped (logged, not fatal).  Two aggregates are
     reported per run and labeled explicitly: the mean of per-task TPRs and
-    the TPR of all pairs pooled across tasks.  Each suspect answers all of a
-    victim's (run, victim) cells in one query, bit for bit as one cell at a
-    time, so one victim's answers are held at a time; see
-    ``FingerprintScheme.cell_distances``.  Cells are scored in this process
-    whatever ``workers`` says.  The parameter stays because
-    ``perfbench/workloads.py`` passes it and the benchmark tracer's
-    ``_evaluate_hook`` reads it.
+    the TPR of all pairs pooled across tasks.  Each victim's runs are drawn
+    in one ``Sampler.sample_runs`` call, and each suspect answers all of them
+    in one query (``FingerprintScheme.cell_distances``), bit for bit as one
+    (run, victim) cell at a time.  Cells are scored in this process whatever
+    ``workers`` says; perfbench passes it, and its tracer reads it.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -716,12 +715,14 @@ def evaluate(
     pooled = []
     for vi, victim in enumerate(benchmark.victims):
         vid = victim.model.identity
+        pool = victim.data(spec.seed_split)
+        seeds = [derive_seed(rseed, STREAM_QUERY, vi) for rseed in run_seeds]
+        drawn = spec.sampler.sample_runs([pool] * n_runs, victim.model, spec.budget, seeds)
         cells = {}
-        for run, rseed in enumerate(run_seeds):
-            # only a failure in sampling or in the victim's fingerprint skips the cell
-            try:
-                qs = scheme.query_set(victim.model, victim.data(spec.seed_split),
-                                      derive_seed(rseed, STREAM_QUERY, vi))
+        for run, qs in enumerate(drawn):
+            try:  # only a failure in sampling or in the victim's fingerprint skips the cell
+                if isinstance(qs, ModelprintError):
+                    raise qs
                 cells[run] = (scheme.fingerprint(victim.model, qs), qs)
             except ModelprintError as err:
                 log.warning("skipping victim %s in run %d: %s", vid, run, err.code)
@@ -858,16 +859,6 @@ class DistanceReport:
     groups: dict
     overlap: float | None
     n_undefined: int
-
-    def csv_rows(self) -> list[tuple]:
-        return [(r["victim"], r["suspect"], r["task"], r["positive"], r["delta_c"])
-                for r in self.rows]
-
-    def save_csv(self, path) -> Path:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            write_csv(fh, [("victim", "suspect", "task", "positive", "delta_c"), *self.csv_rows()])
-        return path
 
 
 def pair_distance_report(

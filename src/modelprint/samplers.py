@@ -1,8 +1,8 @@
 """Query-set samplers: uniform, negative, adversarial, subsampling, chains.
 
 A sampler turns a labeled seed pool (and, for model-aware samplers, the
-victim handle) into an ordered query set of a requested budget.  All
-samplers are pure functions of their inputs and an integer seed.
+victim handle) into an ordered query set of a requested budget, as a pure
+function of its inputs and an integer seed, for one run or many at once.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import (
     IncompatibleScheme,
     IncompatibleTask,
     InsufficientNegatives,
+    ModelprintError,
 )
 
 
@@ -67,7 +68,17 @@ class Sampler:
     def sample(
         self, seed_set: LabeledDataset, model: Classifier | None, budget: int, seed: int
     ) -> QuerySet:
-        raise NotImplementedError
+        (out,) = self.sample_runs([seed_set], model, budget, [seed])
+        if isinstance(out, ModelprintError):
+            raise out
+        return out
+
+    def sample_runs(self, pools, model: Classifier | None, budget: int, seeds) -> list:
+        """Run r's query set from ``pools[r]`` and ``seeds[r]``, or the ``ModelprintError`` that
+        ``sample``, its one-run case, raises for it alone; other errors raise.  Unless a subclass
+        stacks its runs, ``_draw(pool, model, budget, seed, memo)`` draws each, sharing ``memo``."""
+        budget, memo = _check_budget(budget), {}
+        return _each(lambda pool, seed: self._draw(pool, model, budget, seed, memo), pools, seeds)
 
     def seed_budget(self, budget: int) -> int:
         """How many seed-pool points a run at ``budget`` consumes."""
@@ -100,6 +111,17 @@ class Sampler:
         return QuerySet(points, provenance, **layout)
 
 
+def _each(run, *args) -> list:
+    """``run(*a)`` for each ``a`` in ``zip(*args)``, or the ``ModelprintError`` it raised."""
+    out = []
+    for a in zip(*args):
+        try:
+            out.append(run(*a))
+        except ModelprintError as err:
+            out.append(err)
+    return out
+
+
 def _check_budget(budget: int) -> int:
     budget = int(budget)
     if budget < 1:
@@ -113,10 +135,11 @@ class UniformSampler(Sampler):
 
     name = "uniform"
 
-    def sample(self, seed_set, model, budget, seed):
-        budget = _check_budget(budget)
-        idx, _ = self._seed_rows(len(seed_set), budget, seed)
-        return self._query_set(seed_set.points[idx], budget, seed, source_indices=idx)
+    def _draw(self, pool, model, budget, seed, memo):
+        idx, _ = self._seed_rows(len(pool), budget, seed)
+        return self._query_set(pool.points[idx], budget, seed, source_indices=idx)
+
+    sample = Sampler.sample  # the benchmark's tracer patches this name on each class
 
 
 @dataclass(frozen=True)
@@ -125,41 +148,41 @@ class NegativeSampler(Sampler):
 
     name = "negative"
 
-    def sample(self, seed_set, model, budget, seed):
-        budget = _check_budget(budget)
+    def _draw(self, pool, model, budget, seed, memo):
         if model is None:
             raise ValueError("negative sampling needs the victim model")
-        wrong = np.flatnonzero(model.predict(seed_set.points) != seed_set.labels)
+        if id(pool) not in memo:  # the victim labels each pool once per call
+            memo[id(pool)] = np.flatnonzero(model.predict(pool.points) != pool.labels)
+        wrong = memo[id(pool)]
         if wrong.size < budget:
             raise InsufficientNegatives(
-                f"victim misclassifies {wrong.size} of {len(seed_set)} pool "
+                f"victim misclassifies {wrong.size} of {len(pool)} pool "
                 f"points, budget is {budget}",
                 available=int(wrong.size),
             )
         idx, _ = self._seed_rows(wrong, budget, seed)
-        return self._query_set(seed_set.points[idx], budget, seed, source_indices=idx)
+        return self._query_set(pool.points[idx], budget, seed, source_indices=idx)
+
+    sample = Sampler.sample  # the benchmark's tracer patches this name on each class
 
 
-def projected_gradient_ascent(
-    model: Classifier,
-    X: np.ndarray,
-    labels: np.ndarray,
-    eps,
-    steps: int,
-    step_size,
-) -> np.ndarray:
+def projected_gradient_ascent(model: Classifier, X: np.ndarray, labels: np.ndarray, eps,
+                              steps: int, step_size, blocks: int = 1) -> np.ndarray:
     """Maximize cross-entropy against ``labels`` inside a per-dimension box.
 
-    Sign-gradient ascent with projection onto ``|u - x| <= eps`` (eps may
-    be a scalar or a per-dimension vector).  Starts from the clean points.
+    Sign-gradient ascent with projection onto ``|u - x| <= eps`` from the clean
+    points.  ``X`` may hold ``blocks`` equal row blocks, each ascended bit for bit as
+    if alone by one ``xent_input_gradient(U, labels, blocks)`` query per step; ``eps``
+    and ``step_size`` are scalars, per-dimension vectors or one vector per block.
     """
     X = np.asarray(X, dtype=np.float64)
-    eps = np.broadcast_to(np.asarray(eps, dtype=np.float64), (X.shape[1],))
-    step = np.broadcast_to(np.asarray(step_size, dtype=np.float64), (X.shape[1],))
+    per_block = (blocks, X.shape[1])
+    eps, step = (np.repeat(np.broadcast_to(np.asarray(v, dtype=np.float64), per_block),
+                           len(X) // blocks, axis=0) for v in (eps, step_size))
     U = X.copy()
     lo, hi = X - eps, X + eps
     for _ in range(int(steps)):
-        g = model.xent_input_gradient(U, labels)
+        g = model.xent_input_gradient(U, labels, blocks)
         U = np.clip(U + step * np.sign(g), lo, hi)
     return U
 
@@ -172,6 +195,7 @@ class AdversarialSampler(Sampler):
     its own original label h(x), inside a box of per-dimension radius
     ``eps``.  With ``eps=None`` the radius defaults to 0.1 times the
     per-dimension range of the seed pool, and the step size to eps / 8.
+    All runs ascend as one stack; a NaN or inf answer redraws them one by one.
     """
 
     eps: float | tuple[float, ...] | None = None
@@ -198,37 +222,50 @@ class AdversarialSampler(Sampler):
     def pairing_length(self, budget):
         return budget // 2
 
-    def perturb(self, model: Classifier, seed_set: LabeledDataset, X: np.ndarray) -> np.ndarray:
-        """Gradient-ascent copies of the rows of ``X`` against ``model``'s own labels.
+    def perturb(self, model: Classifier, seed_sets, X: np.ndarray) -> np.ndarray:
+        """Gradient-ascent copies of ``X``, one equal block per seed set, against ``model``'s
+        own labels, each in its set's box.  This is the one definition of the default
+        box: radius 0.1 times the set's per-dimension range, steps of eps / 8."""
+        eps = np.stack([0.1 * (s.points.max(axis=0) - s.points.min(axis=0)) if self.eps is None
+                        else np.broadcast_to(np.asarray(self.eps, dtype=np.float64), (s.dim,))
+                        for s in seed_sets])
+        n, step = len(seed_sets), (eps / 8.0 if self.step_size is None else self.step_size)
+        return projected_gradient_ascent(model, X, model.predict(X, n), eps, self.steps, step, n)
 
-        This is the one definition of the default attack box: radius 0.1
-        times ``seed_set``'s per-dimension range, steps of eps / 8.
-        """
-        if self.eps is None:
-            eps = 0.1 * (seed_set.points.max(axis=0) - seed_set.points.min(axis=0))
-        elif np.ndim(self.eps) and len(self.eps) != seed_set.dim:
-            raise IncompatibleTask(
-                f"eps has {len(self.eps)} components for a task of dimension {seed_set.dim}"
-            )
-        else:
-            eps = np.broadcast_to(np.asarray(self.eps, dtype=np.float64), (seed_set.dim,))
-        step = eps / 8.0 if self.step_size is None else self.step_size
-        return projected_gradient_ascent(model, X, model.predict(X), eps, self.steps, step)
-
-    def sample(self, seed_set, model, budget, seed):
+    def sample_runs(self, pools, model, budget, seeds):
         budget = _check_budget(budget)
-        if budget % 2:
-            raise BudgetShapeMismatch(
-                f"adversarial sampling needs an even budget, got {budget}"
-            )
-        if model is None or model.access < Access.GRADIENTS:
-            raise GradientRequired("adversarial sampling needs gradient access")
-        idx, _ = self._seed_rows(len(seed_set), budget, seed)
-        X, half = seed_set.points[idx], len(idx)
-        points = np.concatenate([X, self.perturb(model, seed_set, X)], axis=0)
-        pairing = tuple((i, i + half) for i in range(half))
-        src = np.concatenate([idx, np.full(half, -1, dtype=np.int64)])
-        return self._query_set(points, budget, seed, pairing=pairing, source_indices=src)
+
+        def seed_rows(pool, seed):
+            if budget % 2:
+                raise BudgetShapeMismatch(
+                    f"adversarial sampling needs an even budget, got {budget}")
+            if model is None or model.access < Access.GRADIENTS:
+                raise GradientRequired("adversarial sampling needs gradient access")
+            idx, _ = self._seed_rows(len(pool), budget, seed)
+            if np.ndim(self.eps) and len(self.eps) != pool.dim:
+                raise IncompatibleTask(
+                    f"eps has {len(self.eps)} components for a task of dimension {pool.dim}")
+            return idx
+
+        out = _each(seed_rows, pools, seeds)
+        live = [r for r, idx in enumerate(out) if not isinstance(idx, ModelprintError)]
+        if not live:
+            return out
+        X = np.concatenate([pools[r].points[out[r]] for r in live])
+        try:
+            U = self.perturb(model, [pools[r] for r in live], X)
+        except ModelprintError as err:  # find the runs it hits
+            return [err] if len(pools) == 1 else [self.sample_runs([pool], model, budget, [seed])[0]
+                                                  for pool, seed in zip(pools, seeds)]
+        half = budget // 2
+        for r, clean, moved in zip(live, np.split(X, len(live)), np.split(U, len(live))):
+            src = np.concatenate([out[r], np.full(half, -1, dtype=np.int64)])
+            out[r] = self._query_set(np.concatenate([clean, moved]), budget, seeds[r],
+                                     pairing=tuple((i, i + half) for i in range(half)),
+                                     source_indices=src)
+        return out
+
+    sample = Sampler.sample  # the benchmark's tracer patches this name on each class
 
 
 @dataclass(frozen=True)
@@ -257,22 +294,23 @@ class Subsampler(Sampler):
     def pairing_length(self, budget):
         return self.seed_budget(budget) * self.k_variants
 
-    def sample(self, seed_set, model, budget, seed):
-        budget = _check_budget(budget)
+    def _draw(self, pool, model, budget, seed, memo):
         block = 1 + self.k_variants
         if budget % block:
             raise BudgetShapeMismatch(
                 f"budget {budget} is not a multiple of 1 + k_variants = {block}"
             )
-        idx, rng = self._seed_rows(len(seed_set), budget, seed)
-        X, n_seeds = seed_set.points[idx], len(idx)
-        k, d = self.k_variants, seed_set.dim
+        idx, rng = self._seed_rows(len(pool), budget, seed)
+        X, n_seeds = pool.points[idx], len(idx)
+        k, d = self.k_variants, pool.dim
         keep = rng.random((n_seeds, k, d)) < self.vicinity_scale
         points = np.concatenate([X, (X[:, None, :] * keep).reshape(n_seeds * k, d)], axis=0)
         pairing = tuple((i, n_seeds + i * k + j) for i in range(n_seeds) for j in range(k))
         src = np.concatenate([idx, np.full(n_seeds * k, -1, dtype=np.int64)])
         # k = 0 leaves the seeds alone, unpaired
         return self._query_set(points, budget, seed, pairing=pairing or None, source_indices=src)
+
+    sample = Sampler.sample  # the benchmark's tracer patches this name on each class
 
 
 @dataclass(frozen=True)
@@ -282,7 +320,7 @@ class ChainSampler(Sampler):
     The first stage must be index-preserving (its points must come from
     the pool) so labels can follow the selected points into the second
     stage.  The classic instance chains negative selection into
-    adversarial generation.
+    adversarial generation.  Each stage draws all runs at once.
     """
 
     first: Sampler
@@ -295,38 +333,36 @@ class ChainSampler(Sampler):
     def pairing_length(self, budget):
         return self.second.pairing_length(budget)
 
-    def sample(self, seed_set, model, budget, seed):
+    def sample_runs(self, pools, model, budget, seeds):
         budget = _check_budget(budget)
-        s1, s2 = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
-        first_budget = self.second.seed_budget(budget)
-        q1 = self.first.sample(seed_set, model, first_budget, int(s1))
-        if q1.source_indices is None or (q1.source_indices < 0).any():
-            raise IncompatibleScheme(
-                f"{self.first.name} synthesizes points and cannot seed a chain stage"
-            )
-        intermediate = seed_set.take(q1.source_indices)
-        q2 = self.second.sample(intermediate, model, budget, int(s2))
-        src = None
-        if q2.source_indices is not None:
-            src = np.where(
-                q2.source_indices >= 0,
-                q1.source_indices[np.maximum(q2.source_indices, 0)],
-                -1,
-            )
-        return QuerySet(
-            q2.points,
-            provenance={
-                "sampler": self.name,
-                "budget": budget,
-                "seed": int(seed),
-                "stages": [q1.provenance, q2.provenance],
-            },
-            pairing=q2.pairing,
-            source_indices=src,
-        )
+        streams = [np.random.SeedSequence(int(s)).generate_state(2, np.uint64) for s in seeds]
+        out = self.first.sample_runs(pools, model, self.second.seed_budget(budget),
+                                     [int(s1) for s1, _ in streams])
+        for r, q1 in enumerate(out):
+            if isinstance(q1, QuerySet) and (q1.source_indices is None
+                                             or (q1.source_indices < 0).any()):
+                out[r] = IncompatibleScheme(
+                    f"{self.first.name} synthesizes points and cannot seed a chain stage")
+        live = [r for r, q1 in enumerate(out) if isinstance(q1, QuerySet)]
+        if not live:  # a second stage that no run reaches raises nothing
+            return out
+        seconds = self.second.sample_runs([pools[r].take(out[r].source_indices) for r in live],
+                                          model, budget, [int(streams[r][1]) for r in live])
+        for r, q2 in zip(live, seconds):
+            if isinstance(q2, QuerySet):
+                q1, src = out[r], q2.source_indices
+                if src is not None:
+                    src = np.where(src >= 0, q1.source_indices[np.maximum(src, 0)], -1)
+                provenance = {"sampler": self.name, "budget": budget, "seed": int(seeds[r]),
+                              "stages": [q1.provenance, q2.provenance]}
+                q2 = QuerySet(q2.points, provenance, pairing=q2.pairing, source_indices=src)
+            out[r] = q2
+        return out
 
     def to_record(self):
         return super().to_record() | {f: getattr(self, f).to_record() for f in ("first", "second")}
+
+    sample = Sampler.sample  # the benchmark's tracer patches this name on each class
 
 
 SAMPLER_KINDS = {

@@ -374,8 +374,8 @@ class MLPClassifier(Classifier):
 
     def _xent_input_gradient(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         A, logits = _forward(self.weights, self.spec.activation, X)
-        D = softmax(logits)
-        D[np.arange(X.shape[0]), labels - 1] -= 1.0
+        D = softmax(logits)  # a fresh array, so the reshape below is a view of it
+        D.reshape(-1, self.num_classes)[np.arange(labels.size), labels.ravel() - 1] -= 1.0
         return self._backprop_to_input(A, D)
 
     # the benchmark's tracer patches this name on the class itself
@@ -406,7 +406,7 @@ class LinearClassifier(Classifier):
 
     def _xent_input_gradient(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
         D = self._probits(X)
-        D[np.arange(X.shape[0]), labels - 1] -= 1.0
+        D.reshape(-1, self.num_classes)[np.arange(labels.size), labels.ravel() - 1] -= 1.0
         return D @ self.W
 
     # the benchmark's tracer patches this name on the class itself

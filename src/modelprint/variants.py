@@ -244,7 +244,7 @@ def extract_job(
     n_adv = max(1, min(n_adv, len(query_pool)))
     rng = np.random.default_rng(s_rest)
     idx = rng.choice(len(query_pool), n_adv, replace=False)
-    U = AdversarialSampler().perturb(interim, query_pool, X[idx])
+    U = AdversarialSampler().perturb(interim, [query_pool], X[idx])
     aug_X = np.concatenate([X, U], axis=0)
     aug_y = np.concatenate([victim_labels, h_victim.predict(U)])
     aug = LabeledDataset(aug_X, aug_y, h_victim.num_classes)

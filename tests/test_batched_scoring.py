@@ -7,11 +7,14 @@ per-fingerprint distance.  Both are kept here, so the public ``represent``
 and ``fingerprint_distance`` (now K=1 callers of the stacked functions)
 are checked against them too.
 
-``evaluate`` has each suspect answer all of a victim's runs in one query.
-Its oracle is the runs-first loop it replaced, with one ``distances`` call
-per (run, victim) cell.  That relies on ``probits(X, blocks)`` and
-``predict(X, blocks)`` answering each block bit for bit as if it were
-queried alone, which is checked here as well.
+``evaluate`` samples all of a victim's runs in one ``sample_runs`` call and
+has each suspect answer all of them in one query.  Its oracle is the
+runs-first loop it replaced, which samples one run at a time and makes one
+``distances`` call per (run, victim) cell; ``sample_runs`` itself is checked
+against one ``sample`` call per run.  That relies on ``probits(X, blocks)``,
+``predict(X, blocks)`` and ``xent_input_gradient(X, labels, blocks)``
+answering each block bit for bit as if it were queried alone, which is
+checked here as well.
 """
 
 import re
@@ -45,8 +48,16 @@ from modelprint.harness import (
     roc_curve,
     tpr_at_fpr,
 )
-from modelprint.samplers import NegativeSampler, Subsampler, UniformSampler
-from modelprint.schemes import FingerprintScheme, SchemeSpec
+from modelprint.samplers import (
+    AdversarialSampler,
+    ChainSampler,
+    NegativeSampler,
+    QuerySet,
+    Subsampler,
+    UniformSampler,
+    projected_gradient_ascent,
+)
+from modelprint.schemes import FingerprintScheme, SchemeSpec, mistake_match_scheme
 from modelprint.tinylearn import MLPSpec, init_weights
 
 from conftest import QUICK_TASK, nan_copy, reference_cosine_distance
@@ -290,9 +301,11 @@ class TestErrorSemantics:
 
 
 def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
-    """``evaluate`` without pair statistics, as it was before suspects answered per victim.
+    """``evaluate`` without pair statistics, as it was before it sampled and had suspects
+    answer per victim.
 
-    Runs come first, and each (run, victim) cell makes its own ``distances`` call.
+    Runs come first, and each (run, victim) cell draws its own query set with one
+    ``sample`` call and makes its own ``distances`` call.
     """
     scheme = FingerprintScheme(spec)
     tasks = bench.tasks
@@ -361,11 +374,17 @@ def benchmarks(draw):
     """
     kind = draw(st.sampled_from(KINDS))
     inner = draw(st.sampled_from(["cosine", "labels"]))
-    sampler = Subsampler(k_variants=1) if kind == "pairwise" else draw(
-        st.sampled_from([UniformSampler(), NegativeSampler(), Subsampler(k_variants=1)]))
+    samplers = [Subsampler(k_variants=1), AdversarialSampler(steps=3),
+                ChainSampler(NegativeSampler(), AdversarialSampler(steps=3))]
+    if kind != "pairwise":
+        samplers += [UniformSampler(), NegativeSampler()]
+    sampler = draw(st.sampled_from(samplers))
     budget = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 13]))
-    if isinstance(sampler, Subsampler):
-        budget += budget % 2
+    if isinstance(sampler, Subsampler) or kind == "pairwise":
+        budget += budget % 2  # adversarial budgets elsewhere may be odd: every cell skips
+    if isinstance(sampler, ChainSampler):
+        budget = max(budget, 2)  # at budget 1 its first stage gets none, and evaluate raises
+    synthesizes = not isinstance(sampler, (UniformSampler, NegativeSampler))
     spec = SchemeSpec(sampler=sampler, representation=kind, inner_distance=inner, budget=budget)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a layer of 16 or more inputs into 1-3 (mod 8) outputs is one where OpenBLAS answers
@@ -393,8 +412,8 @@ def benchmarks(draw):
             out = []
             for i, k in enumerate(kinds):
                 name = f"{model.identity}-{prefix}{i}"
-                if k == "lookup" and isinstance(sampler, Subsampler):
-                    k = "linear"  # vicinity points lie outside the lookup table
+                if k == "lookup" and synthesizes:
+                    k = "linear"  # derived points lie outside the lookup table
                 if k == "mlp_a":
                     out.append(random_mlp(rng, *arch_a, name))
                 elif k == "mlp_b":
@@ -452,6 +471,152 @@ class TestEvaluateAnswersPerVictim:
         assert calls == suspects + Counter(dict.fromkeys(victims, 5))
 
 
+class TestEvaluateSamplesPerVictim:
+    def test_gradient_ascent_runs_once_per_victim(self, mini_benchmark, monkeypatch):
+        """Each of the ``steps`` gradient queries covers all 5 runs; the rows stay the same."""
+        steps, budget, runs = 4, 10, 5
+        spec = SchemeSpec(sampler=AdversarialSampler(steps=steps), representation="raw_probits",
+                          budget=budget)
+        calls, rows, stacks = Counter(), Counter(), Counter()
+        gradient = mp.MLPClassifier.xent_input_gradient
+
+        def counting(self, X, labels, blocks=1):
+            calls[self.identity] += 1
+            rows[self.identity] += len(X)
+            stacks[blocks] += 1
+            return gradient(self, X, labels, blocks)
+
+        monkeypatch.setattr(mp.MLPClassifier, "xent_input_gradient", counting)
+        want = reference_evaluate(spec, mini_benchmark, runs, 0).to_json()
+        alone_calls, alone_rows = calls.copy(), rows.copy()
+        calls.clear(), rows.clear(), stacks.clear()
+        report = evaluate(spec, mini_benchmark, n_runs=runs, compute_pair_stats=False)
+        assert not report.skipped and report.to_json() == want
+        victims = [v.model.identity for v in mini_benchmark.victims]
+        assert calls == Counter(dict.fromkeys(victims, steps))
+        assert stacks == Counter({runs: steps * len(victims)})  # one block per run
+        assert alone_calls == Counter(dict.fromkeys(victims, steps * runs))
+        assert rows == alone_rows == Counter(dict.fromkeys(victims, steps * runs * budget // 2))
+
+    def test_negative_sampler_predicts_each_pool_once(self, mini_benchmark, monkeypatch):
+        spec = mistake_match_scheme(10)
+        want = reference_evaluate(spec, mini_benchmark, 5, 0).to_json()
+        pools = {v.model.identity: v.data(spec.seed_split).points for v in mini_benchmark.victims}
+        seen = Counter()
+        predict = mp.Classifier.predict
+
+        def counting(self, X, *args):
+            if X is pools.get(self.identity):
+                seen[self.identity] += 1
+            return predict(self, X, *args)
+
+        monkeypatch.setattr(mp.Classifier, "predict", counting)
+        report = evaluate(spec, mini_benchmark, n_runs=5, compute_pair_stats=False)
+        assert not report.skipped and report.to_json() == want
+        assert seen == Counter(dict.fromkeys(pools, 1))
+
+
+class PartlyNonFinite(mp.Classifier):
+    """An MLP's probits and gradients, NaN at points whose first coordinate exceeds ``cut``."""
+
+    def __init__(self, inner, cut):
+        super().__init__(inner.identity, inner.num_classes, inner.input_dim, Access.GRADIENTS)
+        self.inner, self.cut = inner, cut
+
+    def _probits(self, X):
+        P = self.inner.probits(X)
+        P[X[:, 0] > self.cut] = np.nan
+        return P
+
+    def _xent_input_gradient(self, X, labels):
+        G = self.inner.xent_input_gradient(X, labels)
+        G[X[:, 0] > self.cut] = np.nan
+        return G
+
+
+RUN_SAMPLERS = [
+    UniformSampler(),
+    NegativeSampler(),
+    AdversarialSampler(),
+    AdversarialSampler(eps=0.3, steps=4, step_size=0.05),
+    Subsampler(k_variants=0),
+    Subsampler(k_variants=1, vicinity_scale=0.5),
+    ChainSampler(NegativeSampler(), AdversarialSampler()),
+    ChainSampler(NegativeSampler(), Subsampler(k_variants=1)),
+    ChainSampler(AdversarialSampler(eps=0.1), UniformSampler()),  # every first stage fails
+]
+
+
+@st.composite
+def run_batches(draw):
+    """A sampler, a victim, a budget, and runs drawing from a few pools that some share.
+
+    The victim may answer labels only, or NaN at some pools' points or at
+    points the gradient ascent reaches; a pool may hold too few negatives.
+    """
+    sampler = draw(st.sampled_from(RUN_SAMPLERS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = draw(st.sampled_from([DESK_ARCH.layer_widths, (4, 16, 3)]))
+    mlp = random_mlp(rng, widths, draw(st.sampled_from(["relu", "tanh"])), "victim")
+    d, C = widths[0], widths[-1]
+    pools = []
+    for _ in range(draw(st.integers(1, 3))):
+        points = rng.normal(0.0, 2.0, (draw(st.integers(1, 50)), d))
+        points[:, 0] += draw(st.sampled_from([-4.0, 0.0, 4.0]))
+        labels = mlp.predict(points)
+        wrong = rng.random(len(points)) < draw(st.sampled_from([0.0, 0.25, 0.75]))
+        labels[wrong] = labels[wrong] % C + 1
+        pools.append(mp.LabeledDataset(points, labels, C))
+    victim = draw(st.sampled_from(["mlp", "labels", "partly", "partly"]))
+    if victim == "labels":
+        mlp = lowered(mlp, "labels-only", Access.LABELS)
+    elif victim == "partly":  # at quantile 1.0, only points the ascent moves can answer NaN
+        x0 = np.concatenate([pool.points[:, 0] for pool in pools])
+        mlp = PartlyNonFinite(mlp, np.quantile(x0, draw(st.sampled_from([0.7, 0.9, 1.0]))))
+    n_runs = draw(st.integers(1, 6))
+    runs = [pools[draw(st.integers(0, len(pools) - 1))] for _ in range(n_runs)]
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=n_runs, max_size=n_runs))
+    budget = 2 * draw(st.integers(1, 10)) - draw(st.sampled_from([0, 0, 0, 1]))
+    return sampler, mlp, runs, budget, seeds
+
+
+def outcome(fn, *args):
+    """A query set, or the error raised instead of one."""
+    try:
+        return fn(*args)
+    except Exception as err:  # the error is the outcome
+        return err
+
+
+class TestSampleRunsMatchesOneRunAtATime:
+    @settings(max_examples=200, deadline=None)
+    @given(case=run_batches())
+    def test_bit_equal_to_one_sample_call_per_run(self, case):
+        sampler, model, pools, budget, seeds = case
+        want = [outcome(sampler.sample, pool, model, budget, seed)
+                for pool, seed in zip(pools, seeds)]
+        raised = [w for w in want if isinstance(w, Exception)
+                  and not isinstance(w, ModelprintError)]
+        if raised:  # a bad budget or a missing model fails every run, and the whole call
+            with pytest.raises(type(raised[0]), match=re.escape(str(raised[0]))):
+                sampler.sample_runs(pools, model, budget, seeds)
+            return
+        got = sampler.sample_runs(pools, model, budget, seeds)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if isinstance(w, ModelprintError):
+                assert (type(g), g.code, str(g)) == (type(w), w.code, str(w))
+                continue
+            assert isinstance(g, QuerySet)
+            assert g.points.tobytes() == w.points.tobytes()
+            assert g.pairing == w.pairing
+            if w.source_indices is None:
+                assert g.source_indices is None
+            else:
+                assert g.source_indices.tobytes() == w.source_indices.tobytes()
+            assert g.provenance == w.provenance
+
+
 class TestBlocks:
     @pytest.mark.parametrize("widths", [DESK_ARCH.layer_widths, (4, 16, 3)],
                              ids=["desk", "16-into-3"])
@@ -470,6 +635,24 @@ class TestBlocks:
             for query in (handle.probits, handle.predict):
                 alone = np.concatenate([query(x) for x in np.split(X, blocks)])
                 assert query(X, blocks).tobytes() == alone.tobytes()
+        labels = rng.integers(1, widths[-1] + 1, len(X))
+        for handle in (mlp, linear, PartlyNonFinite(mlp, np.inf)):
+            alone = np.concatenate([handle.xent_input_gradient(x, y) for x, y in
+                                    zip(np.split(X, blocks), np.split(labels, blocks))])
+            assert handle.xent_input_gradient(X, labels, blocks).tobytes() == alone.tobytes()
+
+    def test_gradient_ascent_blocks_ascend_as_alone(self):
+        """One box per block; a 16-wide layer into 3 classes, as in ``mini_benchmark``."""
+        rng = np.random.default_rng(0)
+        mlp = random_mlp(rng, (4, 16, 3), "relu", "mlp")
+        X = rng.normal(0.0, 2.0, (5 * 7, 4))
+        labels = mlp.predict(X)
+        eps, step = rng.random((5, 4)), rng.random((5, 4)) / 8
+        alone = np.concatenate([
+            projected_gradient_ascent(mlp, x, y, e, 6, s)
+            for x, y, e, s in zip(np.split(X, 5), np.split(labels, 5), eps, step)])
+        got = projected_gradient_ascent(mlp, X, labels, eps, 6, step, blocks=5)
+        assert got.tobytes() == alone.tobytes()
 
     def test_blocks_must_split_evenly(self, quick_model):
         for blocks in (0, -1, 4):

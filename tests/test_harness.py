@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import modelprint as mp
 from modelprint import fingerprints, harness
-from modelprint.core import Classifier, pair_stats
+from modelprint.core import Classifier, pair_stats, write_csv
 from modelprint.errors import EmptyPairSet, EmptyTaskList, NonFiniteAnswer, TrainingDiverged
 from modelprint.harness import (
     STREAM_POOL,
@@ -143,6 +143,17 @@ class TestBuildBenchmark:
         unrelated[vid] += unrelated[vid][:1]
         with pytest.raises(ValueError, match=f"repeated suspect id of {vid} '{vid}/unrelated-0'"):
             mp.BenchmarkTriplet(mini_benchmark.victims, mini_benchmark.stolen, unrelated)
+
+    def test_victims_with_other_stolen_tasks_rejected(self, mini_benchmark):
+        """``evaluate`` scores each task over every victim, so all victims must share them."""
+        first, second = (v.model.identity for v in mini_benchmark.victims)
+        stolen = dict(mini_benchmark.stolen)
+        retag = {"prune": mp.TaskTag("transfer")}
+        stolen[second] = tuple((m, retag.get(tag.method, tag)) for m, tag in stolen[second]
+                               if tag.method != "finetune")
+        message = f"victims {first} and {second} differ in stolen tasks: finetune, prune, transfer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mp.BenchmarkTriplet(mini_benchmark.victims, stolen, mini_benchmark.unrelated)
 
     def test_transfer_and_adversarial_extraction_buildable(self):
         tags = (
@@ -407,6 +418,17 @@ class TestManifest:
         self.edited_copy(mini_benchmark, tmp_path / "bench", widen)
         with pytest.raises(mp.errors.ManifestError, match="victim-1 has 4 inputs and 3 classes"):
             load_benchmark(tmp_path / "bench")
+
+    def test_victims_with_other_stolen_tasks_raise(self, mini_benchmark, tmp_path):
+        def drop_quantize(manifest):
+            stolen = manifest["victims"][1]["stolen"]
+            stolen[:] = [e for e in stolen if e["tag"]["method"] != "quantize"]
+
+        self.edited_copy(mini_benchmark, tmp_path / "bench", drop_quantize)
+        message = "victims victim-0 and victim-1 differ in stolen tasks: quantize"
+        with pytest.raises(mp.errors.ManifestError, match=re.escape(message)) as info:
+            load_benchmark(tmp_path / "bench")
+        assert info.value.code == "corrupt-manifest"
 
     @pytest.mark.parametrize(
         "task, message",
@@ -874,14 +896,14 @@ class TestEvaluate:
     def test_workers_do_not_change_results(self, mini_benchmark, monkeypatch):
         a = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
                      workers=1, compute_pair_stats=False)
-        scored, query_set = [], harness.FingerprintScheme.query_set
-        monkeypatch.setattr(harness.FingerprintScheme, "query_set",
-                            lambda *args: scored.append(os.getpid()) or query_set(*args))
+        scored, fingerprint = [], harness.FingerprintScheme.fingerprint
+        monkeypatch.setattr(harness.FingerprintScheme, "fingerprint",
+                            lambda *args: scored.append(os.getpid()) or fingerprint(*args))
         b = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
                      workers=2, compute_pair_stats=False)
         assert a.to_json() == b.to_json()
-        # every cell scored in this process
-        assert scored == [os.getpid()] * (2 * len(mini_benchmark.victims))
+        # every cell that sampling did not skip is scored in this process
+        assert scored == [os.getpid()] * (2 * len(mini_benchmark.victims) - len(b.skipped))
 
     def test_infeasible_budget_skips_victims(self, mini_benchmark, caplog):
         with caplog.at_level("WARNING"):
@@ -1013,22 +1035,15 @@ class TestDistanceReport:
         with pytest.raises(ValueError, match="got 'validation'"):
             mini_benchmark.victims[0].data("validation")
 
-    def test_csv_export(self, mini_benchmark, tmp_path):
-        report = pair_distance_report(mini_benchmark)
-        path = report.save_csv(tmp_path / "dc.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "victim,suspect,task,positive,delta_c"
-        assert len(lines) == 1 + len(report.rows)
-
     def test_csv_round_trip_of_identities_with_commas_quotes_and_line_breaks(self, tmp_path):
-        rows = tuple(
-            {"victim": victim, "suspect": suspect, "task": "same", "positive": True,
-             "delta_c": delta_c}
-            for victim, suspect, delta_c in [("a,b", 'say "hi"', 0.25),
-                                             ("two\nlines", "crlf\r\nend", None),
-                                             ("lone\rcr", "plain", 0.5)]
-        )
-        path = harness.DistanceReport(rows, {}, None, 1).save_csv(tmp_path / "dc.csv")
+        """Pair identities, written as a distance table by ``core.write_csv``."""
+        rows = [(victim, suspect, "same", True, delta_c)
+                for victim, suspect, delta_c in [("a,b", 'say "hi"', 0.25),
+                                                 ("two\nlines", "crlf\r\nend", None),
+                                                 ("lone\rcr", "plain", 0.5)]]
+        path = tmp_path / "dc.csv"
+        with path.open("w", newline="") as fh:
+            write_csv(fh, [("victim", "suspect", "task", "positive", "delta_c"), *rows])
         with path.open(newline="") as fh:
             back = list(csv.reader(fh))
         assert back == [["victim", "suspect", "task", "positive", "delta_c"],
