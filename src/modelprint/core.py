@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     AccessInsufficient,
     BadClass,
-    CorruptDataset,
     EmptyEvaluationSet,
     NonFiniteAnswer,
 )
@@ -101,10 +100,6 @@ class Classifier(abc.ABC):
         """
         self._require(Access.LABELS, "label queries")
         return self._blocks(self._predict, self._as_batch(X), blocks)
-
-    def label(self, x) -> int:
-        """Label of a single point."""
-        return int(self.predict(np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
     def top_k(self, X, k: int) -> np.ndarray:
         """The ``k`` largest-probit labels per point, shape ``(n, k)``.
@@ -267,8 +262,7 @@ class LabeledDataset:
     """Points with ground-truth concept labels.
 
     ``points`` is ``(n, d)`` float64 and ``labels`` is ``(n,)`` int64 with
-    every value in ``{1..num_classes}``.  Row order is meaningful and
-    preserved by I/O.
+    every value in ``{1..num_classes}``.  Row order is meaningful.
     """
 
     points: np.ndarray
@@ -302,39 +296,6 @@ class LabeledDataset:
     def as_lookup_classifier(self, identity: str = "concept") -> LookupClassifier:
         """The ground-truth concept on this point set, viewed as a model."""
         return LookupClassifier(self.points, self.labels, self.num_classes, identity)
-
-    # -- CSV interface: columns x_1..x_d, label -------------------------------
-
-    def to_csv(self, path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            write_csv(fh, [[f"x_{i + 1}" for i in range(self.dim)] + ["label"]])
-            write_csv(fh, ([f"{v:.17g}" for v in x] + [int(y)]
-                           for x, y in zip(self.points, self.labels)))
-
-    @staticmethod
-    def from_csv(path, num_classes: int | None = None) -> "LabeledDataset":
-        """The dataset ``to_csv`` wrote; ``CorruptDataset`` on anything else."""
-        path = Path(path)
-        pts, labels = [], []
-        try:
-            with path.open(newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, [])
-                if header[-1:] != ["label"]:
-                    raise ValueError("expected a trailing 'label' column")
-                for row in reader:
-                    if len(row) != len(header):
-                        raise ValueError(f"line {reader.line_num}: {len(row)} fields, "
-                                         f"the header has {len(header)}")
-                    pts.append([float(v) for v in row[:-1]])
-                    labels.append(int(row[-1]))
-            labels = np.asarray(labels, dtype=np.int64)
-            if num_classes is None:
-                num_classes = int(labels.max()) if labels.size else 2
-            return LabeledDataset(np.asarray(pts), labels, num_classes)
-        # a bad header, a row of another length, a non-number, a bad label, non-UTF-8 bytes
-        except ValueError as err:
-            raise CorruptDataset(f"{path}: {err}") from err
 
 
 @dataclass(frozen=True)

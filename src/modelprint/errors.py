@@ -118,9 +118,3 @@ class CorruptWeights(ModelprintError, ValueError):
     """A weight file that is not exactly what ``save_weights`` writes."""
 
     code = "corrupt-weights"
-
-
-class CorruptDataset(ModelprintError, ValueError):
-    """A dataset CSV that is not what ``LabeledDataset.to_csv`` writes."""
-
-    code = "corrupt-dataset"

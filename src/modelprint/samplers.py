@@ -335,9 +335,12 @@ class ChainSampler(Sampler):
 
     def sample_runs(self, pools, model, budget, seeds):
         budget = _check_budget(budget)
+        inner = self.second.seed_budget(budget)
+        if inner < 1:
+            return [BudgetShapeMismatch(f"chain stage {self.second.name} takes {inner} seed "
+                                        f"points at budget {budget}") for _ in seeds]
         streams = [np.random.SeedSequence(int(s)).generate_state(2, np.uint64) for s in seeds]
-        out = self.first.sample_runs(pools, model, self.second.seed_budget(budget),
-                                     [int(s1) for s1, _ in streams])
+        out = self.first.sample_runs(pools, model, inner, [int(s1) for s1, _ in streams])
         for r, q1 in enumerate(out):
             if isinstance(q1, QuerySet) and (q1.source_indices is None
                                              or (q1.source_indices < 0).any()):

@@ -151,22 +151,20 @@ class FingerprintScheme:
     def cell_distances(self, cells: list, models) -> list[list[float]]:
         """``distances(fp, models, qs)`` for each ``(fp, qs)`` cell of a victim fingerprint.
 
-        Each model answers all cells of one size in one query, as ``blocks``, bit for bit
-        as one cell at a time; the answers to every cell are held at once.
+        The cells are of one query-set size, answered as one stack per model, as
+        ``blocks``, bit for bit as one cell at a time; the answers to every cell are
+        held at once.  Cells of unequal size raise ``ValueError``.
         """
-        by_size: dict[int, list[int]] = {}
-        for i, (_, qs) in enumerate(cells):
-            by_size.setdefault(qs.size, []).append(i)
-        queries = [(g, np.concatenate([cells[i][1].points for i in g])) for g in by_size.values()]
-        answers = [[] for _ in cells]
-        for model in models:
-            for group, X in queries:
-                A = self._answers(model, X, len(group))
-                for i, a in zip(group, A.reshape(len(group), -1, *A.shape[1:])):
-                    answers[i].append(a)
-        return [fingerprint_distances(fp, qs, a, self.spec.representation,
+        if not cells:
+            return []
+        sizes = sorted({qs.size for _, qs in cells})
+        if len(sizes) > 1:
+            raise ValueError(f"cells must share one query-set size, got sizes {sizes}")
+        n, X = len(cells), np.concatenate([qs.points for _, qs in cells])
+        stacks = [A.reshape(n, -1, *A.shape[1:]) for A in (self._answers(m, X, n) for m in models)]
+        return [fingerprint_distances(fp, qs, [A[i] for A in stacks], self.spec.representation,
                                       self.spec.inner_distance)
-                for (fp, qs), a in zip(cells, answers)]
+                for i, (fp, qs) in enumerate(cells)]
 
     def distances(self, victim, models, qs: QuerySet) -> list[float]:
         """Fingerprint distance from the victim to each model on one query set.

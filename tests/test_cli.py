@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import modelprint as mp
 from modelprint.cli import build_parser, main
 from modelprint.schemes import mistake_match_scheme
-from modelprint.samplers import AdversarialSampler, UniformSampler
+from modelprint.samplers import AdversarialSampler, ChainSampler, NegativeSampler, UniformSampler
 from modelprint.schemes import SchemeSpec
 
 
@@ -452,6 +452,18 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"{paths[0]} and {paths[1]} share the scheme label" in err
         assert not out.exists()
+
+    def test_chain_budget_its_second_stage_cannot_seed_is_skipped(self, workspace, tmp_path,
+                                                                   capsys):
+        """At budget 1 the chain's adversarial stage gets no seed point: those cells skip."""
+        scheme = tmp_path / "chain.json"
+        spec = SchemeSpec(sampler=ChainSampler(NegativeSampler(), AdversarialSampler(steps=2)),
+                          representation="raw_probits", budget=8)
+        scheme.write_text(json.dumps(spec.to_record()))
+        rc = main(["sweep", "--benchmark", str(workspace / "bench"), "--scheme", str(scheme),
+                   "--budgets", "1,8", "--runs", "2", "--out", str(tmp_path / "sweep")])
+        assert rc == 0
+        assert "over budgets [1, 8]: skipped 2 of 4 cells\n" in capsys.readouterr().out
 
     def test_empty_scheme_list_is_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as err:

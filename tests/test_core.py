@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import modelprint as mp
 from modelprint.core import Access
-from modelprint.errors import AccessInsufficient, BadClass, CorruptDataset, EmptyEvaluationSet
+from modelprint.errors import AccessInsufficient, BadClass, EmptyEvaluationSet
 from modelprint.tinylearn import LinearClassifier
 
 from conftest import indexed_classifier, make_indexed_dataset
@@ -65,7 +65,7 @@ class TestHammingDistance:
         _, test = quick_task
         count = 0
         for x in test.points:
-            count += quick_model.label(x) != quick_model_b.label(x)
+            count += quick_model.predict([x])[0] != quick_model_b.predict([x])[0]
         assert mp.hamming_distance(quick_model, quick_model_b, test) == count / len(test)
 
     def test_symmetry(self, quick_model, quick_model_b, quick_task):
@@ -214,39 +214,3 @@ class TestLabeledDataset:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mp.LabeledDataset([[0.0], [1.0]], [1], 2)
-
-    def test_csv_round_trip_preserves_order_and_values(self, quick_task, tmp_path):
-        train, test = quick_task
-        combined = mp.LabeledDataset(
-            np.concatenate([train.points, test.points]),
-            np.concatenate([train.labels, test.labels]),
-            train.num_classes,
-        )
-        path = tmp_path / "task.csv"
-        combined.to_csv(path)
-        loaded = mp.LabeledDataset.from_csv(path, num_classes=combined.num_classes)
-        np.testing.assert_array_equal(loaded.points, combined.points)
-        np.testing.assert_array_equal(loaded.labels, combined.labels)
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            (b"", "expected a trailing 'label' column"),
-            (b"x_1,x_2,label,split\n0,1,2,test\n", "expected a trailing 'label' column"),
-            (b"x_1,x_2,label\n0,1\n", "line 2: 2 fields, the header has 3"),
-            (b"x_1,x_2,label\n0,1,2\n0,1,2,7\n", "line 3: 4 fields, the header has 3"),
-            (b"x_1,x_2,label\n0,one,2\n", "could not convert string to float"),
-            (b"x_1,x_2,label\n0,1,2.5\n", "invalid literal for int()"),
-            (b"x_1,x_2,label\n0,1,0\n", "labels must lie in 1.."),
-            (b"\x80\x81", "can't decode byte 0x80"),
-        ],
-        ids=["empty", "old-split-column", "short-row", "long-row", "text-coordinate",
-             "fractional-label", "label-out-of-range", "not-utf-8"],
-    )
-    def test_unreadable_csv_is_corrupt_dataset(self, data, message, tmp_path):
-        path = tmp_path / "task.csv"
-        path.write_bytes(data)
-        with pytest.raises(CorruptDataset, match="corrupt-dataset") as err:
-            mp.LabeledDataset.from_csv(path, num_classes=2)
-        assert str(path) in str(err.value) and message in str(err.value)
-        assert isinstance(err.value, ValueError)

@@ -41,7 +41,13 @@ from modelprint.harness import (
     tpr_at_fpr,
     tpr_fpr_at_threshold,
 )
-from modelprint.samplers import AdversarialSampler, Subsampler, UniformSampler
+from modelprint.samplers import (
+    AdversarialSampler,
+    ChainSampler,
+    NegativeSampler,
+    Subsampler,
+    UniformSampler,
+)
 from modelprint.schemes import SchemeSpec, mistake_match_scheme
 from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig, generate_task, train
 from modelprint.variants import (
@@ -923,6 +929,16 @@ class TestEvaluate:
         assert not report.scores
         assert len(report.skipped) == len(mini_benchmark.victims)
         assert {s["error"] for s in report.skipped} == {"incompatible-task"}
+
+    @pytest.mark.parametrize("second, budget", [(AdversarialSampler(steps=2), 1),
+                                                (Subsampler(k_variants=3), 3)])
+    def test_chain_stage_without_seed_points_skips_victims(self, mini_benchmark, second, budget):
+        spec = SchemeSpec(sampler=ChainSampler(NegativeSampler(), second),
+                          representation="raw_probits", budget=budget)
+        report = evaluate(spec, mini_benchmark, n_runs=2, seed=0, compute_pair_stats=False)
+        assert not report.scores
+        assert len(report.skipped) == 2 * len(mini_benchmark.victims)
+        assert {s["error"] for s in report.skipped} == {"budget-shape-mismatch"}
 
     @pytest.mark.parametrize("fpr_cap", [float("nan"), -0.1, 1.5])
     def test_fpr_cap_outside_unit_interval_rejected(self, mini_benchmark, fpr_cap):

@@ -250,6 +250,24 @@ class TestChain:
         with pytest.raises(InsufficientNegatives):
             chain.sample(test, perfect, 10, seed=0)
 
+    @pytest.mark.parametrize("second, budget", [
+        (AdversarialSampler(), 1),
+        (Subsampler(k_variants=3), 1),
+        (Subsampler(k_variants=3), 2),
+        (Subsampler(k_variants=3), 3),
+    ])
+    def test_second_stage_without_seed_points_is_budget_shape_mismatch(
+        self, quick_model, quick_task, second, budget
+    ):
+        _, test = quick_task
+        chain = ChainSampler(NegativeSampler(), second)
+        message = f"chain stage {second.name} takes 0 seed points at budget {budget}"
+        out = chain.sample_runs([test, test], quick_model, budget, [0, 1])
+        assert [(type(e), str(e)) for e in out] == [
+            (BudgetShapeMismatch, f"[budget-shape-mismatch] {message}")] * 2
+        with pytest.raises(BudgetShapeMismatch, match=message):
+            chain.sample(test, quick_model, budget, seed=0)
+
 
 ADVERSARIAL_DEFAULTS = {"kind": "adversarial", "eps": None, "steps": 20, "step_size": None}
 
@@ -430,6 +448,9 @@ def reference_chain(sampler, seed_set, model, budget, seed):
     budget = _check_budget(budget)
     s1, s2 = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
     first_budget = sampler.second.seed_budget(budget)
+    if first_budget < 1:
+        raise BudgetShapeMismatch(f"chain stage {sampler.second.name} takes {first_budget} "
+                                  f"seed points at budget {budget}")
     q1 = reference_sample(sampler.first, seed_set, model, first_budget, int(s1))
     if q1.source_indices is None or (q1.source_indices < 0).any():
         raise IncompatibleScheme(

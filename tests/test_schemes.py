@@ -189,6 +189,23 @@ class TestSchemeEquivalence:
         )
 
 
+class TestCellDistances:
+    def test_no_cells_no_distances(self, quick_model):
+        scheme = assemble_scheme(mistake_match_scheme(budget=4))
+        assert scheme.cell_distances([], [quick_model]) == []
+
+    def test_cells_of_unequal_size_rejected(self, quick_model, quick_task):
+        _, test = quick_task
+        scheme = assemble_scheme(SchemeSpec(sampler=UniformSampler(), representation="raw_labels",
+                                            inner_distance="labels", budget=4))
+        cells = []
+        for budget in (4, 6):
+            qs = UniformSampler().sample(test, None, budget, seed=0)
+            cells.append((scheme.fingerprint(quick_model, qs), qs))
+        with pytest.raises(ValueError, match=r"one query-set size, got sizes \[4, 6\]"):
+            scheme.cell_distances(cells, [quick_model])
+
+
 class TestSchemeSpec:
     def test_pairwise_needs_pairing_sampler(self):
         with pytest.raises(IncompatibleScheme):
