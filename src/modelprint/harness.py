@@ -509,7 +509,7 @@ class RocCurve:
     auc: float
 
 
-def _flag_rates(scores: list, thresholds, victims=None) -> tuple[np.ndarray, np.ndarray]:
+def _flag_rates(scores: list, thresholds) -> tuple[np.ndarray, np.ndarray]:
     """Per-victim-averaged TPR and FPR of ``score >= t`` for each threshold ``t``.
 
     Each victim's positive and negative scores are sorted once; the count
@@ -518,8 +518,7 @@ def _flag_rates(scores: list, thresholds, victims=None) -> tuple[np.ndarray, np.
     contiguous axis, so each rate is bit-equal to a scan of the scores at
     that single threshold.
     """
-    if victims is None:
-        victims = sorted({s.victim for s in scores})
+    victims = sorted({s.victim for s in scores})
     if not victims:
         raise EmptyPairSet("no victims to evaluate")
     groups: dict = {}
@@ -539,33 +538,29 @@ def _flag_rates(scores: list, thresholds, victims=None) -> tuple[np.ndarray, np.
     return tpr.mean(axis=1), fpr.mean(axis=1)
 
 
-def tpr_fpr_at_threshold(
-    scores, threshold: float, victims=None
-) -> tuple[float, float]:
+def tpr_fpr_at_threshold(scores, threshold: float) -> tuple[float, float]:
     """Per-victim-averaged TPR and FPR of the rule ``score >= threshold``.
 
     Every victim contributes its own flag fraction, and victims are then
     averaged with equal weight regardless of how many pairs each has.
-    ``victims`` lists victim ids (default: every victim in ``scores``);
-    victims missing positive or negative pairs raise ``EmptyPairSet``.
+    A victim in ``scores`` without positive or negative pairs raises ``EmptyPairSet``.
     """
-    tpr, fpr = _flag_rates(list(scores), [threshold], victims)
+    tpr, fpr = _flag_rates(list(scores), [threshold])
     return float(tpr[0]), float(fpr[0])
 
 
-def roc_curve(scores, victims=None) -> RocCurve:
+def roc_curve(scores) -> RocCurve:
     """Exhaustive threshold sweep over the observed scores.
 
     Starts at (0, 0) (threshold above every score) and ends at (1, 1)
     (threshold at the minimum score); both rates are non-decreasing along
-    the sweep.  Thresholds are the distinct scores of every pair, also of
-    pairs whose victim is not in ``victims``.
+    the sweep.  Thresholds are the distinct scores of every pair.
     """
     scores = list(scores)
     if not scores:
         raise EmptyPairSet("cannot build a ROC from no scores")
     thresholds = sorted({s.score for s in scores}, reverse=True)
-    tpr, fpr = _flag_rates(scores, thresholds, victims)
+    tpr, fpr = _flag_rates(scores, thresholds)
     xs = np.concatenate(([0.0], fpr))
     ys = np.concatenate(([0.0], tpr))
     auc = float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") else float(np.trapz(ys, xs))
@@ -695,8 +690,10 @@ def evaluate(
     the TPR of all pairs pooled across tasks.  Each victim's runs are drawn
     in one ``Sampler.sample_runs`` call, and each suspect answers all of them
     in one query (``FingerprintScheme.cell_distances``), bit for bit as one
-    (run, victim) cell at a time.  Cells are scored in this process whatever
-    ``workers`` says; perfbench passes it, and its tracer reads it.
+    (run, victim) cell at a time.  If that call raises a ``ModelprintError``,
+    each run is drawn alone, so only the runs that fail are skipped.  Cells
+    are scored in this process whatever ``workers`` says; perfbench passes
+    it, and its tracer reads it.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -717,12 +714,14 @@ def evaluate(
         vid = victim.model.identity
         pool = victim.data(spec.seed_split)
         seeds = [derive_seed(rseed, STREAM_QUERY, vi) for rseed in run_seeds]
-        drawn = spec.sampler.sample_runs([pool] * n_runs, victim.model, spec.budget, seeds)
+        try:
+            drawn = spec.sampler.sample_runs([pool] * n_runs, victim.model, spec.budget, seeds)
+        except ModelprintError:  # some run cannot be drawn: draw each alone, in its cell's try
+            drawn = [None] * n_runs
         cells = {}
-        for run, qs in enumerate(drawn):
+        for run, (qs, qseed) in enumerate(zip(drawn, seeds)):
             try:  # only a failure in sampling or in the victim's fingerprint skips the cell
-                if isinstance(qs, ModelprintError):
-                    raise qs
+                qs = scheme.query_set(victim.model, pool, qseed) if qs is None else qs
                 cells[run] = (scheme.fingerprint(victim.model, qs), qs)
             except ModelprintError as err:
                 log.warning("skipping victim %s in run %d: %s", vid, run, err.code)
@@ -737,16 +736,15 @@ def evaluate(
     for run in range(n_runs):
         run_scores = [s for s in scores if s.run == run]
         negatives = [s for s in run_scores if not s.positive]
-        run_victims = sorted({s.victim for s in run_scores})
-        if not run_victims or not negatives:
+        if not run_scores:
             for t in tasks:
                 per_task[t].append(0.0)
             pooled.append(0.0)
             continue
         for t in tasks:
             subset = [s for s in run_scores if s.positive and s.task == t] + negatives
-            per_task[t].append(tpr_at_fpr(roc_curve(subset, run_victims), fpr_cap))
-        pooled.append(tpr_at_fpr(roc_curve(run_scores, run_victims), fpr_cap))
+            per_task[t].append(tpr_at_fpr(roc_curve(subset), fpr_cap))
+        pooled.append(tpr_at_fpr(roc_curve(run_scores), fpr_cap))
 
     per_task_summary = {t: _mean_std(vals) for t, vals in per_task.items()}
     mean_over_tasks = [

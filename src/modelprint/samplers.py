@@ -20,7 +20,6 @@ from .errors import (
     IncompatibleScheme,
     IncompatibleTask,
     InsufficientNegatives,
-    ModelprintError,
 )
 
 
@@ -68,17 +67,15 @@ class Sampler:
     def sample(
         self, seed_set: LabeledDataset, model: Classifier | None, budget: int, seed: int
     ) -> QuerySet:
-        (out,) = self.sample_runs([seed_set], model, budget, [seed])
-        if isinstance(out, ModelprintError):
-            raise out
-        return out
+        return self.sample_runs([seed_set], model, budget, [seed])[0]
 
-    def sample_runs(self, pools, model: Classifier | None, budget: int, seeds) -> list:
-        """Run r's query set from ``pools[r]`` and ``seeds[r]``, or the ``ModelprintError`` that
-        ``sample``, its one-run case, raises for it alone; other errors raise.  Unless a subclass
-        stacks its runs, ``_draw(pool, model, budget, seed, memo)`` draws each, sharing ``memo``."""
+    def sample_runs(self, pools, model: Classifier | None, budget: int, seeds) -> list[QuerySet]:
+        """Run r's query set from ``pools[r]`` and ``seeds[r]``, bit for bit as ``sample``, its
+        one-run case, draws it alone.  If a run cannot be drawn, this raises the error ``sample``
+        raises for one such run.  Unless a subclass stacks its runs,
+        ``_draw(pool, model, budget, seed, memo)`` draws each, sharing ``memo``."""
         budget, memo = _check_budget(budget), {}
-        return _each(lambda pool, seed: self._draw(pool, model, budget, seed, memo), pools, seeds)
+        return [self._draw(pool, model, budget, seed, memo) for pool, seed in zip(pools, seeds)]
 
     def seed_budget(self, budget: int) -> int:
         """How many seed-pool points a run at ``budget`` consumes."""
@@ -109,17 +106,6 @@ class Sampler:
         provenance = {"sampler": params.pop("kind"), "budget": budget, "seed": int(seed)}
         provenance |= {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}
         return QuerySet(points, provenance, **layout)
-
-
-def _each(run, *args) -> list:
-    """``run(*a)`` for each ``a`` in ``zip(*args)``, or the ``ModelprintError`` it raised."""
-    out = []
-    for a in zip(*args):
-        try:
-            out.append(run(*a))
-        except ModelprintError as err:
-            out.append(err)
-    return out
 
 
 def _check_budget(budget: int) -> int:
@@ -195,7 +181,7 @@ class AdversarialSampler(Sampler):
     its own original label h(x), inside a box of per-dimension radius
     ``eps``.  With ``eps=None`` the radius defaults to 0.1 times the
     per-dimension range of the seed pool, and the step size to eps / 8.
-    All runs ascend as one stack; a NaN or inf answer redraws them one by one.
+    ``sample_runs`` ascends all runs as one stack, one block per run.
     """
 
     eps: float | tuple[float, ...] | None = None
@@ -234,36 +220,26 @@ class AdversarialSampler(Sampler):
 
     def sample_runs(self, pools, model, budget, seeds):
         budget = _check_budget(budget)
-
-        def seed_rows(pool, seed):
-            if budget % 2:
-                raise BudgetShapeMismatch(
-                    f"adversarial sampling needs an even budget, got {budget}")
-            if model is None or model.access < Access.GRADIENTS:
-                raise GradientRequired("adversarial sampling needs gradient access")
-            idx, _ = self._seed_rows(len(pool), budget, seed)
+        if budget % 2:
+            raise BudgetShapeMismatch(f"adversarial sampling needs an even budget, got {budget}")
+        if model is None or model.access < Access.GRADIENTS:
+            raise GradientRequired("adversarial sampling needs gradient access")
+        rows = []
+        for pool, seed in zip(pools, seeds):
+            rows.append(self._seed_rows(len(pool), budget, seed)[0])
             if np.ndim(self.eps) and len(self.eps) != pool.dim:
                 raise IncompatibleTask(
                     f"eps has {len(self.eps)} components for a task of dimension {pool.dim}")
-            return idx
-
-        out = _each(seed_rows, pools, seeds)
-        live = [r for r, idx in enumerate(out) if not isinstance(idx, ModelprintError)]
-        if not live:
-            return out
-        X = np.concatenate([pools[r].points[out[r]] for r in live])
-        try:
-            U = self.perturb(model, [pools[r] for r in live], X)
-        except ModelprintError as err:  # find the runs it hits
-            return [err] if len(pools) == 1 else [self.sample_runs([pool], model, budget, [seed])[0]
-                                                  for pool, seed in zip(pools, seeds)]
+        if not rows:
+            return []
+        X = np.concatenate([pool.points[idx] for pool, idx in zip(pools, rows)])
+        U = self.perturb(model, pools, X)
         half = budget // 2
-        for r, clean, moved in zip(live, np.split(X, len(live)), np.split(U, len(live))):
-            src = np.concatenate([out[r], np.full(half, -1, dtype=np.int64)])
-            out[r] = self._query_set(np.concatenate([clean, moved]), budget, seeds[r],
-                                     pairing=tuple((i, i + half) for i in range(half)),
-                                     source_indices=src)
-        return out
+        pairing = tuple((i, i + half) for i in range(half))
+        return [self._query_set(np.concatenate([clean, moved]), budget, seed, pairing=pairing,
+                                source_indices=np.concatenate([idx, np.full(half, -1, np.int64)]))
+                for idx, seed, clean, moved in zip(rows, seeds, np.split(X, len(rows)),
+                                                   np.split(U, len(rows)))]
 
     sample = Sampler.sample  # the benchmark's tracer patches this name on each class
 
@@ -337,29 +313,24 @@ class ChainSampler(Sampler):
         budget = _check_budget(budget)
         inner = self.second.seed_budget(budget)
         if inner < 1:
-            return [BudgetShapeMismatch(f"chain stage {self.second.name} takes {inner} seed "
-                                        f"points at budget {budget}") for _ in seeds]
+            raise BudgetShapeMismatch(f"chain stage {self.second.name} takes {inner} seed "
+                                      f"points at budget {budget}")
         streams = [np.random.SeedSequence(int(s)).generate_state(2, np.uint64) for s in seeds]
-        out = self.first.sample_runs(pools, model, inner, [int(s1) for s1, _ in streams])
-        for r, q1 in enumerate(out):
-            if isinstance(q1, QuerySet) and (q1.source_indices is None
-                                             or (q1.source_indices < 0).any()):
-                out[r] = IncompatibleScheme(
-                    f"{self.first.name} synthesizes points and cannot seed a chain stage")
-        live = [r for r, q1 in enumerate(out) if isinstance(q1, QuerySet)]
-        if not live:  # a second stage that no run reaches raises nothing
-            return out
-        seconds = self.second.sample_runs([pools[r].take(out[r].source_indices) for r in live],
-                                          model, budget, [int(streams[r][1]) for r in live])
-        for r, q2 in zip(live, seconds):
-            if isinstance(q2, QuerySet):
-                q1, src = out[r], q2.source_indices
-                if src is not None:
-                    src = np.where(src >= 0, q1.source_indices[np.maximum(src, 0)], -1)
-                provenance = {"sampler": self.name, "budget": budget, "seed": int(seeds[r]),
-                              "stages": [q1.provenance, q2.provenance]}
-                q2 = QuerySet(q2.points, provenance, pairing=q2.pairing, source_indices=src)
-            out[r] = q2
+        firsts = self.first.sample_runs(pools, model, inner, [int(s1) for s1, _ in streams])
+        if any(q1.source_indices is None or (q1.source_indices < 0).any() for q1 in firsts):
+            raise IncompatibleScheme(
+                f"{self.first.name} synthesizes points and cannot seed a chain stage")
+        seconds = self.second.sample_runs(
+            [pool.take(q1.source_indices) for pool, q1 in zip(pools, firsts)],
+            model, budget, [int(s2) for _, s2 in streams])
+        out = []
+        for seed, q1, q2 in zip(seeds, firsts, seconds):
+            src = q2.source_indices
+            if src is not None:
+                src = np.where(src >= 0, q1.source_indices[np.maximum(src, 0)], -1)
+            provenance = {"sampler": self.name, "budget": budget, "seed": int(seed),
+                          "stages": [q1.provenance, q2.provenance]}
+            out.append(QuerySet(q2.points, provenance, pairing=q2.pairing, source_indices=src))
         return out
 
     def to_record(self):

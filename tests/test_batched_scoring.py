@@ -328,13 +328,11 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
         run_scores.sort(key=lambda s: (s.victim, s.suspect))
         scores += run_scores
         negatives = [s for s in run_scores if not s.positive]
-        run_victims = sorted({s.victim for s in run_scores})
-        scored = bool(run_victims and negatives)
+        scored = bool(run_scores and negatives)
         for t in tasks:
             subset = [s for s in run_scores if s.positive and s.task == t] + negatives
-            per_task[t].append(tpr_at_fpr(roc_curve(subset, run_victims), fpr_cap)
-                               if scored else 0.0)
-        pooled.append(tpr_at_fpr(roc_curve(run_scores, run_victims), fpr_cap) if scored else 0.0)
+            per_task[t].append(tpr_at_fpr(roc_curve(subset), fpr_cap) if scored else 0.0)
+        pooled.append(tpr_at_fpr(roc_curve(run_scores), fpr_cap) if scored else 0.0)
     mean_over_tasks = [float(np.mean([per_task[t][r] for t in tasks])) for r in range(n_runs)]
     first = bench.victims[0]
     return EvalReport(
@@ -361,6 +359,25 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
     )
 
 
+class PartlyNonFinite(mp.Classifier):
+    """An MLP's probits and gradients, NaN at points whose first coordinate exceeds ``cut``."""
+
+    def __init__(self, inner, cut):
+        super().__init__(inner.identity, inner.num_classes, inner.input_dim, Access.GRADIENTS)
+        self.inner, self.cut = inner, cut
+        self.spec, self.n_params = inner.spec, inner.n_params  # a victim's model_scale
+
+    def _probits(self, X):
+        P = self.inner.probits(X)
+        P[X[:, 0] > self.cut] = np.nan
+        return P
+
+    def _xent_input_gradient(self, X, labels):
+        G = self.inner.xent_input_gradient(X, labels)
+        G[X[:, 0] > self.cut] = np.nan
+        return G
+
+
 STOLEN_METHODS = ("same", "prune", "quantize", "finetune", "label_extraction")
 BENCH_SUSPECT_KINDS = ("mlp_a", "mlp_b", "linear", "lookup", "noise")
 
@@ -369,8 +386,10 @@ BENCH_SUSPECT_KINDS = ("mlp_a", "mlp_b", "linear", "lookup", "noise")
 def benchmarks(draw):
     """A scheme, an untrained benchmark with mixed suspects, a run count and a root seed.
 
-    One victim may answer NaN, and each victim misclassifies its own number of
-    pool points, so a negative-sampling budget can be out of reach for some.
+    One victim may answer NaN, everywhere or only past a cut in its first
+    coordinate, so that some of its runs fail to draw or to fingerprint and
+    others do not.  Each victim misclassifies its own number of pool points,
+    so a negative-sampling budget can be out of reach for some.
     """
     kind = draw(st.sampled_from(KINDS))
     inner = draw(st.sampled_from(["cosine", "labels"]))
@@ -382,8 +401,6 @@ def benchmarks(draw):
     budget = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 13]))
     if isinstance(sampler, Subsampler) or kind == "pairwise":
         budget += budget % 2  # adversarial budgets elsewhere may be odd: every cell skips
-    if isinstance(sampler, ChainSampler):
-        budget = max(budget, 2)  # at budget 1 its first stage gets none, and evaluate raises
     synthesizes = not isinstance(sampler, (UniformSampler, NegativeSampler))
     spec = SchemeSpec(sampler=sampler, representation=kind, inner_distance=inner, budget=budget)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -396,6 +413,7 @@ def benchmarks(draw):
     arch_b = ((d, draw(widths), draw(widths), C), draw(acts))
     n_victims, n_stolen = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     nan_victim = draw(st.integers(-1, n_victims - 1))  # -1: every victim answers
+    nan_past = draw(st.sampled_from([None, 0.7, 0.9, 1.0]))  # None: NaN everywhere
     victims, stolen, unrelated = [], {}, {}
     for v in range(n_victims):
         model = random_mlp(rng, *arch_a, f"victim-{v}")
@@ -404,8 +422,9 @@ def benchmarks(draw):
         wrong = rng.choice(30, draw(st.integers(0, 10)), replace=False)
         labels[wrong] = labels[wrong] % C + 1
         pool = mp.LabeledDataset(points, labels, C)
-        if v == nan_victim:
-            model = nan_copy(model)
+        if v == nan_victim:  # at quantile 1.0, only points the ascent moves answer NaN
+            model = (nan_copy(model) if nan_past is None
+                     else PartlyNonFinite(model, np.quantile(points[:, 0], nan_past)))
         victims.append(Victim(model, pool, pool, QUICK_TASK))
 
         def suspects(kinds, prefix):
@@ -472,6 +491,33 @@ class TestEvaluateAnswersPerVictim:
 
 
 class TestEvaluateSamplesPerVictim:
+    def test_only_the_runs_that_fail_to_draw_are_skipped(self, mini_benchmark):
+        """A victim that answers NaN past a cut fails some runs' gradient ascent, not all.
+
+        Its stacked draw raises, so ``evaluate`` draws each of its runs alone.
+        """
+        spec = SchemeSpec(sampler=AdversarialSampler(steps=4), representation="raw_probits",
+                          budget=10)
+        scheme = FingerprintScheme(spec)
+        victim, *others = mini_benchmark.victims
+        vid, pool = victim.model.identity, victim.data(spec.seed_split)
+        seeds = [derive_seed(run, STREAM_QUERY, 0) for run in range(5)]
+        # the median over runs of each run's largest first coordinate among its seed points
+        cut = np.median([scheme.query_set(victim.model, pool, s).points[:5, 0].max()
+                         for s in seeds])
+        broken = replace(victim, model=PartlyNonFinite(victim.model, cut))
+        fails = [run for run, s in enumerate(seeds)
+                 if isinstance(outcome(scheme.query_set, broken.model, pool, s), NonFiniteAnswer)]
+        assert 0 < len(fails) < len(seeds)
+        with pytest.raises(NonFiniteAnswer):
+            spec.sampler.sample_runs([pool] * 5, broken.model, spec.budget, seeds)
+        bench = replace(mini_benchmark, victims=(broken, *others))
+        report = evaluate(spec, bench, n_runs=5, compute_pair_stats=False)
+        assert [(s["run"], s["victim"], s["error"]) for s in report.skipped] == [
+            (run, vid, "non-finite-answer") for run in fails]
+        assert {s.run for s in report.scores if s.victim == vid} == set(range(5)) - set(fails)
+        assert report.to_json() == reference_evaluate(spec, bench, 5, 0).to_json()
+
     def test_gradient_ascent_runs_once_per_victim(self, mini_benchmark, monkeypatch):
         """Each of the ``steps`` gradient queries covers all 5 runs; the rows stay the same."""
         steps, budget, runs = 4, 10, 5
@@ -514,24 +560,6 @@ class TestEvaluateSamplesPerVictim:
         report = evaluate(spec, mini_benchmark, n_runs=5, compute_pair_stats=False)
         assert not report.skipped and report.to_json() == want
         assert seen == Counter(dict.fromkeys(pools, 1))
-
-
-class PartlyNonFinite(mp.Classifier):
-    """An MLP's probits and gradients, NaN at points whose first coordinate exceeds ``cut``."""
-
-    def __init__(self, inner, cut):
-        super().__init__(inner.identity, inner.num_classes, inner.input_dim, Access.GRADIENTS)
-        self.inner, self.cut = inner, cut
-
-    def _probits(self, X):
-        P = self.inner.probits(X)
-        P[X[:, 0] > self.cut] = np.nan
-        return P
-
-    def _xent_input_gradient(self, X, labels):
-        G = self.inner.xent_input_gradient(X, labels)
-        G[X[:, 0] > self.cut] = np.nan
-        return G
 
 
 RUN_SAMPLERS = [
@@ -601,12 +629,15 @@ class TestSampleRunsMatchesOneRunAtATime:
             with pytest.raises(type(raised[0]), match=re.escape(str(raised[0]))):
                 sampler.sample_runs(pools, model, budget, seeds)
             return
+        failed = {(type(w), w.code, str(w)) for w in want if isinstance(w, ModelprintError)}
+        if failed:  # the call raises what one of its failing runs raises alone
+            with pytest.raises(ModelprintError) as info:
+                sampler.sample_runs(pools, model, budget, seeds)
+            assert (type(info.value), info.value.code, str(info.value)) in failed
+            return
         got = sampler.sample_runs(pools, model, budget, seeds)
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            if isinstance(w, ModelprintError):
-                assert (type(g), g.code, str(g)) == (type(w), w.code, str(w))
-                continue
             assert isinstance(g, QuerySet)
             assert g.points.tobytes() == w.points.tobytes()
             assert g.pairing == w.pairing

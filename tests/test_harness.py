@@ -506,9 +506,6 @@ class TestPerVictimAveraging:
         assert tpr_fpr_at_threshold(scores, np.inf) == (0.0, 0.0)
 
     def test_victim_without_pairs_rejected(self):
-        scores = hand_scores({"A": ([1], [0])})
-        with pytest.raises(EmptyPairSet):
-            tpr_fpr_at_threshold(scores, 0.5, victims=["A", "B"])
         with pytest.raises(EmptyPairSet):
             tpr_fpr_at_threshold(
                 [PairScore(0, "A", "p", "task", True, 1.0)], 0.5
@@ -589,13 +586,10 @@ class TestRocCurve:
             tpr_at_fpr(curve, fpr_cap)
 
 
-def reference_tpr_fpr_at_threshold(
-    scores, threshold: float, victims=None
-) -> tuple[float, float]:
+def reference_tpr_fpr_at_threshold(scores, threshold: float) -> tuple[float, float]:
     """The brute-force scan that the sorted-count ROC replaced, kept as its oracle."""
     scores = list(scores)
-    if victims is None:
-        victims = sorted({s.victim for s in scores})
+    victims = sorted({s.victim for s in scores})
     if not victims:
         raise EmptyPairSet("no victims to evaluate")
     tprs, fprs = [], []
@@ -609,7 +603,7 @@ def reference_tpr_fpr_at_threshold(
     return float(np.mean(tprs)), float(np.mean(fprs))
 
 
-def reference_roc_curve(scores, victims=None) -> RocCurve:
+def reference_roc_curve(scores) -> RocCurve:
     """The threshold-by-threshold sweep that the sorted-count ROC replaced."""
     scores = list(scores)
     if not scores:
@@ -617,7 +611,7 @@ def reference_roc_curve(scores, victims=None) -> RocCurve:
     thresholds = sorted({s.score for s in scores}, reverse=True)
     points = [(0.0, 0.0)]
     for t in thresholds:
-        tpr, fpr = reference_tpr_fpr_at_threshold(scores, t, victims)
+        tpr, fpr = reference_tpr_fpr_at_threshold(scores, t)
         points.append((fpr, tpr))
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
@@ -673,27 +667,20 @@ class TestRocMatchesScanOracle:
     @settings(max_examples=300, deadline=None)
     @given(scores=victim_scores(), data=st.data())
     def test_curve_and_rates_equal(self, scores, data):
-        ids = sorted({s.victim for s in scores}) + ["missing"]
-        victims = data.draw(st.one_of(
-            st.none(),
-            st.lists(st.sampled_from(ids), max_size=14),
-            st.permutations(ids[:-1]),
-        ))
-        assert outcome(roc_curve, scores, victims) == outcome(reference_roc_curve, scores, victims)
+        assert outcome(roc_curve, scores) == outcome(reference_roc_curve, scores)
         thresholds = [-np.inf, np.inf, *{s.score for s in scores}, data.draw(SCORE_VALUES)]
         for t in thresholds:
-            assert outcome(tpr_fpr_at_threshold, scores, t, victims) == outcome(
-                reference_tpr_fpr_at_threshold, scores, t, victims
+            assert outcome(tpr_fpr_at_threshold, scores, t) == outcome(
+                reference_tpr_fpr_at_threshold, scores, t
             )
 
     def test_empty_inputs_raise_the_same_messages(self):
         one = [PairScore(0, "A", "p", "task", True, 1.0)]
         cases = [
             (roc_curve, reference_roc_curve, ([],)),
-            (roc_curve, reference_roc_curve, (one, [])),
             (roc_curve, reference_roc_curve, (one,)),
             (tpr_fpr_at_threshold, reference_tpr_fpr_at_threshold, ([], 0.5)),
-            (tpr_fpr_at_threshold, reference_tpr_fpr_at_threshold, (one, 0.5, ["B"])),
+            (tpr_fpr_at_threshold, reference_tpr_fpr_at_threshold, (one, 0.5)),
         ]
         for fast, slow, args in cases:
             got = outcome(fast, *args)
