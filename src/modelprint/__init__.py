@@ -32,9 +32,7 @@ from .tinylearn import (
     train,
 )
 from .variants import (
-    ProbitPerturbation,
     TaskTag,
-    TopKOnly,
     extract,
     finetune,
     prune,

@@ -765,9 +765,10 @@ def evaluate(
             }
 
     sample_victim = benchmark.victims[0]
+    mlp = sample_victim.model if isinstance(sample_victim.model, MLPClassifier) else None
     model_scale = {
-        "layer_widths": list(sample_victim.model.spec.layer_widths),
-        "n_params": sample_victim.model.n_params,
+        "layer_widths": list(mlp.spec.layer_widths) if mlp else None,
+        "n_params": mlp.n_params if mlp else None,
         "n_victims": len(benchmark.victims),
         "n_train": len(sample_victim.train_data),
         "n_test": len(sample_victim.test_data),

@@ -149,7 +149,7 @@ class FingerprintScheme:
         )
 
     def cell_distances(self, cells: list, models) -> list[list[float]]:
-        """``distances(fp, models, qs)`` for each ``(fp, qs)`` cell of a victim fingerprint.
+        """``distances`` for each ``(fp, qs)`` cell, from the victim's fingerprint ``fp``.
 
         The cells are of one query-set size, answered as one stack per model, as
         ``blocks``, bit for bit as one cell at a time; the answers to every cell are
@@ -166,17 +166,14 @@ class FingerprintScheme:
                                       self.spec.inner_distance)
                 for i, (fp, qs) in enumerate(cells)]
 
-    def distances(self, victim, models, qs: QuerySet) -> list[float]:
-        """Fingerprint distance from the victim to each model on one query set.
+    def distances(self, victim: Classifier, models, qs: QuerySet) -> list[float]:
+        """Fingerprint distance from ``victim`` to each model on one query set.
 
-        ``victim`` is the victim's fingerprint on ``qs`` or the victim itself.
         This is ``cell_distances``' one-cell case: each model answers ``qs`` in
         one query of its own, and each distance is bit-equal to
-        ``fingerprint_distance(victim, self.fingerprint(model, qs))``.
+        ``fingerprint_distance`` between the victim's and the model's fingerprints on ``qs``.
         """
-        if not isinstance(victim, Fingerprint):
-            victim = self.fingerprint(victim, qs)
-        return self.cell_distances([(victim, qs)], models)[0]
+        return self.cell_distances([(self.fingerprint(victim, qs), qs)], models)[0]
 
     def score(
         self,

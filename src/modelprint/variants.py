@@ -2,22 +2,19 @@
 
 Implements the stealing routes (direct leak, label/probit/adversarial
 extraction) and the weight-space obfuscations (pruning, quantization,
-finetuning, transfer) plus output-noise handles.  Every operation
-returns a fresh handle carrying a provenance tag; source models are
-never mutated.
+finetuning, transfer).  Every operation returns a fresh handle carrying a
+provenance tag; source models are never mutated.
 """
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import Access, Classifier, LabeledDataset, from_record
+from .core import Classifier, LabeledDataset, from_record
 from .errors import (
-    AccessInsufficient,
     DegeneratePrune,
     DegenerateQuantization,
     EmptyQueryPool,
@@ -273,51 +270,3 @@ finetune = fitted(finetune_job)
 transfer = fitted(transfer_job)
 extract = fitted(extract_job)
 unrelated = fitted(unrelated_job)
-
-
-# ---------------------------------------------------------------------------
-# Output-noise obfuscation handles
-# ---------------------------------------------------------------------------
-
-
-class TopKOnly(Classifier):
-    """Expose only the top-``k`` labels of ``inner``; never changes the argmax."""
-
-    def __init__(self, inner: Classifier, k: int):
-        if not 1 <= k <= inner.num_classes:
-            raise ValueError(f"k must lie in 1..{inner.num_classes}")
-        super().__init__(f"{inner.identity}#noise", inner.num_classes, inner.input_dim,
-                         Access.TOP_K, tag=inner.tag)
-        self.inner, self.k = inner, k
-
-    def _predict(self, X: np.ndarray) -> np.ndarray:
-        return self.inner.predict(X)
-
-    def _top_k(self, X: np.ndarray, k: int) -> np.ndarray:
-        if k > self.k:
-            raise AccessInsufficient(f"{self.identity}: handle only exposes top-{self.k}")
-        return self.inner.top_k(X, k)
-
-
-class ProbitPerturbation(Classifier):
-    """Multiplicative per-query noise on the probits of ``inner``, without touching its weights.
-
-    The handle stays deterministic: the noise is keyed by ``seed`` and a hash of
-    the query point, so repeated queries agree.
-    """
-
-    def __init__(self, inner: Classifier, scale: float, seed: int = 0):
-        super().__init__(f"{inner.identity}#noise", inner.num_classes, inner.input_dim,
-                         Access.PROBITS, tag=inner.tag)
-        self.inner, self.scale, self.seed = inner, scale, seed
-
-    def _probits(self, X: np.ndarray) -> np.ndarray:
-        P = self.inner.probits(X)
-        out = np.empty_like(P)
-        key = int(self.seed).to_bytes(8, "little", signed=True)
-        for i, (x, p) in enumerate(zip(X, P)):
-            digest = hashlib.blake2b(x.tobytes(), digest_size=8, key=key).digest()
-            rng = np.random.default_rng(int.from_bytes(digest, "little"))
-            noisy = p * np.exp(self.scale * rng.standard_normal(p.size))
-            out[i] = noisy / noisy.sum()
-        return out

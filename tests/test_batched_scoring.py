@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import modelprint as mp
@@ -138,7 +138,29 @@ class SparseProbits(mp.Classifier):
         return rng.random((len(X), self.num_classes)) * (rng.random((len(X), 1)) < 0.7)
 
 
-SUSPECT_KINDS = ("victim", "mlp_a", "mlp_b", "linear", "lookup", "noise", "function", "sparse")
+class PartlyNonFinite(mp.Classifier):
+    """An MLP's probits and gradients, NaN at points whose first coordinate exceeds ``cut``.
+
+    It answers block by block, so at ``cut=inf`` it is a finite suspect that does not stack.
+    """
+
+    def __init__(self, inner, cut):
+        super().__init__(inner.identity, inner.num_classes, inner.input_dim, Access.GRADIENTS)
+        self.inner, self.cut = inner, cut
+
+    def _probits(self, X):
+        P = self.inner.probits(X)
+        P[X[:, 0] > self.cut] = np.nan
+        return P
+
+    def _xent_input_gradient(self, X, labels):
+        G = self.inner.xent_input_gradient(X, labels)
+        G[X[:, 0] > self.cut] = np.nan
+        return G
+
+
+SUSPECT_KINDS = ("victim", "mlp_a", "mlp_b", "linear", "lookup", "blockwise", "function",
+                 "sparse")
 
 
 def suspect(kind, rng, victim, qs, arch_a, arch_b, i, label_scheme):
@@ -156,12 +178,12 @@ def suspect(kind, rng, victim, qs, arch_a, arch_b, i, label_scheme):
         return mp.LookupClassifier(qs.points, rng.integers(1, C + 1, qs.size), C, name)
     if kind == "sparse":
         return SparseProbits(int(rng.integers(2**32)), C, d, name)
-    inner = random_mlp(rng, *arch_a, f"{name}-inner")
-    if kind == "noise":
-        return mp.TopKOnly(inner, 1) if label_scheme else mp.ProbitPerturbation(inner, 0.5, seed=i)
-    # "function": label-only, so a probit scheme gets one more linear model
-    if label_scheme:
+    inner = random_mlp(rng, *arch_a, name)
+    if label_scheme:  # "blockwise" and "function" answer labels block by block
         return mp.FunctionClassifier(inner.predict, C, d, identity=name)
+    if kind == "blockwise":
+        return PartlyNonFinite(inner, np.inf)
+    # "function" is label-only, so a probit scheme gets one more linear model
     return mp.LinearClassifier(rng.normal(0.0, 2.0, (C, d)), identity=name)
 
 
@@ -197,10 +219,9 @@ class TestMatchesOneModelAtATime:
     def test_distances_bit_equal(self, cell):
         scheme, victim, models, qs = cell
         want = reference_distances(scheme, victim, models, qs)
-        fp_v = scheme.fingerprint(victim, qs)
-        assert bits(scheme.distances(fp_v, models, qs)) == bits(want)
         assert bits(scheme.distances(victim, models, qs)) == bits(want)
-        assert bits(scheme.distances(fp_v, (m for m in models), qs)) == bits(want)
+        assert bits(scheme.distances(victim, (m for m in models), qs)) == bits(want)
+        fp_v = scheme.fingerprint(victim, qs)
         spec = scheme.spec
         kind, inner = spec.representation, spec.inner_distance
         # the public per-fingerprint functions, K=1 callers of the stacked ones
@@ -317,12 +338,12 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
             try:
                 qs = scheme.query_set(victim.model, victim.data(spec.seed_split),
                                       derive_seed(seed + run, STREAM_QUERY, vi))
-                fp_v = scheme.fingerprint(victim.model, qs)
+                scheme.fingerprint(victim.model, qs)
             except ModelprintError as err:
                 skipped.append({"run": run, "victim": vid, "error": err.code, "detail": str(err)})
                 continue
             suspects = bench.stolen[vid] + bench.unrelated[vid]
-            dists = scheme.distances(fp_v, [model for model, _ in suspects], qs)
+            dists = scheme.distances(victim.model, [model for model, _ in suspects], qs)
             run_scores += [PairScore(run, vid, model.identity, tag.method, tag.is_positive, -d)
                            for (model, tag), d in zip(suspects, dists)]
         run_scores.sort(key=lambda s: (s.victim, s.suspect))
@@ -335,6 +356,7 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
         pooled.append(tpr_at_fpr(roc_curve(run_scores), fpr_cap) if scored else 0.0)
     mean_over_tasks = [float(np.mean([per_task[t][r] for t in tasks])) for r in range(n_runs)]
     first = bench.victims[0]
+    mlp = first.model if isinstance(first.model, mp.MLPClassifier) else None
     return EvalReport(
         scheme=spec.to_record(),
         budget=spec.budget,
@@ -348,8 +370,8 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
         pair_statistics={},
         skipped=tuple(skipped),
         model_scale={
-            "layer_widths": list(first.model.spec.layer_widths),
-            "n_params": first.model.n_params,
+            "layer_widths": list(mlp.spec.layer_widths) if mlp else None,
+            "n_params": mlp.n_params if mlp else None,
             "n_victims": len(bench.victims),
             "n_train": len(first.train_data),
             "n_test": len(first.test_data),
@@ -359,49 +381,54 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
     )
 
 
-class PartlyNonFinite(mp.Classifier):
-    """An MLP's probits and gradients, NaN at points whose first coordinate exceeds ``cut``."""
+def nan_cut(spec, model, pool, seeds, past):
+    """The first coordinate past which a victim answers NaN.
 
-    def __init__(self, inner, cut):
-        super().__init__(inner.identity, inner.num_classes, inner.input_dim, Access.GRADIENTS)
-        self.inner, self.cut = inner, cut
-        self.spec, self.n_params = inner.spec, inner.n_params  # a victim's model_scale
-
-    def _probits(self, X):
-        P = self.inner.probits(X)
-        P[X[:, 0] > self.cut] = np.nan
-        return P
-
-    def _xent_input_gradient(self, X, labels):
-        G = self.inner.xent_input_gradient(X, labels)
-        G[X[:, 0] > self.cut] = np.nan
-        return G
+    Past the ``"pool"``, only points that the gradient ascent moves answer NaN.  Past
+    the ``"runs"``, the median over runs of each run's largest first coordinate in its
+    query set, about half of the runs cross the cut.
+    """
+    if past == "runs":
+        drawn = [outcome(FingerprintScheme(spec).query_set, model, pool, s) for s in seeds]
+        tops = [qs.points[:, 0].max() for qs in drawn if isinstance(qs, QuerySet)]
+        if tops:
+            return np.median(tops)
+    return pool.points[:, 0].max()
 
 
 STOLEN_METHODS = ("same", "prune", "quantize", "finetune", "label_extraction")
-BENCH_SUSPECT_KINDS = ("mlp_a", "mlp_b", "linear", "lookup", "noise")
+BENCH_SUSPECT_KINDS = ("mlp_a", "mlp_b", "linear", "lookup", "blockwise")
 
 
 @st.composite
 def benchmarks(draw):
     """A scheme, an untrained benchmark with mixed suspects, a run count and a root seed.
 
-    One victim may answer NaN, everywhere or only past a cut in its first
-    coordinate, so that some of its runs fail to draw or to fingerprint and
-    others do not.  Each victim misclassifies its own number of pool points,
-    so a negative-sampling budget can be out of reach for some.
+    One victim may answer NaN, everywhere (``nan_past`` None) or only past a
+    cut in its first coordinate (``nan_cut``), so that some of its runs fail
+    to draw or to fingerprint and others do not.  Each victim misclassifies
+    its own number of pool points, so a negative-sampling budget can be out
+    of reach for some.
+
+    About half of the examples with more than one run are ``partly``: one
+    victim answers NaN past the cut that about half of its runs cross, and
+    the sampler ascends gradients there, so those runs fail to draw.
     """
+    n_runs, seed = draw(st.integers(1, 4)), draw(st.integers(0, 100))
     kind = draw(st.sampled_from(KINDS))
     inner = draw(st.sampled_from(["cosine", "labels"]))
-    samplers = [Subsampler(k_variants=1), AdversarialSampler(steps=3),
-                ChainSampler(NegativeSampler(), AdversarialSampler(steps=3))]
-    if kind != "pairwise":
-        samplers += [UniformSampler(), NegativeSampler()]
+    partly = n_runs > 1 and draw(st.booleans())
+    ascent = AdversarialSampler(steps=3)
+    samplers = [ascent, ChainSampler(UniformSampler(), ascent)]
+    if not partly:
+        samplers += [Subsampler(k_variants=1), ChainSampler(NegativeSampler(), ascent)]
+        if kind != "pairwise":
+            samplers += [UniformSampler(), NegativeSampler()]
     sampler = draw(st.sampled_from(samplers))
-    budget = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 13]))
-    if isinstance(sampler, Subsampler) or kind == "pairwise":
-        budget += budget % 2  # adversarial budgets elsewhere may be odd: every cell skips
     synthesizes = not isinstance(sampler, (UniformSampler, NegativeSampler))
+    budget = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 13]))
+    if isinstance(sampler, Subsampler) or kind == "pairwise" or (synthesizes and budget > 1):
+        budget += budget % 2  # an adversarial or chain budget of 1 remains: every cell skips
     spec = SchemeSpec(sampler=sampler, representation=kind, inner_distance=inner, budget=budget)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a layer of 16 or more inputs into 1-3 (mod 8) outputs is one where OpenBLAS answers
@@ -412,8 +439,8 @@ def benchmarks(draw):
     arch_a = ((d, draw(widths), C), draw(acts))
     arch_b = ((d, draw(widths), draw(widths), C), draw(acts))
     n_victims, n_stolen = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    nan_victim = draw(st.integers(-1, n_victims - 1))  # -1: every victim answers
-    nan_past = draw(st.sampled_from([None, 0.7, 0.9, 1.0]))  # None: NaN everywhere
+    nan_victim = draw(st.integers(0 if partly else -1, n_victims - 1))  # -1: all answer
+    nan_past = "runs" if partly else draw(st.sampled_from([None, "pool", "runs"]))
     victims, stolen, unrelated = [], {}, {}
     for v in range(n_victims):
         model = random_mlp(rng, *arch_a, f"victim-{v}")
@@ -422,9 +449,10 @@ def benchmarks(draw):
         wrong = rng.choice(30, draw(st.integers(0, 10)), replace=False)
         labels[wrong] = labels[wrong] % C + 1
         pool = mp.LabeledDataset(points, labels, C)
-        if v == nan_victim:  # at quantile 1.0, only points the ascent moves answer NaN
+        if v == nan_victim:
+            seeds = [derive_seed(seed + run, STREAM_QUERY, v) for run in range(n_runs)]
             model = (nan_copy(model) if nan_past is None
-                     else PartlyNonFinite(model, np.quantile(points[:, 0], nan_past)))
+                     else PartlyNonFinite(model, nan_cut(spec, model, pool, seeds, nan_past)))
         victims.append(Victim(model, pool, pool, QUICK_TASK))
 
         def suspects(kinds, prefix):
@@ -442,10 +470,10 @@ def benchmarks(draw):
                                                    rng.normal(0.0, 1.0, C), name))
                 elif k == "lookup":
                     out.append(mp.LookupClassifier(points, rng.integers(1, C + 1, 30), C, name))
-                else:
-                    noisy = random_mlp(rng, *arch_a, name)
-                    out.append(mp.ProbitPerturbation(noisy, 0.5, seed=i) if spec.needs_probits
-                               else mp.TopKOnly(noisy, 1))
+                else:  # "blockwise": an MLP that answers block by block
+                    inner = random_mlp(rng, *arch_a, name)
+                    out.append(PartlyNonFinite(inner, np.inf) if spec.needs_probits
+                               else mp.FunctionClassifier(inner.predict, C, d, identity=name))
             return out
 
         # every victim has one stolen model per task, as in a built benchmark
@@ -458,7 +486,19 @@ def benchmarks(draw):
         unrelated[model.identity] = tuple(
             (m, mp.TaskTag("unrelated")) for m in suspects(draw(kinds), "u"))
     bench = BenchmarkTriplet(tuple(victims), stolen, unrelated)
-    return spec, bench, draw(st.integers(1, 4)), draw(st.integers(0, 100))
+    return spec, bench, n_runs, seed
+
+
+def partly_drawn(spec, bench, n_runs, seed) -> bool:
+    """Whether some victim's stacked draw raises while some of its runs draw alone."""
+    scheme = FingerprintScheme(spec)
+    for vi, victim in enumerate(bench.victims):
+        drawn = {isinstance(outcome(scheme.query_set, victim.model, victim.data(spec.seed_split),
+                                    derive_seed(seed + run, STREAM_QUERY, vi)), QuerySet)
+                 for run in range(n_runs)}
+        if drawn == {True, False}:
+            return True
+    return False
 
 
 class TestEvaluateAnswersPerVictim:
@@ -466,6 +506,8 @@ class TestEvaluateAnswersPerVictim:
     @given(case=benchmarks())
     def test_report_bytes_equal_the_runs_first_loop(self, case):
         spec, bench, n_runs, seed = case
+        if partly_drawn(spec, bench, n_runs, seed):
+            event("a victim's runs partly draw")
         got = evaluate(spec, bench, n_runs=n_runs, seed=seed, compute_pair_stats=False)
         assert got.to_json() == reference_evaluate(spec, bench, n_runs, seed).to_json()
 
@@ -653,7 +695,7 @@ class TestBlocks:
                              ids=["desk", "16-into-3"])
     @pytest.mark.parametrize("blocks, size", [(5, 1), (5, 2), (3, 13), (4, 100), (2, 500)])
     def test_blocks_answer_bit_for_bit_as_alone(self, widths, blocks, size):
-        """Stacked (MLP, linear) and block-by-block (noise wrapper) handles alike.
+        """Stacked (MLP, linear) and block-by-block (``PartlyNonFinite``) handles alike.
 
         A 500-row block reaches OpenBLAS's threaded path.  A 16-wide layer into 3
         classes answers a row by where it falls in one product over all rows.
@@ -662,12 +704,11 @@ class TestBlocks:
         mlp = random_mlp(rng, widths, "relu", "mlp")
         linear = mp.LinearClassifier(rng.normal(0.0, 2.0, (widths[-1], widths[0])))
         X = rng.normal(0.0, 2.0, (blocks * size, widths[0]))
-        for handle in (mlp, linear, mp.ProbitPerturbation(mlp, 0.5)):
+        labels = rng.integers(1, widths[-1] + 1, len(X))
+        for handle in (mlp, linear, PartlyNonFinite(mlp, np.inf)):
             for query in (handle.probits, handle.predict):
                 alone = np.concatenate([query(x) for x in np.split(X, blocks)])
                 assert query(X, blocks).tobytes() == alone.tobytes()
-        labels = rng.integers(1, widths[-1] + 1, len(X))
-        for handle in (mlp, linear, PartlyNonFinite(mlp, np.inf)):
             alone = np.concatenate([handle.xent_input_gradient(x, y) for x, y in
                                     zip(np.split(X, blocks), np.split(labels, blocks))])
             assert handle.xent_input_gradient(X, labels, blocks).tobytes() == alone.tobytes()

@@ -188,11 +188,8 @@ class TestClassifierContract:
         with pytest.raises(AccessInsufficient):
             h.input_gradient(np.zeros(1), 1)
 
-    @pytest.mark.parametrize("handle", [
-        mp.ProbitPerturbation(LinearClassifier(np.eye(3, 4)), 0.1),
-        mp.LookupClassifier(np.zeros((1, 4)), [2], 3),
-    ], ids=["probit-noise", "lookup"])
-    def test_probit_handle_without_logits_refuses_them(self, handle):
+    def test_probit_handle_without_logits_refuses_them(self):
+        handle = mp.LookupClassifier(np.zeros((1, 4)), [2], 3)
         np.testing.assert_allclose(handle.probits(np.zeros((1, 4))).sum(), 1.0)
         with pytest.raises(AccessInsufficient, match="answers no logit queries") as err:
             handle.logits(np.zeros((1, 4)))

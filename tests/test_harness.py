@@ -27,8 +27,10 @@ from modelprint.harness import (
     STREAM_VICTIM_MODEL,
     STREAM_VICTIM_TASK,
     BenchmarkConfig,
+    BenchmarkTriplet,
     PairScore,
     RocCurve,
+    Victim,
     budget_sweep,
     build_benchmark,
     default_benchmark_config,
@@ -54,7 +56,7 @@ from modelprint.variants import (
     COPY_NAMES, extract, finetune, quantize, same_copy, transfer, unrelated,
 )
 
-from conftest import nan_copy, reference_cosine_distance
+from conftest import QUICK_TASK, nan_copy, reference_cosine_distance
 
 
 def micro_config(**overrides):
@@ -885,6 +887,22 @@ class TestEvaluate:
             "task", "positive", "alpha", "alpha_prime", "delta", "delta_c", "n_eval",
         }
         assert report.model_scale["n_victims"] == 2
+
+    def test_model_scale_of_a_victim_that_is_no_mlp_is_null(self, quick_task):
+        """Any handle may be a victim; only an MLP has layer widths and a parameter count."""
+        train_ds, test_ds = quick_task
+        rng = np.random.default_rng(0)
+        victim, stolen, negative = (mp.LinearClassifier(rng.normal(size=(3, 4)), identity=name)
+                                    for name in ("victim", "stolen", "unrelated"))
+        bench = BenchmarkTriplet((Victim(victim, train_ds, test_ds, QUICK_TASK),),
+                                 {"victim": ((stolen, mp.TaskTag("same")),)},
+                                 {"victim": ((negative, mp.TaskTag("unrelated")),)})
+        spec = SchemeSpec(sampler=UniformSampler(), representation="raw_labels",
+                          inner_distance="labels", budget=10)
+        report = evaluate(spec, bench, n_runs=2)
+        assert not report.skipped and len(report.scores) == 4
+        assert report.model_scale == {"layer_widths": None, "n_params": None, "n_victims": 1,
+                                      "n_train": len(train_ds), "n_test": len(test_ds)}
 
     def test_workers_do_not_change_results(self, mini_benchmark, monkeypatch):
         a = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,

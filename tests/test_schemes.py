@@ -285,7 +285,7 @@ class TestEnumeration:
 
     def test_access_restricted_suspect_fails_probit_schemes(self, quick_model, quick_task):
         _, test = quick_task
-        wrapped = mp.TopKOnly(quick_model, 1)
+        wrapped = mp.FunctionClassifier(quick_model.predict, 3, 4)
         spec = SchemeSpec(sampler=UniformSampler(), representation="raw_probits", budget=10)
         with pytest.raises(mp.errors.AccessInsufficient):
             assemble_scheme(spec).score(quick_model, wrapped, test, 0)

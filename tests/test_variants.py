@@ -1,4 +1,4 @@
-"""Tests for the stolen/unrelated model factory and output-noise wrappers."""
+"""Tests for the stolen/unrelated model factory."""
 
 import hashlib
 import json
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import modelprint as mp
 from modelprint.errors import (
-    AccessInsufficient,
     DegeneratePrune,
     DegenerateQuantization,
     EmptyQueryPool,
@@ -29,9 +28,7 @@ from modelprint.tinylearn import (
     train,
 )
 from modelprint.variants import (
-    ProbitPerturbation,
     TaskTag,
-    TopKOnly,
     extract,
     finetune,
     prune,
@@ -229,7 +226,6 @@ class TestNonMutation:
         transfer(quick_model, train_ds, TrainConfig(epochs=2, learning_rate=0.1), seed=0)
         extract(quick_model, train_ds, QUICK_ARCH, TrainConfig(epochs=2), "labels", seed=0)
         same_copy(quick_model)
-        ProbitPerturbation(quick_model, scale=2.0).probits(probe)
         assert output_hash(quick_model, probe) == before
 
     def test_copies_own_read_only_weights(self, quick_model, tmp_path):
@@ -241,36 +237,6 @@ class TestNonMutation:
                 for a, a0 in ((W, W0), (b, b0)):
                     assert a.flags.owndata and not a.flags.writeable, copy.identity
                     assert not np.shares_memory(a, a0), copy.identity
-
-
-class TestOutputNoise:
-    def test_top_k_wrapper_preserves_argmax(self, quick_model, probe):
-        wrapped = TopKOnly(quick_model, 2)
-        np.testing.assert_array_equal(wrapped.predict(probe), quick_model.predict(probe))
-        np.testing.assert_array_equal(
-            wrapped.top_k(probe, 2)[:, 0], quick_model.predict(probe)
-        )
-
-    def test_top_k_wrapper_limits_access(self, quick_model, probe):
-        wrapped = TopKOnly(quick_model, 2)
-        with pytest.raises(AccessInsufficient):
-            wrapped.top_k(probe, 3)
-        with pytest.raises(AccessInsufficient):
-            wrapped.probits(probe)
-        with pytest.raises(AccessInsufficient):
-            wrapped.input_gradient(probe[0], 1)
-
-    def test_probit_perturbation_is_deterministic(self, quick_model, probe):
-        wrapped = ProbitPerturbation(quick_model, scale=0.5, seed=3)
-        P1 = wrapped.probits(probe)
-        P2 = wrapped.probits(probe)
-        np.testing.assert_array_equal(P1, P2)
-        np.testing.assert_allclose(P1.sum(axis=1), 1.0, atol=1e-9)
-        assert (P1 >= 0).all()
-
-    def test_probit_perturbation_actually_perturbs(self, quick_model, probe):
-        wrapped = ProbitPerturbation(quick_model, scale=0.5, seed=3)
-        assert np.abs(wrapped.probits(probe) - quick_model.probits(probe)).max() > 1e-3
 
 
 class TestTags:
