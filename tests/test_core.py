@@ -13,6 +13,14 @@ from modelprint.tinylearn import LinearClassifier
 from conftest import indexed_classifier, make_indexed_dataset
 
 
+class TopKHandle(mp.Classifier):
+    """A handle that exposes only the top-k labels of ``inner``'s probits."""
+
+    def __init__(self, inner):
+        super().__init__(inner.identity, inner.num_classes, inner.input_dim, Access.TOP_K)
+        self._probits = inner.probits
+
+
 def grid_points():
     return np.array([[x1, x2] for x1 in (-1.0, 0.0, 1.0) for x2 in (-1.0, 0.0, 1.0)])
 
@@ -174,6 +182,28 @@ class TestClassifierContract:
         model = LinearClassifier(W=np.zeros((3, 2)))  # all probits equal
         out = model.top_k(np.zeros((2, 2)), 3)
         np.testing.assert_array_equal(out, [[1, 2, 3], [1, 2, 3]])
+
+    def test_top_k_first_label_is_predict(self, quick_model, quick_task):
+        _, test = quick_task
+        top = quick_model.top_k(test.points, 2)
+        assert top.shape == (len(test), 2)
+        np.testing.assert_array_equal(top[:, 0], quick_model.predict(test.points))
+        assert (top[:, 0] != top[:, 1]).all()
+
+    @pytest.mark.parametrize("k", [0, 4], ids=["k=0", "k=C+1"])
+    def test_top_k_refuses_k_outside_1_to_C(self, quick_model, k):
+        with pytest.raises(BadClass, match="k must be in 1..3"):
+            quick_model.top_k(np.zeros((1, 4)), k)
+
+    def test_top_k_access_answers_labels_and_top_k_only(self, quick_model, quick_task):
+        _, test = quick_task
+        h = TopKHandle(quick_model)
+        np.testing.assert_array_equal(h.top_k(test.points, 3), quick_model.top_k(test.points, 3))
+        np.testing.assert_array_equal(h.predict(test.points), quick_model.predict(test.points))
+        for refused in (lambda: h.probits(test.points), lambda: h.logits(test.points),
+                        lambda: h.input_gradient(test.points[0], 1)):
+            with pytest.raises(AccessInsufficient, match="handle grants TOP_K"):
+                refused()
 
     def test_repeated_queries_identical(self, quick_model, quick_task):
         _, test = quick_task
