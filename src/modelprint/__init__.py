@@ -17,7 +17,6 @@ from .core import (
     PairStats,
     accuracy,
     conditioned_hamming,
-    hamming_distance,
     pair_stats,
 )
 from .tinylearn import (

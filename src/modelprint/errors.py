@@ -114,6 +114,10 @@ class ManifestError(ModelprintError):
     code = "corrupt-manifest"
 
 
+class UnsavableModel(ModelprintError):
+    code = "unsavable-model"
+
+
 class CorruptWeights(ModelprintError, ValueError):
     """A weight file that is not exactly what ``save_weights`` writes."""
 

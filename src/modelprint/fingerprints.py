@@ -25,6 +25,10 @@ from .samplers import QuerySet
 KINDS = ("raw_labels", "raw_probits", "pairwise", "listwise")
 INNER_DISTANCES = ("cosine", "labels")
 
+# Bytes in one stack of listwise (s, s) float64 payloads, 4 at s=100: one at a time is
+# slower, and a desk cell's 40 suspects at once slower still and +9.5 MB of peak memory.
+LISTWISE_STACK_BYTES = 320_000
+
 
 def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Dot product of each row pair, one BLAS ``ddot`` per row as ``np.dot`` does."""
@@ -145,7 +149,8 @@ def _payloads(
     if probit_based:
         norms = np.linalg.norm(answers, axis=2, keepdims=True)
         N = answers / np.where(norms == 0.0, 1.0, norms)
-        M = 1.0 - N @ np.swapaxes(N, 1, 2)
+        M = N @ np.swapaxes(N, 1, 2)
+        np.subtract(1.0, M, out=M)
         zero = norms[:, :, 0] == 0.0
         if zero.any():
             M[zero] = 1.0
@@ -153,8 +158,9 @@ def _payloads(
             M[zero[:, :, None] & zero[:, None, :]] = 0.0
     else:
         M = (answers[:, :, None] != answers[:, None, :]).astype(np.float64)
-    M = 0.5 * (M + np.swapaxes(M, 1, 2))
-    M[:, np.arange(s), np.arange(s)] = 0.0
+    M = M + np.swapaxes(M, 1, 2)
+    M *= 0.5
+    M.reshape(K, -1)[:, ::s + 1] = 0.0
     return M
 
 
@@ -223,24 +229,23 @@ def fingerprint_distances(
     """``fingerprint_distance(victim, represent(query_set, a, kind, inner_distance))`` per ``a``.
 
     Answers of one shape are represented and compared as one stack, bit for
-    bit as one at a time.  Listwise payloads are built one model at a time:
-    a stack of ``(s, s)`` matrices would multiply peak memory.
+    bit as one at a time.  Listwise stacks are cut to at most
+    ``LISTWISE_STACK_BYTES`` of ``(s, s)`` payloads.
     """
     provenance = dict(query_set.provenance)
-    if kind == "listwise":
-        groups = [[i] for i in range(len(answers))]
-    else:
-        by_shape: dict[tuple, list[int]] = {}
-        for i, a in enumerate(answers):
-            by_shape.setdefault(np.shape(a), []).append(i)
-        groups = by_shape.values()
+    by_shape: dict[tuple, list[int]] = {}
+    for i, a in enumerate(answers):
+        by_shape.setdefault(np.shape(a), []).append(i)
+    step = len(answers) if kind != "listwise" else max(
+        1, LISTWISE_STACK_BYTES // (8 * max(1, query_set.size) ** 2))
     out = [0.0] * len(answers)
-    for index in groups:
-        payloads = _payloads(query_set, np.array([answers[i] for i in index]),
-                             kind, inner_distance)
-        _check_comparable(victim, kind, provenance, payloads.shape[1:])
-        for i, d in zip(index, _distances(victim.payload, payloads, kind).tolist()):
-            out[i] = d
+    for group in by_shape.values():
+        for index in (group[i:i + step] for i in range(0, len(group), step)):
+            payloads = _payloads(query_set, np.array([answers[i] for i in index]),
+                                 kind, inner_distance)
+            _check_comparable(victim, kind, provenance, payloads.shape[1:])
+            for i, d in zip(index, _distances(victim.payload, payloads, kind).tolist()):
+                out[i] = d
     return out
 
 

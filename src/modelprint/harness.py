@@ -35,6 +35,7 @@ from .errors import (
     ManifestError,
     ModelprintError,
     NonFiniteAnswer,
+    UnsavableModel,
 )
 from .schemes import FingerprintScheme, SchemeSpec
 from .fingerprints import fingerprint_distance  # noqa: F401
@@ -193,7 +194,7 @@ def default_benchmark_config(seed: int = 0, **overrides) -> BenchmarkConfig:
 
 @dataclass
 class Victim:
-    model: MLPClassifier
+    model: Classifier
     train_data: LabeledDataset
     test_data: LabeledDataset
     task: SyntheticTaskSpec
@@ -409,7 +410,14 @@ def build_benchmark(config: BenchmarkConfig) -> BenchmarkTriplet:
 
 
 def save_benchmark(bench: BenchmarkTriplet, out_dir) -> Path:
-    """Write weight files and a JSON manifest; returns the manifest path."""
+    """Write weight files and a JSON manifest; returns the manifest path.  A model that is
+    not an ``MLPClassifier`` raises ``UnsavableModel`` before any file is written."""
+    for victim in bench.victims:
+        vid = victim.model.identity
+        for model in (victim.model, *(m for m, _ in bench.stolen[vid] + bench.unrelated[vid])):
+            if not isinstance(model, MLPClassifier):
+                raise UnsavableModel(f"{model.identity} is a {type(model).__name__}; "
+                                     "only an MLPClassifier has a weight file")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"version": 1, "victims": []}
@@ -509,33 +517,37 @@ class RocCurve:
     auc: float
 
 
-def _flag_rates(scores: list, thresholds) -> tuple[np.ndarray, np.ndarray]:
-    """Per-victim-averaged TPR and FPR of ``score >= t`` for each threshold ``t``.
-
-    Each victim's positive and negative scores are sorted once; the count
-    flagged at every threshold is then one ``searchsorted``.  A victim's
-    rate is ``count / n`` and the victims are averaged along the last,
-    contiguous axis, so each rate is bit-equal to a scan of the scores at
-    that single threshold.
-    """
-    victims = sorted({s.victim for s in scores})
-    if not victims:
+def _rates(victims: list, score, group, n_groups: int, thresholds=None) -> np.ndarray:
+    """Per-victim-averaged rates of ``score >= t``, ``(T, n_groups)``, from the highest of the
+    ascending ``thresholds`` (the distinct scores by default) down; ``group`` is ``g * V + v``
+    for pair set g (the last holds the negatives) and victim index v.  One ``searchsorted``
+    finds each score's first flagging threshold, one ``bincount`` and a ``cumsum`` count, and
+    ``count / n`` is averaged over the victims with pairs along the last, contiguous axis (as
+    ``compress`` keeps it), so each rate is bit-equal to a scan at that one threshold."""
+    if thresholds is None:
+        thresholds = np.sort(score)
+        thresholds = thresholds[np.concatenate(([True], thresholds[1:] != thresholds[:-1]))]
+    T, size = len(thresholds), n_groups * len(victims)
+    first = T - np.searchsorted(thresholds, score, side="right")
+    total = np.bincount(first * size + group, minlength=(T + 1) * size)
+    total = total.reshape(T + 1, n_groups, len(victims)).cumsum(axis=0)
+    n, n_neg = total[T], total[T, -1]
+    present = (n[:-1] + n_neg) > 0
+    if not present.any():
         raise EmptyPairSet("no victims to evaluate")
-    groups: dict = {}
-    for s in scores:
-        groups.setdefault((s.victim, s.positive), []).append(s.score)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    tpr = np.empty((thresholds.size, len(victims)))
-    fpr = np.empty_like(tpr)
-    for j, vid in enumerate(victims):
-        pos, neg = groups.get((vid, True)), groups.get((vid, False))
-        if not pos or not neg:
-            raise EmptyPairSet(f"victim {vid} has no scored positive or negative pairs")
-        for rates, values in ((tpr, pos), (fpr, neg)):
-            ordered = np.sort(values)
-            flagged = ordered.size - np.searchsorted(ordered, thresholds, side="left")
-            rates[:, j] = flagged / ordered.size
-    return tpr.mean(axis=1), fpr.mean(axis=1)
+    for j in np.argwhere(present & ((n[:-1] == 0) | (n_neg == 0)))[:, -1]:
+        raise EmptyPairSet(f"victim {victims[j]} has no scored positive or negative pairs")
+    keep = n_neg > 0  # each victim with pairs, as each has both kinds
+    return (np.compress(keep, total[:T], axis=-1) / n[:, keep]).mean(axis=-1)
+
+
+def _flag_rates(scores: list, thresholds=None) -> tuple[np.ndarray, np.ndarray]:
+    """TPR and FPR: ``_rates`` of the positive and of the negative pairs in ``scores``."""
+    victims = sorted({s.victim for s in scores})
+    group = [(not s.positive) * len(victims) + victims.index(s.victim) for s in scores]
+    rates = _rates(victims, np.array([s.score for s in scores], dtype=np.float64),
+                   np.array(group, dtype=np.int64), 2, thresholds)
+    return rates[:, 0], rates[:, 1]
 
 
 def tpr_fpr_at_threshold(scores, threshold: float) -> tuple[float, float]:
@@ -545,7 +557,7 @@ def tpr_fpr_at_threshold(scores, threshold: float) -> tuple[float, float]:
     averaged with equal weight regardless of how many pairs each has.
     A victim in ``scores`` without positive or negative pairs raises ``EmptyPairSet``.
     """
-    tpr, fpr = _flag_rates(list(scores), [threshold])
+    tpr, fpr = _flag_rates(list(scores), np.array([threshold], dtype=np.float64))
     return float(tpr[0]), float(fpr[0])
 
 
@@ -559,8 +571,7 @@ def roc_curve(scores) -> RocCurve:
     scores = list(scores)
     if not scores:
         raise EmptyPairSet("cannot build a ROC from no scores")
-    thresholds = sorted({s.score for s in scores}, reverse=True)
-    tpr, fpr = _flag_rates(scores, thresholds)
+    tpr, fpr = _flag_rates(scores)
     xs = np.concatenate(([0.0], fpr))
     ys = np.concatenate(([0.0], tpr))
     auc = float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") else float(np.trapz(ys, xs))
@@ -573,6 +584,23 @@ def tpr_at_fpr(curve: RocCurve, fpr_cap: float = 0.05) -> float:
         raise ValueError(f"fpr_cap must lie in [0, 1], got {fpr_cap}")
     feasible = [tpr for fpr, tpr in curve.points if fpr <= fpr_cap]
     return max(feasible) if feasible else 0.0
+
+
+def _tprs_at_cap(victims: list, run, victim, task, positive, score, n_runs: int,
+                 n_tasks: int, fpr_cap: float) -> list[list[float]]:
+    """``tpr_at_fpr(roc_curve(pairs), fpr_cap)`` per run for each task's positives with every
+    negative, then for all pairs; 0.0 for a run without pairs.  ``victim`` indexes the sorted
+    ``victims``.  One sweep over a run's distinct scores gives every subset's ROC points."""
+    again = np.flatnonzero(positive)  # each positive counts once more, among all positives
+    group = np.concatenate((np.where(positive, task, n_tasks + 1), np.full(again.size, n_tasks)))
+    run, victim, score = (np.concatenate((a, a[again])) for a in (run, victim, score))
+    group = group * len(victims) + victim
+    out = [[0.0] * (n_tasks + 1) for _ in range(n_runs)]
+    for r in sorted(set(run.tolist())):
+        mine = run == r
+        rates = _rates(victims, score[mine], group[mine], n_tasks + 2)
+        out[r] = rates[rates[:, -1] <= fpr_cap, :-1].max(axis=0, initial=0.0).tolist()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +736,6 @@ def evaluate(
     tasks = benchmark.tasks
     scores: list[PairScore] = []
     skipped: list[dict] = []
-    per_task = {t: [] for t in tasks}
-    pooled = []
     for vi, victim in enumerate(benchmark.victims):
         vid = victim.model.identity
         pool = victim.data(spec.seed_split)
@@ -733,18 +759,13 @@ def evaluate(
                        for (model, tag), dist in zip(suspects, run_dists)]
     scores.sort(key=lambda s: (s.run, s.victim, s.suspect))
     skipped.sort(key=lambda s: s["run"])
-    for run in range(n_runs):
-        run_scores = [s for s in scores if s.run == run]
-        negatives = [s for s in run_scores if not s.positive]
-        if not run_scores:
-            for t in tasks:
-                per_task[t].append(0.0)
-            pooled.append(0.0)
-            continue
-        for t in tasks:
-            subset = [s for s in run_scores if s.positive and s.task == t] + negatives
-            per_task[t].append(tpr_at_fpr(roc_curve(subset), fpr_cap))
-        pooled.append(tpr_at_fpr(roc_curve(run_scores), fpr_cap))
+    ids = sorted(v.model.identity for v in benchmark.victims)
+    cols = np.array([(s.run, ids.index(s.victim), s.positive and tasks.index(s.task), s.positive)
+                     for s in scores], dtype=np.int64).reshape(-1, 4).T
+    tprs = _tprs_at_cap(ids, *cols[:3], cols[3] == 1, np.array([s.score for s in scores]),
+                        n_runs, len(tasks), fpr_cap)
+    per_task = {t: [row[k] for row in tprs] for k, t in enumerate(tasks)}
+    pooled = [row[-1] for row in tprs]
 
     per_task_summary = {t: _mean_std(vals) for t, vals in per_task.items()}
     mean_over_tasks = [

@@ -34,6 +34,7 @@ from modelprint.errors import (
     ModelprintError,
     NonFiniteAnswer,
 )
+from modelprint import fingerprints
 from modelprint.fingerprints import KINDS, fingerprint_distance, represent
 from modelprint.harness import (
     DESK_ARCH,
@@ -250,6 +251,40 @@ class TestMatchesOneModelAtATime:
         shapes = r"payload shapes \(12, 3\) and \(12, 7\)"
         with pytest.raises(IncomparableFingerprints, match=shapes):
             probits.distances(quick_model, models, qs)
+
+
+    @pytest.mark.parametrize("inner", ["cosine", "labels"])
+    def test_listwise_stacks_bit_equal(self, inner):
+        """More suspects than a listwise stack holds, of two answer shapes, with zero
+        probit rows and a copy of the victim, score as one at a time."""
+        s = 100
+        per = fingerprints.LISTWISE_STACK_BYTES // (8 * s * s)
+        rng = np.random.default_rng(4)
+        qs = QuerySet(rng.normal(size=(s, 3)), {"sampler": "test"})
+
+        def answers(C):
+            if inner == "labels":
+                return rng.integers(1, C + 1, s)
+            P = rng.random((s, C))
+            P[rng.random(s) < 0.1] = 0.0
+            P[0] = 0.0
+            return P
+
+        victim = answers(3)
+        suspects = [victim.copy()] + [answers(C) for C in [3] * (per + 1) + [5] * (2 * per + 1)]
+        suspects = [suspects[i] for i in rng.permutation(len(suspects))]
+        if inner == "labels":
+            assert len({a.shape for a in suspects}) == 1
+        else:
+            assert {a.shape for a in suspects} == {(s, 3), (s, 5)}
+        fp = represent(qs, victim, "listwise", inner)
+        got = fingerprints.fingerprint_distances(fp, qs, suspects, "listwise", inner)
+        want = [fingerprint_distance(fp, represent(qs, a, "listwise", inner)) for a in suspects]
+        oracle = [reference_distance("listwise", reference_payload(qs, victim, "listwise", inner),
+                                     reference_payload(qs, a, "listwise", inner))
+                  for a in suspects]
+        assert bits(got) == bits(want) == bits(oracle)
+        assert got.count(0.0) >= 1
 
 
 PROBIT_SPEC = SchemeSpec(sampler=UniformSampler(), representation="raw_probits", budget=10)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelprint as mp
-from modelprint.core import Access
+from modelprint.core import Access, softmax
 from modelprint.errors import AccessInsufficient, BadClass, EmptyEvaluationSet
 from modelprint.tinylearn import LinearClassifier
 
@@ -57,9 +57,11 @@ class TestAccuracy:
 
 
 class TestHammingDistance:
+    """Relative Hamming distance, read as ``pair_stats(...).delta``."""
+
     def test_identical_models(self, quick_model, quick_task):
         _, test = quick_task
-        assert mp.hamming_distance(quick_model, quick_model, test) == 0.0
+        assert mp.pair_stats(quick_model, quick_model, test).delta == 0.0
 
     def test_total_disagreement(self):
         data = make_indexed_dataset([1, 2, 3, 1, 2], num_classes=3)
@@ -67,27 +69,27 @@ class TestHammingDistance:
         g = mp.FunctionClassifier(
             lambda X: h.predict(X) % 3 + 1, 3, 1, identity="shifted"
         )
-        assert mp.hamming_distance(h, g, data) == 1.0
+        assert mp.pair_stats(h, g, data).delta == 1.0
 
     def test_trained_pair_matches_per_point_count(self, quick_model, quick_model_b, quick_task):
         _, test = quick_task
         count = 0
         for x in test.points:
             count += quick_model.predict([x])[0] != quick_model_b.predict([x])[0]
-        assert mp.hamming_distance(quick_model, quick_model_b, test) == count / len(test)
+        assert mp.pair_stats(quick_model, quick_model_b, test).delta == count / len(test)
 
     def test_symmetry(self, quick_model, quick_model_b, quick_task):
         _, test = quick_task
-        assert mp.hamming_distance(quick_model, quick_model_b, test) == mp.hamming_distance(
+        assert mp.pair_stats(quick_model, quick_model_b, test).delta == mp.pair_stats(
             quick_model_b, quick_model, test
-        )
+        ).delta
 
     def test_accuracy_plus_distance_to_concept_is_one(self, quick_model, quick_task):
         _, test = quick_task
         c_model = test.as_lookup_classifier()
-        assert mp.accuracy(quick_model, test) + mp.hamming_distance(
+        assert mp.accuracy(quick_model, test) + mp.pair_stats(
             quick_model, c_model, test
-        ) == 1.0
+        ).delta == 1.0
 
 
 class TestConditionedHamming:
@@ -138,7 +140,6 @@ class TestPairStats:
         st_ = mp.pair_stats(quick_model, quick_model_b, test)
         assert st_.alpha == mp.accuracy(quick_model, test)
         assert st_.alpha_prime == mp.accuracy(quick_model_b, test)
-        assert st_.delta == mp.hamming_distance(quick_model, quick_model_b, test)
         assert st_.delta_c == mp.conditioned_hamming(quick_model, quick_model_b, test)
 
     def test_undefined_flag_for_perfect_first_model(self):
@@ -241,3 +242,37 @@ class TestLabeledDataset:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             mp.LabeledDataset([[0.0], [1.0]], [1], 2)
+
+
+def reference_softmax(logits):
+    """``softmax`` as it was, shifted by ``max(axis=-1)``."""
+    Z = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=-1, keepdims=True)
+    return Z
+
+
+ROW_VALUES = st.sampled_from([
+    st.floats(-40.0, 40.0),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]),
+])
+
+
+@st.composite
+def logit_stacks(draw):
+    """2-D ``(n, C)`` or 3-D ``(k, n, C)`` logits, C from 2 to 9, with rows of ±0, ±inf or NaN."""
+    C, n = draw(st.integers(2, 9)), draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([(), (draw(st.integers(2, 3)),)]))
+    values = [draw(ROW_VALUES) for _ in range(int(np.prod(lead, dtype=int)) * n)]
+    return np.array([[draw(v) for _ in range(C)] for v in values]).reshape(*lead, n, C)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logits=logit_stacks())
+def test_softmax_column_max_is_bit_equal_to_the_row_max(logits):
+    before = logits.tobytes()
+    with np.errstate(invalid="ignore"):
+        got, want = softmax(logits), reference_softmax(logits.copy())
+    assert got.shape == logits.shape and got.tobytes() == want.tobytes()
+    assert logits.tobytes() == before

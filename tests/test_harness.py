@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import modelprint as mp
 from modelprint import fingerprints, harness
 from modelprint.core import Classifier, pair_stats, write_csv
-from modelprint.errors import EmptyPairSet, EmptyTaskList, NonFiniteAnswer, TrainingDiverged
+from modelprint.errors import (
+    EmptyPairSet, EmptyTaskList, ModelprintError, NonFiniteAnswer, TrainingDiverged,
+)
 from modelprint.harness import (
     STREAM_POOL,
     STREAM_STOLEN,
@@ -700,6 +702,69 @@ class TestRocMatchesScanOracle:
             assert roc_curve(scores) == reference_roc_curve(scores)
 
 
+def linear_triplet(quick_task):
+    """A one-victim triplet of ``LinearClassifier``s: a victim, one stolen and one unrelated."""
+    train_ds, test_ds = quick_task
+    rng = np.random.default_rng(0)
+    victim, stolen, negative = (mp.LinearClassifier(rng.normal(size=(3, 4)), identity=name)
+                                for name in ("victim", "stolen", "unrelated"))
+    return BenchmarkTriplet((Victim(victim, train_ds, test_ds, QUICK_TASK),),
+                            {"victim": ((stolen, mp.TaskTag("same")),)},
+                            {"victim": ((negative, mp.TaskTag("unrelated")),)})
+
+
+def reference_tprs_at_cap(victims, run, victim, task, positive, score, n_runs, n_tasks,
+                          fpr_cap):
+    """Each run's per-task and pooled TPR@cap read from whole reference ROC curves,
+    as ``evaluate`` read them before it swept arrays."""
+    scores = [PairScore(int(r), victims[v], f"s{i}", int(t) if p else None, bool(p), float(x))
+              for i, (r, v, t, p, x) in enumerate(zip(run, victim, task, positive, score))]
+    out = []
+    for r in range(n_runs):
+        run_scores = [s for s in scores if s.run == r]
+        if not run_scores:
+            out.append([0.0] * (n_tasks + 1))
+            continue
+        negatives = [s for s in run_scores if not s.positive]
+        subsets = [[s for s in run_scores if s.positive and s.task == t] + negatives
+                   for t in range(n_tasks)]
+        out.append([tpr_at_fpr(reference_roc_curve(subset), fpr_cap)
+                    for subset in (*subsets, run_scores)])
+    return out
+
+
+@st.composite
+def run_arrays(draw):
+    """``_tprs_at_cap``'s arguments: 1-3 runs and tasks, 1-10 victims (from 8 on, numpy sums
+    their rates pairwise), victims absent from some runs and, in some examples, a victim
+    without positives of some task."""
+    n_runs, n_tasks, n_victims = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(
+        st.integers(1, 10))
+    tied = draw(st.booleans())
+    values = st.floats(-3.0, 3.0).map(lambda x: round(x, 1)) if tied else SCORE_VALUES
+    lowest = 0 if draw(st.booleans()) else 1
+    rows = []
+    for r in range(n_runs):
+        for v in range(n_victims):
+            if draw(st.booleans()) and draw(st.booleans()):
+                continue  # this victim was skipped in this run
+            for t in range(n_tasks):
+                rows += [(r, v, t, 1, draw(values)) for _ in range(draw(st.integers(lowest, 3)))]
+            rows += [(r, v, 0, 0, draw(values)) for _ in range(draw(st.integers(1, 4)))]
+    rows = draw(st.permutations(rows))
+    cap = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    columns = np.array([row[:4] for row in rows], dtype=np.int64).reshape(-1, 4).T
+    score = np.array([row[4] for row in rows], dtype=np.float64)
+    victims = [f"v{v}" for v in range(n_victims)]
+    return (victims, *columns[:3], columns[3] == 1, score, n_runs, n_tasks, cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=run_arrays())
+def test_tprs_at_cap_equal_the_threshold_scan(args):
+    assert outcome(harness._tprs_at_cap, *args) == outcome(reference_tprs_at_cap, *args)
+
+
 def perfbench_families(budget=20):
     """The four scheme families of the benchmark, plus label-distance pairwise."""
     return [
@@ -715,7 +780,7 @@ def perfbench_families(budget=20):
 def test_reports_byte_identical_to_oracles(mini_benchmark, monkeypatch):
     fast = [evaluate(spec, mini_benchmark, n_runs=2, seed=0).to_json()
             for spec in perfbench_families()]
-    monkeypatch.setattr(harness, "roc_curve", reference_roc_curve)
+    monkeypatch.setattr(harness, "_tprs_at_cap", reference_tprs_at_cap)
     monkeypatch.setattr(harness, "_all_pair_stats", reference_all_pair_stats)
     monkeypatch.setattr(fingerprints, "cosine_rows", reference_cosine_rows)
     slow = [evaluate(spec, mini_benchmark, n_runs=2, seed=0).to_json()
@@ -891,18 +956,26 @@ class TestEvaluate:
     def test_model_scale_of_a_victim_that_is_no_mlp_is_null(self, quick_task):
         """Any handle may be a victim; only an MLP has layer widths and a parameter count."""
         train_ds, test_ds = quick_task
-        rng = np.random.default_rng(0)
-        victim, stolen, negative = (mp.LinearClassifier(rng.normal(size=(3, 4)), identity=name)
-                                    for name in ("victim", "stolen", "unrelated"))
-        bench = BenchmarkTriplet((Victim(victim, train_ds, test_ds, QUICK_TASK),),
-                                 {"victim": ((stolen, mp.TaskTag("same")),)},
-                                 {"victim": ((negative, mp.TaskTag("unrelated")),)})
         spec = SchemeSpec(sampler=UniformSampler(), representation="raw_labels",
                           inner_distance="labels", budget=10)
-        report = evaluate(spec, bench, n_runs=2)
+        report = evaluate(spec, linear_triplet(quick_task), n_runs=2)
         assert not report.skipped and len(report.scores) == 4
         assert report.model_scale == {"layer_widths": None, "n_params": None, "n_victims": 1,
                                       "n_train": len(train_ds), "n_test": len(test_ds)}
+
+    @pytest.mark.parametrize("linear", ["victim", "stolen"])
+    def test_save_refuses_a_model_that_is_no_mlp_before_writing(self, quick_task, quick_model,
+                                                                 tmp_path, linear):
+        """Only an MLP has a weight file, so such a triplet is refused and nothing is written,
+        not even an MLP victim's file."""
+        bench = linear_triplet(quick_task)
+        if linear == "stolen":
+            victim = replace(bench.victims[0], model=quick_model.clone("victim"))
+            bench = replace(bench, victims=(victim,))
+        with pytest.raises(ModelprintError, match=f"{linear} is a LinearClassifier") as err:
+            save_benchmark(bench, tmp_path)
+        assert err.value.code == "unsavable-model"
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_do_not_change_results(self, mini_benchmark, monkeypatch):
         a = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,

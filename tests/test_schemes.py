@@ -184,9 +184,9 @@ class TestSchemeEquivalence:
         scheme = assemble_scheme(spec)
         qs = scheme.query_set(quick_model, test, seed=9)
         sampled = test.take(qs.source_indices)
-        assert scheme.score(quick_model, quick_model_b, test, 9) == mp.hamming_distance(
+        assert scheme.score(quick_model, quick_model_b, test, 9) == mp.pair_stats(
             quick_model, quick_model_b, sampled
-        )
+        ).delta
 
 
 class TestCellDistances:

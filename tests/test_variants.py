@@ -62,7 +62,7 @@ class TestPrune:
         pruned = prune(quick_model, 0.3)
         count = int(np.sum(quick_model.predict(test.points) != pruned.predict(test.points)))
         assert count > 0
-        assert mp.hamming_distance(quick_model, pruned, test) == count / len(test)
+        assert mp.pair_stats(quick_model, pruned, test).delta == count / len(test)
 
     def test_extreme_fraction_goes_constant(self, quick_model, quick_task):
         _, test = quick_task
@@ -88,7 +88,7 @@ class TestQuantize:
         _, test = quick_task
         for bits in (16, 24):
             q = quantize(quick_model, bits)
-            assert mp.hamming_distance(quick_model, q, test) == 0.0
+            assert mp.pair_stats(quick_model, q, test).delta == 0.0
 
     def test_grid_is_sign_symmetric(self, quick_model):
         negated = quick_model.clone(
@@ -101,7 +101,7 @@ class TestQuantize:
 
     def test_coarse_bits_agree_less(self, quick_model, quick_task):
         _, test = quick_task
-        agree = lambda m: 1.0 - mp.hamming_distance(quick_model, m, test)
+        agree = lambda m: 1.0 - mp.pair_stats(quick_model, m, test).delta
         assert agree(quantize(quick_model, 2)) < agree(quantize(quick_model, 16))
 
     def test_degenerate_bits(self, quick_model):
@@ -156,7 +156,7 @@ class TestExtraction:
     def test_label_extraction_agrees_with_victim(self, quick_model, quick_task):
         train_ds, test_ds = quick_task
         substitute = extract(quick_model, train_ds, QUICK_ARCH, QUICK_CFG, "labels", seed=1)
-        agreement = 1.0 - mp.hamming_distance(quick_model, substitute, test_ds)
+        agreement = 1.0 - mp.pair_stats(quick_model, substitute, test_ds).delta
         assert agreement > 0.8
         assert substitute.tag.method == "label_extraction"
 
@@ -166,8 +166,8 @@ class TestExtraction:
         for seed in range(5):
             lab = extract(quick_model, train_ds, QUICK_ARCH, QUICK_CFG, "labels", seed=seed)
             prob = extract(quick_model, train_ds, QUICK_ARCH, QUICK_CFG, "probits", seed=seed)
-            a_lab = 1.0 - mp.hamming_distance(quick_model, lab, test_ds)
-            a_prob = 1.0 - mp.hamming_distance(quick_model, prob, test_ds)
+            a_lab = 1.0 - mp.pair_stats(quick_model, lab, test_ds).delta
+            a_prob = 1.0 - mp.pair_stats(quick_model, prob, test_ds).delta
             wins += a_prob >= a_lab
         assert wins >= 3
 
@@ -179,7 +179,7 @@ class TestExtraction:
         )
         assert substitute.tag.method == "adversarial_label_extraction"
         assert substitute.tag.params["n_adversarial"] == 50
-        assert 1.0 - mp.hamming_distance(quick_model, substitute, test_ds) > 0.6
+        assert 1.0 - mp.pair_stats(quick_model, substitute, test_ds).delta > 0.6
 
     def test_empty_pool_rejected(self, quick_model):
         empty = mp.LabeledDataset(np.empty((0, 4)), [], 3)
@@ -199,13 +199,13 @@ class TestUnrelated:
         train_ds, test_ds = quick_task
         a = unrelated(train_ds, QUICK_ARCH, QUICK_CFG, seed=1)
         b = unrelated(train_ds, QUICK_ARCH, QUICK_CFG, seed=2)
-        assert mp.hamming_distance(a, b, test_ds) > 0.0
+        assert mp.pair_stats(a, b, test_ds).delta > 0.0
         assert a.tag.method == "unrelated" and not a.tag.is_positive
 
     def test_same_seed_as_victim_degenerates_to_victim(self, quick_model, quick_task):
         train_ds, test_ds = quick_task
         twin = unrelated(train_ds, QUICK_ARCH, QUICK_CFG, seed=QUICK_ARCH.seed)
-        assert mp.hamming_distance(quick_model, twin, test_ds) == 0.0
+        assert mp.pair_stats(quick_model, twin, test_ds).delta == 0.0
 
     def test_unrelated_mistake_overlap_exceeds_stolen(self, quick_model, quick_task):
         train_ds, test_ds = quick_task
