@@ -35,7 +35,7 @@ from modelprint.errors import (
     NonFiniteAnswer,
 )
 from modelprint import fingerprints
-from modelprint.fingerprints import KINDS, fingerprint_distance, represent
+from modelprint.fingerprints import INNER_DISTANCES, KINDS, fingerprint_distance, represent
 from modelprint.harness import (
     DESK_ARCH,
     STREAM_QUERY,
@@ -285,6 +285,25 @@ class TestMatchesOneModelAtATime:
                   for a in suspects]
         assert bits(got) == bits(want) == bits(oracle)
         assert got.count(0.0) >= 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 120), C=st.integers(2, 9),
+           K=st.integers(1, 4), inner=st.sampled_from(INNER_DISTANCES),
+           zero=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    def test_listwise_payloads_exactly_symmetric(self, seed, s, C, K, inner, zero):
+        """The stacked listwise payloads, which are not symmetrized, equal their transposes
+        and the oracle, which symmetrizes, byte for byte; probit stacks hold zero rows."""
+        rng = np.random.default_rng(seed)
+        qs = QuerySet(rng.normal(size=(s, 1)), {"sampler": "test"})
+        if inner == "labels":
+            answers = rng.integers(1, C + 1, (K, s))
+        else:
+            answers = rng.random((K, s, C))
+            answers[rng.random((K, s)) < zero] = 0.0
+        payloads = fingerprints._payloads(qs, answers, "listwise", inner)
+        for a, M in zip(answers, payloads):
+            assert M.tobytes() == np.ascontiguousarray(M.T).tobytes()
+            assert M.tobytes() == reference_payload(qs, a, "listwise", inner).tobytes()
 
 
 PROBIT_SPEC = SchemeSpec(sampler=UniformSampler(), representation="raw_probits", budget=10)

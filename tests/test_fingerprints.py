@@ -190,6 +190,38 @@ class TestCosineMatchesScalarOracle:
         # the flattened payloads of pairwise and listwise fingerprints
         assert cosine_rows([U.ravel()], [V.ravel()])[0] == reference_cosine_distance(U, V)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.integers(2, 100),
+        k=st.integers(1, 6),
+        kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=20),
+    )
+    def test_one_array_against_a_stack_bit_equal(self, seed, c, k, kinds):
+        """One ``(n, C)`` array against a ``(K, n, C)`` stack, row for row and flattened to
+        ``(1, L)`` against ``(K, 1, L)`` as ``_distances`` compares a victim's payload."""
+        rng = np.random.default_rng(seed)
+        U = oracle_rows(rng, kinds, c)[0]
+        V = np.stack([oracle_rows(rng, kinds, c)[1] for _ in range(k)])
+        for j, i in np.ndindex(k, len(U)):
+            # an identical row, a scaled copy (a quarter of them clamp from just below 0),
+            # a zero row, or the drawn one
+            V[j, i] = (U[i], 3.0 * U[i], 0.0, V[j, i])[rng.integers(4)]
+        want = [[reference_cosine_distance(u, v) for u, v in zip(U, Vj)] for Vj in V]
+        assert cosine_rows(U, V).tobytes() == np.array(want).tobytes()
+        flat = cosine_rows(U.reshape(1, -1), V.reshape(k, 1, -1))
+        want = [[reference_cosine_distance(U, Vj)] for Vj in V]
+        assert flat.tobytes() == np.array(want).tobytes()
+
+    def test_broadcast_covers_identical_zero_and_clamped_rows(self):
+        u = np.array([0.1, 0.2, 0.7])
+        assert 1.0 - u @ (3.0 * u) / (np.linalg.norm(u) * np.linalg.norm(3.0 * u)) < 0.0
+        V = np.array([[u], [3.0 * u], [np.zeros(3)], [-u]])
+        want = [reference_cosine_distance(u, v) for v in V]
+        assert want[:3] == [0.0, 0.0, 1.0]
+        assert cosine_rows(u[None], V).ravel().tolist() == want
+        assert cosine_rows(np.zeros((1, 3)), V).ravel().tolist() == [1.0, 1.0, 0.0, 1.0]
+
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 99, 100, 2500, 10_000])
     def test_long_vectors_bit_equal(self, n):
         rng = np.random.default_rng(n)

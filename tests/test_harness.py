@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -633,7 +634,10 @@ def reference_all_pair_stats(benchmark, split, skip_nonfinite_victims=False):
 
 
 def reference_cosine_rows(U, V):
-    return np.array([reference_cosine_distance(u, v) for u, v in zip(U, V)])
+    """One scalar cosine distance per row, leading axes broadcast as ``cosine_rows`` does."""
+    U, V = np.broadcast_arrays(np.asarray(U, dtype=np.float64), np.asarray(V, dtype=np.float64))
+    rows = zip(U.reshape(-1, U.shape[-1]), V.reshape(-1, V.shape[-1]))
+    return np.array([reference_cosine_distance(u, v) for u, v in rows]).reshape(U.shape[:-1])
 
 
 def outcome(fn, *args):
@@ -700,6 +704,24 @@ class TestRocMatchesScanOracle:
                 for v in range(n_victims) for i in range(3 + int(rng.integers(1, 8)))
             ]
             assert roc_curve(scores) == reference_roc_curve(scores)
+
+
+def test_nan_scores_are_refused_naming_their_victim():
+    """No threshold orders a NaN score, so the rates refuse it; an infinite score is still
+    flagged by every threshold or by none."""
+    scores = [PairScore(0, "v", "p", "t", True, 0.5), PairScore(0, "v", "n", "u", False, 0.2),
+              PairScore(0, "w", "p", "t", True, np.nan), PairScore(0, "w", "n", "u", False, 0.5)]
+    for call in (lambda: roc_curve(scores), lambda: tpr_fpr_at_threshold(scores, 1.0)):
+        with pytest.raises(ValueError, match="victim w has a NaN score"):
+            call()
+    score = np.array([s.score for s in scores])
+    args = ([0] * 4, [0, 0, 1, 1], [0] * 4, [True, False] * 2)
+    with pytest.raises(ValueError, match="victim w has a NaN score"):
+        harness._tprs_at_cap(["v", "w"], *map(np.array, args), score, 1, 1, 0.05)
+    scores[2] = PairScore(0, "w", "p", "t", True, np.inf)
+    scores[3] = PairScore(0, "w", "n", "u", False, -np.inf)
+    assert tpr_fpr_at_threshold(scores, 1.0) == (0.5, 0.0)
+    assert tpr_fpr_at_threshold(scores, -np.inf) == (1.0, 1.0)
 
 
 def linear_triplet(quick_task):
@@ -777,16 +799,32 @@ def perfbench_families(budget=20):
     ]
 
 
-def test_reports_byte_identical_to_oracles(mini_benchmark, monkeypatch):
-    fast = [evaluate(spec, mini_benchmark, n_runs=2, seed=0).to_json()
-            for spec in perfbench_families()]
+def assert_reports_equal_the_oracles(bench, monkeypatch, fpr_cap=0.05):
+    """Each family's report at ``fpr_cap`` equals the oracles' byte for byte; returns them."""
+    reports = [evaluate(spec, bench, n_runs=2, seed=0, fpr_cap=fpr_cap)
+               for spec in perfbench_families()]
     monkeypatch.setattr(harness, "_tprs_at_cap", reference_tprs_at_cap)
     monkeypatch.setattr(harness, "_all_pair_stats", reference_all_pair_stats)
     monkeypatch.setattr(fingerprints, "cosine_rows", reference_cosine_rows)
-    slow = [evaluate(spec, mini_benchmark, n_runs=2, seed=0).to_json()
+    slow = [evaluate(spec, bench, n_runs=2, seed=0, fpr_cap=fpr_cap).to_json()
             for spec in perfbench_families()]
+    fast = [report.to_json() for report in reports]
     assert all('"pair_statistics":{"victim-0|' in report for report in fast)
     assert fast == slow
+    return reports
+
+
+def test_reports_byte_identical_to_oracles(mini_benchmark, monkeypatch):
+    assert_reports_equal_the_oracles(mini_benchmark, monkeypatch)
+
+
+@pytest.mark.parametrize("fpr_cap", [0.0, 1 / 3, 1.0], ids=["0", "1/3", "1"])
+def test_reports_byte_identical_to_oracles_at_fpr_points(mini_benchmark, monkeypatch, fpr_cap):
+    """Caps on an FPR point of every family's curves, where a TPR@cap that drops the point at
+    the cap or the (1, 1) point shows: 0, 1, and 1/3 (one of each victim's three negatives)."""
+    for report in assert_reports_equal_the_oracles(mini_benchmark, monkeypatch, fpr_cap):
+        curve = roc_curve([s for s in report.scores if s.run == 0])
+        assert fpr_cap in {fpr for fpr, _ in curve.points}
 
 
 def count_split_predicts(monkeypatch, bench):
@@ -952,6 +990,19 @@ class TestEvaluate:
             "task", "positive", "alpha", "alpha_prime", "delta", "delta_c", "n_eval",
         }
         assert report.model_scale["n_victims"] == 2
+
+    def test_record_equals_the_asdict_form(self, mini_benchmark, quick_task):
+        """``to_record`` builds the record directly, with the keys, values and JSON bytes of
+        ``dataclasses.asdict``: with skipped cells, and with a null ``model_scale``."""
+        spec = SchemeSpec(sampler=UniformSampler(), representation="raw_labels",
+                          inner_distance="labels", budget=10)
+        reports = [evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2),
+                   evaluate(spec, linear_triplet(quick_task), n_runs=2)]
+        assert reports[0].skipped and reports[1].model_scale["n_params"] is None
+        for report in reports:
+            want = {"version": mp.__version__} | dataclasses.asdict(report)
+            assert report.to_record() == want
+            assert report.to_json() == json.dumps(want, sort_keys=True, separators=(",", ":"))
 
     def test_model_scale_of_a_victim_that_is_no_mlp_is_null(self, quick_task):
         """Any handle may be a victim; only an MLP has layer widths and a parameter count."""
