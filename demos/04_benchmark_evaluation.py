@@ -38,7 +38,7 @@ schemes = {
     ),
 }
 for name, spec in schemes.items():
-    report = mp.evaluate(spec, bench, n_runs=5, seed=0, compute_pair_stats=False)
+    report = mp.evaluate(spec, bench, n_runs=5, seed=0)
     print(f"{name} @ budget 100, mean tpr@5% over 5 runs:")
     for task in sorted(report.per_task):
         entry = report.per_task[task]

@@ -8,6 +8,7 @@ run configuration and the toolkit version.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from .harness import (
     build_benchmark,
     evaluate,
     load_benchmark,
+    pair_distance_report,
     save_benchmark,
 )
 from .schemes import SchemeSpec
@@ -119,13 +121,16 @@ def cmd_evaluate(args) -> int:
         "scheme": str(args.scheme),
     }
     jpath, cpath = report.save(args.out, stem=stem)
+    spath = jpath.with_name(f"{stem}.pair_statistics.json")
+    stats = pair_distance_report(bench, spec.seed_split).to_record()
+    spath.write_text(json.dumps(stats, sort_keys=True, separators=(",", ":")) + "\n")
     for task in sorted(report.per_task):
         entry = report.per_task[task]
         print(f"{task}: tpr@{report.fpr_cap:g} = {entry['mean']:.3f} +- {entry['std']:.3f}")
     agg = report.aggregate["mean_over_tasks"]
     print(f"aggregate (mean over tasks): {agg['mean']:.3f} +- {agg['std']:.3f}")
     print(_skip_line([report]))
-    print(f"wrote {jpath} and {cpath}")
+    print(f"wrote {jpath}, {cpath} and {spath}")
     _require_scored([report])
     return 0
 

@@ -153,14 +153,12 @@ def _payloads(
         M = N @ np.swapaxes(N, 1, 2)
         np.subtract(1.0, M, out=M)
         zero = norms[:, :, 0] == 0.0
-        if zero.any():
-            M[zero] = 1.0
-            np.swapaxes(M, 1, 2)[zero] = 1.0
-            M[zero[:, :, None] & zero[:, None, :]] = 0.0
+        if zero.any():  # finite answers give 0 products with a zero row, so M is 1 there
+            M[zero[:, :, None] & zero[:, None, :]] = 0.0  # but two zero answers agree
     else:
         M = (answers[:, :, None] != answers[:, None, :]).astype(np.float64)
     # M is exactly symmetric, so not symmetrized: matmul takes N @ N^T of one buffer to BLAS
-    # syrk, which mirrors one triangle, and 1 - M, the zero fills and label tests keep that
+    # syrk, which mirrors one triangle, and 1 - M, the zero fill and label tests keep that
     M.reshape(K, -1)[:, ::s + 1] = 0.0
     return M
 
@@ -173,7 +171,7 @@ def represent(
 ) -> Fingerprint:
     """Build a fingerprint from a model's answers on a query set.
 
-    ``answers`` is a ``(s,)`` label vector or an ``(s, C)`` probit matrix,
+    ``answers`` is a finite ``(s,)`` label vector or ``(s, C)`` probit matrix,
     matching what the representation consumes: probit payloads and the
     cosine inner distance need probit answers, the label inner distance
     needs label answers.  Pairwise representations additionally need the

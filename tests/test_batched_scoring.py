@@ -364,7 +364,7 @@ class TestErrorSemantics:
         broken = type(victim)(nan_copy(victim.model, vid), victim.train_data,
                               victim.test_data, victim.task)
         bench = replace(mini_benchmark, victims=(broken, *others))
-        report = evaluate(PROBIT_SPEC, bench, n_runs=1, compute_pair_stats=False)
+        report = evaluate(PROBIT_SPEC, bench, n_runs=1)
         assert [(s["victim"], s["error"]) for s in report.skipped] == [(vid, "non-finite-answer")]
         (model, tag), *rest = mini_benchmark.stolen[vid]
         for bad in (nan_copy(model), lowered(model, "labels-only", Access.LABELS)):
@@ -372,12 +372,11 @@ class TestErrorSemantics:
                                                     vid: ((bad, tag), *rest)})
             with pytest.raises((NonFiniteAnswer, AccessInsufficient),
                                match=re.escape(bad.identity)):
-                evaluate(PROBIT_SPEC, bench, n_runs=1, compute_pair_stats=False)
+                evaluate(PROBIT_SPEC, bench, n_runs=1)
 
 
 def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
-    """``evaluate`` without pair statistics, as it was before it sampled and had suspects
-    answer per victim.
+    """``evaluate`` as it was before it sampled and had suspects answer per victim.
 
     Runs come first, and each (run, victim) cell draws its own query set with one
     ``sample`` call and makes its own ``distances`` call.
@@ -421,7 +420,6 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
         aggregate={"mean_over_tasks": _mean_std(mean_over_tasks),
                    "pooled_pairs": _mean_std(pooled)},
         scores=tuple(scores),
-        pair_statistics={},
         skipped=tuple(skipped),
         model_scale={
             "layer_widths": list(mlp.spec.layer_widths) if mlp else None,
@@ -430,8 +428,7 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
             "n_train": len(first.train_data),
             "n_test": len(first.test_data),
         },
-        run_config={"scheme": spec.to_record(), "budget": spec.budget, "n_runs": n_runs,
-                    "seed": seed, "fpr_cap": fpr_cap},
+        run_config={"seed": seed},
     )
 
 
@@ -562,7 +559,7 @@ class TestEvaluateAnswersPerVictim:
         spec, bench, n_runs, seed = case
         if partly_drawn(spec, bench, n_runs, seed):
             event("a victim's runs partly draw")
-        got = evaluate(spec, bench, n_runs=n_runs, seed=seed, compute_pair_stats=False)
+        got = evaluate(spec, bench, n_runs=n_runs, seed=seed)
         assert got.to_json() == reference_evaluate(spec, bench, n_runs, seed).to_json()
 
     @pytest.mark.parametrize("budget", [10, 2, 1])
@@ -578,7 +575,7 @@ class TestEvaluateAnswersPerVictim:
             return probits(self, *args)
 
         monkeypatch.setattr(mp.Classifier, "probits", counting)
-        report = evaluate(spec, mini_benchmark, n_runs=5, compute_pair_stats=False)
+        report = evaluate(spec, mini_benchmark, n_runs=5)
         assert not report.skipped and report.to_json() == want
         victims = [v.model.identity for v in mini_benchmark.victims]
         suspects = Counter(model.identity for vid in victims for model, _ in
@@ -608,7 +605,7 @@ class TestEvaluateSamplesPerVictim:
         with pytest.raises(NonFiniteAnswer):
             spec.sampler.sample_runs([pool] * 5, broken.model, spec.budget, seeds)
         bench = replace(mini_benchmark, victims=(broken, *others))
-        report = evaluate(spec, bench, n_runs=5, compute_pair_stats=False)
+        report = evaluate(spec, bench, n_runs=5)
         assert [(s["run"], s["victim"], s["error"]) for s in report.skipped] == [
             (run, vid, "non-finite-answer") for run in fails]
         assert {s.run for s in report.scores if s.victim == vid} == set(range(5)) - set(fails)
@@ -632,7 +629,7 @@ class TestEvaluateSamplesPerVictim:
         want = reference_evaluate(spec, mini_benchmark, runs, 0).to_json()
         alone_calls, alone_rows = calls.copy(), rows.copy()
         calls.clear(), rows.clear(), stacks.clear()
-        report = evaluate(spec, mini_benchmark, n_runs=runs, compute_pair_stats=False)
+        report = evaluate(spec, mini_benchmark, n_runs=runs)
         assert not report.skipped and report.to_json() == want
         victims = [v.model.identity for v in mini_benchmark.victims]
         assert calls == Counter(dict.fromkeys(victims, steps))
@@ -653,7 +650,7 @@ class TestEvaluateSamplesPerVictim:
             return predict(self, X, *args)
 
         monkeypatch.setattr(mp.Classifier, "predict", counting)
-        report = evaluate(spec, mini_benchmark, n_runs=5, compute_pair_stats=False)
+        report = evaluate(spec, mini_benchmark, n_runs=5)
         assert not report.skipped and report.to_json() == want
         assert seen == Counter(dict.fromkeys(pools, 1))
 

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from modelprint.cli import build_parser, main
 from modelprint.schemes import mistake_match_scheme
 from modelprint.samplers import AdversarialSampler, ChainSampler, NegativeSampler, UniformSampler
 from modelprint.schemes import SchemeSpec
-
+from conftest import nan_copy
 
 MICRO_CONFIG = {
     "task": {
@@ -221,8 +222,10 @@ class TestEvaluate:
         ])
         assert rc == 0
         csvs = list(out.glob("*.csv"))
-        jsons = list(out.glob("*.json"))
-        assert len(csvs) == 1 and len(jsons) == 1
+        jsons = sorted(out.glob("*.json"))
+        stem = csvs[0].stem
+        assert len(csvs) == 1
+        assert [p.name for p in jsons] == [f"{stem}.json", f"{stem}.pair_statistics.json"]
         lines = csvs[0].read_text().strip().splitlines()
         report = json.loads(jsons[0].read_text())
         n_tasks = len(report["per_task"])
@@ -231,7 +234,8 @@ class TestEvaluate:
         for task, entry in report["per_task"].items():
             assert entry["std"] is not None
         assert report["version"] == mp.__version__
-        assert report["run_config"]["scheme"]["sampler"]["kind"] == "negative"
+        assert report["scheme"]["sampler"]["kind"] == "negative"
+        assert set(report["run_config"]) == {"seed", "cli"}
         assert "skipped 0 of 5 cells\n" in capsys.readouterr().out  # 5 runs x 1 victim
 
     def test_budget_override_flag(self, workspace, tmp_path):
@@ -242,7 +246,7 @@ class TestEvaluate:
             "--budget", "10", "--runs", "2", "--out", str(out),
         ])
         assert rc == 0
-        report = json.loads(next(out.glob("*.json")).read_text())
+        report = json.loads(next(out.glob("*@10.json")).read_text())
         assert report["budget"] == 10
 
     def test_report_file_named_after_effective_budget(self, workspace, tmp_path):
@@ -257,6 +261,7 @@ class TestEvaluate:
         assert sorted(p.name for p in out.iterdir()) == [
             "evaluate_negative-raw_labels-majority@20.csv",
             "evaluate_negative-raw_labels-majority@20.json",
+            "evaluate_negative-raw_labels-majority@20.pair_statistics.json",
         ]
         assert json.loads((out / "evaluate_negative-raw_labels-majority@20.json").read_text())[
             "budget"
@@ -280,6 +285,34 @@ class TestEvaluate:
         assert f"{report} holds no report of this scheme" in capsys.readouterr().err
         assert json.loads(report.read_text())["scheme"]["sampler"]["steps"] == 2
         assert run(2) == 0
+
+    def test_pair_statistics_sidecar_fields(self, workspace, tmp_path):
+        out = tmp_path / "reports"
+        rc = main(["evaluate", "--benchmark", str(workspace / "bench"),
+                   "--scheme", str(workspace / "baseline.json"), "--runs", "1", "--out", str(out)])
+        assert rc == 0
+        record = json.loads(next(out.glob("*.pair_statistics.json")).read_text())
+        assert set(record) == {"split", "rows", "groups", "overlap", "n_undefined", "skipped"}
+        assert record["split"] == "test" and record["skipped"] == []
+        assert len(record["rows"]) == 3  # 1 victim x (1 stolen + 2 unrelated)
+        for row in record["rows"]:
+            assert set(row) == {"victim", "suspect", "task", "positive",
+                                "alpha", "alpha_prime", "delta", "delta_c", "n_eval"}
+
+    def test_nan_victim_left_out_of_the_sidecar(self, workspace, mini_benchmark, tmp_path):
+        first, *rest = mini_benchmark.victims
+        vid = first.model.identity
+        broken = replace(first, model=nan_copy(first.model, vid))
+        bench = tmp_path / "bench"
+        mp.save_benchmark(replace(mini_benchmark, victims=(broken, *rest)), bench)
+        out = tmp_path / "reports"
+        rc = main(["evaluate", "--benchmark", str(bench),
+                   "--scheme", str(workspace / "uniform.json"), "--runs", "1", "--out", str(out)])
+        assert rc == 0
+        record = json.loads(next(out.glob("*.pair_statistics.json")).read_text())
+        assert record == mp.pair_distance_report(mp.load_benchmark(bench), "test").to_record()
+        assert record["rows"] and vid not in {row["victim"] for row in record["rows"]}
+        assert [s["victim"] for s in record["skipped"]] == [vid]
 
     def test_corrupt_manifest_exit_code(self, workspace, tmp_path, capsys):
         bad_dir = tmp_path / "corrupt"
@@ -492,7 +525,8 @@ class TestAllSkipped:
         assert captured.err == ("error: [empty-evaluation-set] all 2 run x victim cells "
                                 "were skipped; the report holds no score\n")
         assert "skipped 2 of 2 cells" in captured.out
-        assert [p.suffix for p in sorted(out.iterdir())] == [".csv", ".json"]
+        assert [p.name.split("@10000")[1] for p in sorted(out.iterdir())] == [
+            ".csv", ".json", ".pair_statistics.json"]
 
     def test_sweep(self, workspace, infeasible, tmp_path, capsys):
         out = tmp_path / "sweep"

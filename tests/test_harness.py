@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import modelprint as mp
 from modelprint import fingerprints, harness
-from modelprint.core import Classifier, pair_stats, write_csv
+from modelprint.core import SPLITS, Classifier, pair_stats, write_csv
 from modelprint.errors import (
     EmptyPairSet, EmptyTaskList, ModelprintError, NonFiniteAnswer, TrainingDiverged,
 )
@@ -56,7 +56,7 @@ from modelprint.samplers import (
 from modelprint.schemes import SchemeSpec, mistake_match_scheme
 from modelprint.tinylearn import MLPSpec, SyntheticTaskSpec, TrainConfig, generate_task, train
 from modelprint.variants import (
-    COPY_NAMES, extract, finetune, quantize, same_copy, transfer, unrelated,
+    COPY_NAMES, extract, finetune, same_copy, transfer, unrelated,
 )
 
 from conftest import QUICK_TASK, nan_copy, reference_cosine_distance
@@ -394,8 +394,8 @@ class TestManifest:
         save_benchmark(mini_benchmark, tmp_path / "bench")
         reloaded = load_benchmark(tmp_path / "bench")
         spec = mistake_match_scheme(budget=30)
-        a = evaluate(spec, mini_benchmark, n_runs=2, seed=0, compute_pair_stats=False)
-        b = evaluate(spec, reloaded, n_runs=2, seed=0, compute_pair_stats=False)
+        a = evaluate(spec, mini_benchmark, n_runs=2, seed=0)
+        b = evaluate(spec, reloaded, n_runs=2, seed=0)
         assert a.to_json() == b.to_json()
 
     def test_rewrite_is_byte_identical(self, mini_benchmark, tmp_path):
@@ -624,13 +624,16 @@ def reference_roc_curve(scores) -> RocCurve:
     return RocCurve(tuple(points), auc)
 
 
-def reference_all_pair_stats(benchmark, split, skip_nonfinite_victims=False):
-    """The per-pair loop that predicted the victim again for every suspect."""
-    for victim in benchmark.victims:
-        vid = victim.model.identity
-        data = victim.data(split)
-        for model, tag in benchmark.stolen[vid] + benchmark.unrelated[vid]:
-            yield vid, model, tag, pair_stats(victim.model, model, data)
+def reference_all_pair_stats(benchmark, split):
+    """``pair_distance_report``'s rows from the per-pair loop that predicted the victim again
+    for every suspect."""
+    return tuple(
+        {"victim": victim.model.identity, "suspect": model.identity, "task": tag.method,
+         "positive": tag.is_positive, **vars(pair_stats(victim.model, model, victim.data(split)))}
+        for victim in benchmark.victims
+        for model, tag in benchmark.stolen[victim.model.identity]
+        + benchmark.unrelated[victim.model.identity]
+    )
 
 
 def reference_cosine_rows(U, V):
@@ -804,13 +807,10 @@ def assert_reports_equal_the_oracles(bench, monkeypatch, fpr_cap=0.05):
     reports = [evaluate(spec, bench, n_runs=2, seed=0, fpr_cap=fpr_cap)
                for spec in perfbench_families()]
     monkeypatch.setattr(harness, "_tprs_at_cap", reference_tprs_at_cap)
-    monkeypatch.setattr(harness, "_all_pair_stats", reference_all_pair_stats)
     monkeypatch.setattr(fingerprints, "cosine_rows", reference_cosine_rows)
     slow = [evaluate(spec, bench, n_runs=2, seed=0, fpr_cap=fpr_cap).to_json()
             for spec in perfbench_families()]
-    fast = [report.to_json() for report in reports]
-    assert all('"pair_statistics":{"victim-0|' in report for report in fast)
-    assert fast == slow
+    assert [report.to_json() for report in reports] == slow
     return reports
 
 
@@ -827,10 +827,10 @@ def test_reports_byte_identical_to_oracles_at_fpr_points(mini_benchmark, monkeyp
         assert fpr_cap in {fpr for fpr, _ in curve.points}
 
 
-def count_split_predicts(monkeypatch, bench):
-    """A Counter of ``predict`` calls on any victim's test points, by model identity."""
+def count_split_predicts(monkeypatch, bench, split="test"):
+    """A Counter of ``predict`` calls on any victim's ``split`` points, by model identity."""
     counts = Counter()
-    splits = [v.test_data.points for v in bench.victims]
+    splits = [v.data(split).points for v in bench.victims]
     original = Classifier.predict
 
     def counting(self, X, *args):
@@ -842,85 +842,18 @@ def count_split_predicts(monkeypatch, bench):
     return counts
 
 
-def suspect_ids(bench, victims=None):
+def suspect_ids(bench):
     return [
         model.identity
-        for v in victims or bench.victims
+        for v in bench.victims
         for model, _ in bench.stolen[v.model.identity] + bench.unrelated[v.model.identity]
     ]
-
-
-class TestPairStatsMemo:
-    """Pair statistics are computed once per triplet and split and never change an answer."""
-
-    @staticmethod
-    def reports(bench):
-        families = [perfbench_families()[i] for i in (0, 1, 2, 4)]
-        evals = [evaluate(spec, bench, n_runs=2, seed=0).to_json() for spec in families]
-        return evals, repr(pair_distance_report(bench))
-
-    def test_four_evaluations_and_a_report_equal_the_oracle(self, mini_benchmark, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(harness, "_all_pair_stats", reference_all_pair_stats)
-            slow = self.reports(replace(mini_benchmark))
-        bench = replace(mini_benchmark)  # an empty memo, whatever the fixture has seen
-        counts = count_split_predicts(monkeypatch, bench)
-        fast = self.reports(bench)
-        assert fast == slow
-        assert [counts[i] for i in suspect_ids(bench)] == [1] * len(suspect_ids(bench))
-
-    @pytest.mark.parametrize("swap", ["suspect", "split-data"])
-    def test_swap_recomputes_that_victim_only(self, mini_benchmark, monkeypatch, swap):
-        bench = replace(
-            mini_benchmark,
-            victims=tuple(replace(v) for v in mini_benchmark.victims),
-            stolen=dict(mini_benchmark.stolen),
-        )
-        pair_distance_report(bench)
-        victim = bench.victims[0]
-        vid = victim.model.identity
-        if swap == "suspect":
-            (_, tag), *others = bench.stolen[vid]
-            bench.stolen[vid] = ((quantize(victim.model, 3), tag), *others)
-        else:
-            victim.test_data = victim.test_data.take(np.arange(100))
-        with monkeypatch.context() as patch:
-            counts = count_split_predicts(patch, bench)
-            fast = repr(pair_distance_report(bench))
-        assert counts == Counter([vid, *suspect_ids(bench, [victim])])
-        monkeypatch.setattr(harness, "_all_pair_stats", reference_all_pair_stats)
-        assert fast == repr(pair_distance_report(bench))
-
-    @pytest.mark.parametrize("report_first", [False, True], ids=["evaluate-first", "report-first"])
-    def test_nan_victim_skipped_by_evaluate_raised_by_report(self, mini_benchmark, report_first):
-        first, *rest = mini_benchmark.victims
-        broken = replace(first, model=nan_copy(first.model, first.model.identity))
-        bench = replace(mini_benchmark, victims=(broken, *rest))
-        if report_first:
-            with pytest.raises(NonFiniteAnswer):
-                pair_distance_report(bench)
-        report = evaluate(mistake_match_scheme(budget=20), bench, n_runs=1, seed=0)
-        assert {key.split("|")[0] for key in report.pair_statistics} == {
-            v.model.identity for v in rest
-        }
-        with pytest.raises(NonFiniteAnswer):
-            pair_distance_report(bench)
-
-    def test_nan_suspect_raises_every_time(self, mini_benchmark):
-        vid = mini_benchmark.victims[0].model.identity
-        (model, tag), *others = mini_benchmark.stolen[vid]
-        stolen = mini_benchmark.stolen | {vid: ((nan_copy(model), tag), *others)}
-        bench = replace(mini_benchmark, stolen=stolen)
-        for _ in range(2):
-            with pytest.raises(NonFiniteAnswer):
-                pair_distance_report(bench)
 
 
 class TestEvaluate:
     def test_perfect_separation_reports_one(self, mini_benchmark):
         report = evaluate(
             mistake_match_scheme(budget=20), mini_benchmark, n_runs=3, seed=0,
-            compute_pair_stats=False,
         )
         assert report.per_task["same"]["mean"] == 1.0
         assert report.per_task["same"]["std"] == 0.0
@@ -949,7 +882,6 @@ class TestEvaluate:
     def test_aggregate_between_task_extremes(self, mini_benchmark):
         report = evaluate(
             mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=1,
-            compute_pair_stats=False,
         )
         means = [report.per_task[t]["mean"] for t in report.per_task]
         agg = report.aggregate["mean_over_tasks"]["mean"]
@@ -960,7 +892,6 @@ class TestEvaluate:
     def test_csv_rows_cover_tasks_runs_and_aggregates(self, mini_benchmark):
         report = evaluate(
             mistake_match_scheme(budget=20), mini_benchmark, n_runs=3, seed=0,
-            compute_pair_stats=False,
         )
         rows = report.csv_rows()
         n_tasks = len(report.per_task)
@@ -969,8 +900,7 @@ class TestEvaluate:
 
     def test_csv_of_ordinary_labels_is_the_plain_comma_join(self, mini_benchmark, tmp_path):
         """No field needs quoting, so the bytes are each row's ``str`` values joined by commas."""
-        report = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
-                          compute_pair_stats=False)
+        report = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0)
         _, cpath = report.save(tmp_path)
         rows = [harness.TPR_CSV_HEADER, *report.csv_rows()]
         assert cpath.read_bytes() == "".join(",".join(map(str, r)) + "\n" for r in rows).encode()
@@ -978,18 +908,8 @@ class TestEvaluate:
     def test_run_seeds_default_to_contiguous_range(self, mini_benchmark):
         report = evaluate(
             mistake_match_scheme(budget=20), mini_benchmark, n_runs=3, seed=0,
-            compute_pair_stats=False,
         )
         assert report.run_seeds == (0, 1, 2)
-
-    def test_pair_stats_embedded(self, mini_benchmark):
-        report = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=1, seed=0)
-        key = next(iter(report.pair_statistics))
-        entry = report.pair_statistics[key]
-        assert set(entry) == {
-            "task", "positive", "alpha", "alpha_prime", "delta", "delta_c", "n_eval",
-        }
-        assert report.model_scale["n_victims"] == 2
 
     def test_record_equals_the_asdict_form(self, mini_benchmark, quick_task):
         """``to_record`` builds the record directly, with the keys, values and JSON bytes of
@@ -1030,12 +950,12 @@ class TestEvaluate:
 
     def test_workers_do_not_change_results(self, mini_benchmark, monkeypatch):
         a = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
-                     workers=1, compute_pair_stats=False)
+                     workers=1)
         scored, fingerprint = [], harness.FingerprintScheme.fingerprint
         monkeypatch.setattr(harness.FingerprintScheme, "fingerprint",
                             lambda *args: scored.append(os.getpid()) or fingerprint(*args))
         b = evaluate(mistake_match_scheme(budget=20), mini_benchmark, n_runs=2, seed=0,
-                     workers=2, compute_pair_stats=False)
+                     workers=2)
         assert a.to_json() == b.to_json()
         # every cell that sampling did not skip is scored in this process
         assert scored == [os.getpid()] * (2 * len(mini_benchmark.victims) - len(b.skipped))
@@ -1044,7 +964,6 @@ class TestEvaluate:
         with caplog.at_level("WARNING"):
             report = evaluate(
                 mistake_match_scheme(budget=10_000), mini_benchmark, n_runs=1, seed=0,
-                compute_pair_stats=False,
             )
         assert len(report.skipped) == len(mini_benchmark.victims)
         assert all(s["error"] in ("insufficient-negatives", "budget-exceeds-pool")
@@ -1054,7 +973,7 @@ class TestEvaluate:
         dim = mini_benchmark.victims[0].model.input_dim
         spec = SchemeSpec(sampler=AdversarialSampler(eps=(0.1,) * (dim + 1), steps=2),
                           representation="raw_probits", budget=10)
-        report = evaluate(spec, mini_benchmark, n_runs=1, seed=0, compute_pair_stats=False)
+        report = evaluate(spec, mini_benchmark, n_runs=1, seed=0)
         assert not report.scores
         assert len(report.skipped) == len(mini_benchmark.victims)
         assert {s["error"] for s in report.skipped} == {"incompatible-task"}
@@ -1064,7 +983,7 @@ class TestEvaluate:
     def test_chain_stage_without_seed_points_skips_victims(self, mini_benchmark, second, budget):
         spec = SchemeSpec(sampler=ChainSampler(NegativeSampler(), second),
                           representation="raw_probits", budget=budget)
-        report = evaluate(spec, mini_benchmark, n_runs=2, seed=0, compute_pair_stats=False)
+        report = evaluate(spec, mini_benchmark, n_runs=2, seed=0)
         assert not report.scores
         assert len(report.skipped) == 2 * len(mini_benchmark.victims)
         assert {s["error"] for s in report.skipped} == {"budget-shape-mismatch"}
@@ -1086,19 +1005,20 @@ class TestEvaluate:
         bench = replace(mini_benchmark, victims=(broken, *rest))
         uniform = SchemeSpec(sampler=UniformSampler(), representation="raw_labels",
                              inner_distance="labels", budget=20)
-        report = evaluate(uniform, bench, n_runs=2, seed=0, compute_pair_stats=False)
+        report = evaluate(uniform, bench, n_runs=2, seed=0)
         assert [(s["run"], s["victim"], s["error"]) for s in report.skipped] == [
             (run, first.model.identity, "non-finite-answer") for run in (0, 1)
         ]
         assert {s.victim for s in report.scores} == {v.model.identity for v in rest}
-        full = evaluate(uniform, bench, n_runs=2, seed=0)
-        assert full.skipped == report.skipped
-        assert not any(key.startswith(f"{first.model.identity}|") for key in full.pair_statistics)
-        assert {key.split("|")[0] for key in full.pair_statistics} == {
-            v.model.identity for v in rest
-        }
-        with pytest.raises(NonFiniteAnswer):  # no skip list to record the victim in
-            pair_distance_report(bench)
+
+    def test_no_pair_statistics_queries(self, mini_benchmark, monkeypatch):
+        """Whatever ``compute_pair_stats`` says, no model answers a whole split: a uniform
+        draw queries only its sampled points."""
+        counts = count_split_predicts(monkeypatch, mini_benchmark)
+        uniform = SchemeSpec(sampler=UniformSampler(), representation="raw_labels",
+                             inner_distance="labels", budget=20)
+        evaluate(uniform, mini_benchmark, n_runs=2, seed=0, compute_pair_stats=True)
+        assert counts == Counter()
 
     def test_nan_suspect_raises(self, mini_benchmark):
         vid = mini_benchmark.victims[0].model.identity
@@ -1106,8 +1026,7 @@ class TestEvaluate:
         stolen = mini_benchmark.stolen | {vid: ((nan_copy(model), tag), *others)}
         bench = replace(mini_benchmark, stolen=stolen)
         with pytest.raises(NonFiniteAnswer):
-            evaluate(mistake_match_scheme(budget=20), bench, n_runs=1, seed=0,
-                     compute_pair_stats=False)
+            evaluate(mistake_match_scheme(budget=20), bench, n_runs=1, seed=0)
 
 
 class TestBudgetSweep:
@@ -1161,6 +1080,46 @@ class TestBudgetSweep:
 
 
 class TestDistanceReport:
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_equals_the_oracle_predicting_each_model_once(self, mini_benchmark, monkeypatch,
+                                                          split):
+        counts = count_split_predicts(monkeypatch, mini_benchmark, split)
+        report = pair_distance_report(mini_benchmark, split)
+        victims = [v.model.identity for v in mini_benchmark.victims]
+        assert counts == Counter(victims + suspect_ids(mini_benchmark))
+        assert report.split == split and not report.skipped
+        assert report.rows == reference_all_pair_stats(mini_benchmark, split)
+
+    def test_percentile_equals_numpys(self):
+        """The ``overlap`` cutoff (q = 5) on full-precision and tied values, and q = 50, whose
+        even-length lists put the interpolation weight at 1/2: there numpy takes
+        ``b - (b - a) / 2``, which for 0.1 and 0.7 is 0.39999999999999997, not 0.4."""
+        assert harness._percentile([0.7, 0.1], 50.0) == np.percentile([0.7, 0.1], 50.0) != 0.4
+        rng = np.random.default_rng(0)
+        for n in range(1, 61):
+            for values in [rng.random(n) for _ in range(5)] + [rng.integers(0, 13, n) / 12]:
+                for q in (5.0, 50.0, float(rng.uniform(0, 100))):
+                    assert harness._percentile(values.tolist(), q) == np.percentile(values, q)
+
+    def test_nan_victim_left_out_and_listed(self, mini_benchmark, caplog):
+        first, *rest = mini_benchmark.victims
+        vid = first.model.identity
+        broken = replace(first, model=nan_copy(first.model, vid))
+        bench = replace(mini_benchmark, victims=(broken, *rest))
+        with caplog.at_level("WARNING"):
+            report = pair_distance_report(bench)
+        assert f"no pair statistics for victim {vid}: non-finite-answer" in caplog.text
+        assert [(s["victim"], s["error"]) for s in report.skipped] == [(vid, "non-finite-answer")]
+        assert report.rows == reference_all_pair_stats(replace(bench, victims=tuple(rest)), "test")
+
+    def test_nan_suspect_raises(self, mini_benchmark):
+        vid = mini_benchmark.victims[0].model.identity
+        (model, tag), *others = mini_benchmark.stolen[vid]
+        bad = nan_copy(model)
+        bench = replace(mini_benchmark, stolen=mini_benchmark.stolen | {vid: ((bad, tag), *others)})
+        with pytest.raises(NonFiniteAnswer, match=re.escape(bad.identity)):
+            pair_distance_report(bench)
+
     def test_same_only_positives_are_zero(self):
         bench = build_benchmark(micro_config(stolen=(mp.TaskTag("same"),)))
         report = pair_distance_report(bench)
