@@ -92,6 +92,11 @@ class Fingerprint:
         object.__setattr__(self, "payload", payload)
 
 
+def needs_probits(kind: str, inner_distance: str) -> bool:
+    """Whether ``kind`` under ``inner_distance`` reads probit answers; all others read labels."""
+    return kind == "raw_probits" or (kind != "raw_labels" and inner_distance == "cosine")
+
+
 def _payloads(
     query_set: QuerySet, answers: np.ndarray, kind: str, inner_distance: str
 ) -> np.ndarray:
@@ -108,27 +113,16 @@ def _payloads(
     K, s = answers.shape[0], query_set.size
     if answers.shape[1] != s:
         raise ValueError(f"got {answers.shape[1]} answers for {s} queries")
+    probits = needs_probits(kind, inner_distance)
+    if answers.ndim != 2 + probits:
+        if probits:
+            raise AccessInsufficient(f"{kind}/{inner_distance} needs probit answers, got labels")
+        raise ValueError(f"{kind}/{inner_distance} needs label answers, got probits")
 
     if kind == "raw_labels":
-        if answers.ndim != 2:
-            raise ValueError("raw label fingerprints need a 1-d label vector")
         return answers.astype(np.int64)
-
     if kind == "raw_probits":
-        if answers.ndim != 3:
-            raise AccessInsufficient(
-                "raw probit fingerprints need probit answers, got labels"
-            )
         return answers.astype(np.float64)
-
-    probit_based = inner_distance == "cosine"
-    if probit_based and answers.ndim != 3:
-        raise AccessInsufficient(
-            "cosine inner distance needs probit answers, got labels"
-        )
-    if not probit_based and answers.ndim != 2:
-        raise ValueError("label inner distance needs a 1-d label vector")
-
     if kind == "pairwise":
         if query_set.pairing is None:
             raise PairingRequired(
@@ -140,14 +134,14 @@ def _payloads(
                 f"{len(query_set.pairing)} for s={s}"
             )
         first, second = np.asarray(query_set.pairing, dtype=np.int64).reshape(-1, 2).T
-        if not probit_based:
+        if not probits:
             return (answers[:, first] != answers[:, second]).astype(np.float64)
         C = answers.shape[2]
         pairs = cosine_rows(answers[:, first].reshape(-1, C), answers[:, second].reshape(-1, C))
         return pairs.reshape(K, -1)
 
     # listwise: full answer-similarity matrix, zero diagonal by definition
-    if probit_based:
+    if probits:
         norms = np.linalg.norm(answers, axis=2, keepdims=True)
         N = answers / np.where(norms == 0.0, 1.0, norms)
         M = N @ np.swapaxes(N, 1, 2)
@@ -171,11 +165,9 @@ def represent(
 ) -> Fingerprint:
     """Build a fingerprint from a model's answers on a query set.
 
-    ``answers`` is a finite ``(s,)`` label vector or ``(s, C)`` probit matrix,
-    matching what the representation consumes: probit payloads and the
-    cosine inner distance need probit answers, the label inner distance
-    needs label answers.  Pairwise representations additionally need the
-    query set to carry a pairing covering half the budget.
+    ``answers`` is a finite ``(s, C)`` probit matrix where ``needs_probits``
+    holds and an ``(s,)`` label vector otherwise.  Pairwise representations
+    additionally need the query set to carry a pairing covering half the budget.
     """
     payload = _payloads(query_set, np.asarray(answers)[None], kind, inner_distance)[0]
     return Fingerprint(kind, payload, dict(query_set.provenance), query_set.size)

@@ -725,17 +725,6 @@ def evaluate(
                      for s in scores], dtype=np.int64).reshape(-1, 4).T
     tprs = _tprs_at_cap(ids, *cols[:3], cols[3] == 1, np.array([s.score for s in scores]),
                         n_runs, len(tasks), fpr_cap)
-    per_task = {t: [row[k] for row in tprs] for k, t in enumerate(tasks)}
-    pooled = [row[-1] for row in tprs]
-
-    per_task_summary = {t: _mean_std(vals) for t, vals in per_task.items()}
-    mean_over_tasks = [
-        float(np.mean([per_task[t][run] for t in tasks])) for run in range(n_runs)
-    ]
-    aggregate = {
-        "mean_over_tasks": _mean_std(mean_over_tasks),
-        "pooled_pairs": _mean_std(pooled),
-    }
 
     sample_victim = benchmark.victims[0]
     mlp = sample_victim.model if isinstance(sample_victim.model, MLPClassifier) else None
@@ -752,8 +741,9 @@ def evaluate(
         n_runs=n_runs,
         run_seeds=run_seeds,
         fpr_cap=fpr_cap,
-        per_task=per_task_summary,
-        aggregate=aggregate,
+        per_task={t: _mean_std(row[k] for row in tprs) for k, t in enumerate(tasks)},
+        aggregate={"mean_over_tasks": _mean_std(float(np.mean(row[:-1])) for row in tprs),
+                   "pooled_pairs": _mean_std(row[-1] for row in tprs)},
         scores=tuple(scores),
         skipped=tuple(skipped),
         model_scale=model_scale,

@@ -28,6 +28,7 @@ from .fingerprints import (
     Fingerprint,
     fingerprint_distance,  # noqa: F401  (patched by the benchmark's tracer)
     fingerprint_distances,
+    needs_probits,
     quantile_threshold,
     represent,
 )
@@ -101,11 +102,7 @@ class SchemeSpec:
 
     @property
     def needs_probits(self) -> bool:
-        if self.representation == "raw_probits":
-            return True
-        if self.representation in ("pairwise", "listwise"):
-            return self.inner_distance == "cosine"
-        return False
+        return needs_probits(self.representation, self.inner_distance)
 
     def label(self) -> str:
         """Short human-readable identifier, used in reports."""

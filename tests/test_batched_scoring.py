@@ -306,6 +306,44 @@ class TestMatchesOneModelAtATime:
             assert M.tobytes() == reference_payload(qs, a, "listwise", inner).tobytes()
 
 
+# the answer rule stated case by case: raw probits, and pairwise and listwise under the
+# cosine inner distance, read probits; every other representation reads labels
+PROBIT_READERS = {("raw_probits", "cosine"), ("raw_probits", "labels"),
+                  ("pairwise", "cosine"), ("listwise", "cosine")}
+
+
+class TestAnswerRule:
+    @pytest.mark.parametrize("given_probits", [False, True], ids=["labels", "probits"])
+    @pytest.mark.parametrize("inner", INNER_DISTANCES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_represent_reads_what_the_rule_names(self, kind, inner, given_probits):
+        rng = np.random.default_rng(0)
+        qs = QuerySet(rng.normal(size=(8, 2)), provenance={"sampler": "subsample"},
+                      pairing=((0, 4), (1, 5), (2, 6), (3, 7)))
+        P = rng.random((8, 3))
+        answers = P if given_probits else P.argmax(axis=1) + 1
+        needed = fingerprints.needs_probits(kind, inner)
+        assert needed == ((kind, inner) in PROBIT_READERS)
+        if needed == given_probits:
+            payload = represent(qs, answers, kind, inner).payload
+            assert payload.tobytes() == reference_payload(qs, answers, kind, inner).tobytes()
+            return
+        error = AccessInsufficient if needed else ValueError
+        with pytest.raises(error) as raised:
+            represent(qs, answers, kind, inner)
+        assert type(raised.value) is error
+
+    def test_spec_reads_the_rule(self):
+        specs = mp.standard_scheme_grid(100) + [
+            SchemeSpec(sampler=Subsampler(k_variants=1), representation="pairwise",
+                       inner_distance="labels"),
+            SchemeSpec(sampler=UniformSampler(), representation="listwise",
+                       inner_distance="labels")]
+        for spec in specs:
+            rule = fingerprints.needs_probits(spec.representation, spec.inner_distance)
+            assert spec.needs_probits is rule, spec.label()
+
+
 PROBIT_SPEC = SchemeSpec(sampler=UniformSampler(), representation="raw_probits", budget=10)
 LABEL_SPEC = SchemeSpec(sampler=UniformSampler(), representation="raw_labels",
                         inner_distance="labels", budget=10)

@@ -95,6 +95,24 @@ class TestGenerate:
         rc = main(["generate", "--config", str(workspace / "config.json"), "--out", str(out)])
         assert rc == 0 and (out / "manifest.json").exists()
 
+    def test_seed_flag_overrides_the_config_seed(self, workspace, tmp_path):
+        out = tmp_path / "seeded"
+        rc = main(["generate", "--config", str(workspace / "config.json"), "--out", str(out),
+                   "--seed", "5"])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == 5
+        config = mp.BenchmarkConfig.from_record(MICRO_CONFIG)
+        assert config.seed != 5
+
+        def weights(bench):
+            return [(m.identity, [(W.tobytes(), b.tobytes()) for W, b in m.weights])
+                    for v in bench.victims
+                    for m in (v.model, *(m for m, _ in bench.stolen[v.model.identity]
+                                         + bench.unrelated[v.model.identity]))]
+
+        want = weights(mp.build_benchmark(replace(config, seed=5)))
+        assert weights(mp.load_benchmark(out)) == want
+
     def test_invalid_config_fails_with_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "task": oops\n}')
@@ -285,6 +303,19 @@ class TestEvaluate:
         assert f"{report} holds no report of this scheme" in capsys.readouterr().err
         assert json.loads(report.read_text())["scheme"]["sampler"]["steps"] == 2
         assert run(2) == 0
+
+    @pytest.mark.parametrize("prior", [b"{not json", b'{"budget": 20}\n'],
+                             ids=["not-json", "no-scheme"])
+    def test_unreadable_prior_report_is_not_overwritten(self, workspace, tmp_path, capsys, prior):
+        out = tmp_path / "reports"
+        out.mkdir()
+        report = out / "evaluate_negative-raw_labels-majority@20.json"
+        report.write_bytes(prior)
+        rc = main(["evaluate", "--benchmark", str(workspace / "bench"),
+                   "--scheme", str(workspace / "baseline.json"), "--runs", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"{report} holds no report of this scheme" in capsys.readouterr().err
+        assert report.read_bytes() == prior
 
     def test_pair_statistics_sidecar_fields(self, workspace, tmp_path):
         out = tmp_path / "reports"

@@ -233,6 +233,11 @@ class TestClassifierContract:
     def test_access_order(self):
         assert Access.GRADIENTS > Access.PROBITS > Access.TOP_K > Access.LABELS
 
+    def test_labeling_function_of_the_wrong_batch_size_refused(self):
+        h = mp.FunctionClassifier(lambda X: np.ones(len(X) + 1, np.int64), 2, 1)
+        with pytest.raises(ValueError, match="labeling function returned wrong batch size"):
+            h.predict(np.zeros((3, 1)))
+
 
 class TestLabeledDataset:
     def test_validates_label_range(self):

@@ -77,6 +77,12 @@ class TestShapes:
         with pytest.raises(PairingRequired):
             represent(qs, random_probits(np.random.default_rng(0), 4), "pairwise")
 
+    def test_pairing_short_of_half_the_queries_refused(self):
+        qs = QuerySet(np.arange(8, dtype=np.float64).reshape(-1, 1),
+                      provenance={"sampler": "subsample"}, pairing=((0, 4), (1, 5), (2, 6)))
+        with pytest.raises(PairingRequired, match="needs s/2 pairs, query set has 3 for s=8"):
+            represent(qs, random_probits(np.random.default_rng(0), 8), "pairwise")
+
     def test_probit_kinds_reject_label_answers(self):
         qs = plain_query_set(4)
         labels = np.array([1, 2, 1, 2])

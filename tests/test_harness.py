@@ -135,12 +135,19 @@ class TestBuildBenchmark:
 
     def test_provenance_integrity_enforced(self, mini_benchmark):
         vid = mini_benchmark.victims[0].model.identity
-        bad_stolen = dict(mini_benchmark.stolen)
-        bad_stolen[vid] = ((mini_benchmark.unrelated[vid][0][0], mp.TaskTag("unrelated")),)
-        with pytest.raises(ValueError):
-            mp.BenchmarkTriplet(
-                mini_benchmark.victims, bad_stolen, mini_benchmark.unrelated
-            )
+        stolen = dict(mini_benchmark.stolen)
+        (model, _), *rest = stolen[vid]
+        stolen[vid] = ((model, mp.TaskTag("unrelated")), *rest)
+        with pytest.raises(ValueError, match=f"stolen set of {vid} carries an 'unrelated' tag"):
+            mp.BenchmarkTriplet(mini_benchmark.victims, stolen, mini_benchmark.unrelated)
+
+    def test_unrelated_set_with_a_positive_tag_rejected(self, mini_benchmark):
+        vid = mini_benchmark.victims[0].model.identity
+        unrelated = dict(mini_benchmark.unrelated)
+        (model, _), *rest = unrelated[vid]
+        unrelated[vid] = ((model, mp.TaskTag("same")), *rest)
+        with pytest.raises(ValueError, match=f"unrelated set of {vid} carries a positive tag"):
+            mp.BenchmarkTriplet(mini_benchmark.victims, mini_benchmark.stolen, unrelated)
 
     def test_repeated_victim_id_rejected(self, mini_benchmark):
         victim = mini_benchmark.victims[0]

@@ -268,6 +268,14 @@ class TestChain:
             chain.sample(test, quick_model, budget, seed=0)
 
 
+@pytest.mark.parametrize("sampler", [
+    UniformSampler(), NegativeSampler(), AdversarialSampler(), Subsampler(k_variants=1),
+    ChainSampler(NegativeSampler(), AdversarialSampler()),
+], ids=lambda sampler: sampler.name)
+def test_no_runs_give_no_query_sets(sampler, quick_model):
+    assert sampler.sample_runs([], quick_model, 10, []) == []
+
+
 ADVERSARIAL_DEFAULTS = {"kind": "adversarial", "eps": None, "steps": 20, "step_size": None}
 
 RECORDS = [

@@ -558,6 +558,10 @@ class TestCorruptWeights:
     def test_short_header(self, raw, tmp_path):
         assert "header" in self.load(raw[:10], tmp_path)
 
+    def test_header_ends_before_its_widths(self, raw, tmp_path):
+        # magic and the <HHQI header are 20 bytes; then 3 widths of 4 bytes each, cut after one
+        assert "header ends before its 3 layer widths" in self.load(raw[:24], tmp_path)
+
     def test_unknown_activation_code(self, raw, tmp_path):
         bad = raw[:6] + struct.pack("<H", 7) + raw[8:]
         assert "activation code 7" in self.load(bad, tmp_path)
