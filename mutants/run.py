@@ -57,7 +57,8 @@ MUTANTS = (
         '"mean_over_tasks": _mean_std(float(np.mean(row[:-1])) for row in tprs)',
         '"mean_over_tasks": _mean_std(float(np.mean(row)) for row in tprs)',
         ("tests/test_batched_scoring.py::TestEvaluateAnswersPerVictim"
-         "::test_report_bytes_equal_the_runs_first_loop",),
+         "::test_report_bytes_equal_the_runs_first_loop",
+         "tests/test_golden.py"),
     ),
     Mutant(
         "_rates finds each score's first flagging threshold from the left",
@@ -92,6 +93,47 @@ MUTANTS = (
         "if len(raw) - offset != n_bytes:",
         "if len(raw) - offset < n_bytes:",
         ("tests/test_tinylearn.py::TestCorruptWeights::test_trailing_bytes",),
+    ),
+    Mutant(
+        "_blocks answers a stack as one concatenated product, not one product per block",
+        "src/modelprint/core.py",
+        "        out = hook(*split)\n",
+        "        out = hook(X, *rows)[None]\n",
+        ("tests/test_batched_scoring.py::TestBlocks::test_blocks_answer_bit_for_bit_as_alone",),
+    ),
+    Mutant(
+        "_tprs_at_cap keeps only the ROC points strictly below the FPR cap",
+        "src/modelprint/harness.py",
+        "rates[rates[:, -1] <= fpr_cap, :-1]",
+        "rates[rates[:, -1] < fpr_cap, :-1]",
+        ("tests/test_harness.py::test_tprs_at_cap_equal_the_threshold_scan",
+         "tests/test_harness.py::test_reports_byte_identical_to_oracles_at_fpr_points[1]"),
+    ),
+    Mutant(
+        "fingerprint_distances drops the last, partial listwise stack",
+        "src/modelprint/fingerprints.py",
+        "for i in range(0, len(group), step)",
+        "for i in range(0, len(group) - step + 1, step)",
+        ("tests/test_batched_scoring.py::TestMatchesOneModelAtATime"
+         "::test_listwise_stacks_bit_equal",),
+    ),
+    Mutant(
+        "cosine_rows clamps with np.maximum, which keeps a NaN distance",
+        "src/modelprint/fingerprints.py",
+        "dist = np.where(dist > 0.0, dist, 0.0)",
+        "dist = np.maximum(dist, 0.0)",
+        ("tests/test_fingerprints.py::TestCosineMatchesScalarOracle"
+         "::test_overflowing_rows_clamp_to_zero",),
+    ),
+    Mutant(
+        "evaluate pairs a victim's distance rows with runs 0..n_cells-1, not its drawn runs",
+        "src/modelprint/harness.py",
+        "runs = np.fromiter(cells, np.int64)",
+        "runs = np.arange(len(cells))",
+        ("tests/test_batched_scoring.py::TestEvaluateSamplesPerVictim"
+         "::test_only_the_runs_that_fail_to_draw_are_skipped",
+         "tests/test_batched_scoring.py::TestEvaluateAnswersPerVictim"
+         "::test_report_bytes_equal_the_runs_first_loop"),
     ),
 )
 

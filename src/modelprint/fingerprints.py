@@ -212,12 +212,11 @@ def fingerprint_distance(a: Fingerprint, b: Fingerprint) -> float:
 
 def fingerprint_distances(
     victim: Fingerprint, query_set: QuerySet, answers, kind: str, inner_distance: str
-) -> list[float]:
+) -> np.ndarray:
     """``fingerprint_distance(victim, represent(query_set, a, kind, inner_distance))`` per ``a``.
 
-    Answers of one shape are represented and compared as one stack, bit for
-    bit as one at a time.  Listwise stacks are cut to at most
-    ``LISTWISE_STACK_BYTES`` of ``(s, s)`` payloads.
+    Answers of one shape are represented and compared as one stack, bit for bit as one at a
+    time, into one ``(K,)`` float64 array.  Listwise stacks hold at most ``LISTWISE_STACK_BYTES``.
     """
     provenance = dict(query_set.provenance)
     by_shape: dict[tuple, list[int]] = {}
@@ -225,14 +224,13 @@ def fingerprint_distances(
         by_shape.setdefault(np.shape(a), []).append(i)
     step = len(answers) if kind != "listwise" else max(
         1, LISTWISE_STACK_BYTES // (8 * max(1, query_set.size) ** 2))
-    out = [0.0] * len(answers)
+    out = np.zeros(len(answers))
     for group in by_shape.values():
         for index in (group[i:i + step] for i in range(0, len(group), step)):
             payloads = _payloads(query_set, np.array([answers[i] for i in index]),
                                  kind, inner_distance)
             _check_comparable(victim, kind, provenance, payloads.shape[1:])
-            for i, d in zip(index, _distances(victim.payload, payloads, kind).tolist()):
-                out[i] = d
+            out[index] = _distances(victim.payload, payloads, kind)
     return out
 
 

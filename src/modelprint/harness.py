@@ -672,18 +672,17 @@ def evaluate(
 ) -> EvalReport:
     """Score every pair over ``n_runs`` seeded runs and report TPR@cap.
 
-    Run r uses root seed ``seed + r``; query seeds are derived per victim.
-    Victims whose sampler is infeasible at ``spec.budget``, or that answer with
-    NaN or inf, are skipped (logged, not fatal).  Two aggregates are
-    reported per run and labeled explicitly: the mean of per-task TPRs and
-    the TPR of all pairs pooled across tasks.  Each victim's runs are drawn
-    in one ``Sampler.sample_runs`` call, and each suspect answers all of them
-    in one query (``FingerprintScheme.cell_distances``), bit for bit as one
-    (run, victim) cell at a time.  If that call raises a ``ModelprintError``,
-    each run is drawn alone, so only the runs that fail are skipped.
-    ``workers`` and ``compute_pair_stats`` change nothing: perfbench passes
-    both and its tracer reads ``workers``, and pair statistics come from
-    ``pair_distance_report``.
+    Run r uses root seed ``seed + r``; query seeds are derived per victim.  Victims whose
+    sampler is infeasible at ``spec.budget``, or that answer with NaN or inf, are skipped
+    (logged, not fatal).  Two aggregates are reported per run and labeled explicitly: the
+    mean of per-task TPRs and the TPR of all pairs pooled across tasks.  Each victim's runs
+    are drawn in one ``Sampler.sample_runs`` call, and each suspect answers all of them in
+    one query (``FingerprintScheme.cell_distances``), bit for bit as one (run, victim) cell
+    at a time.  If that call raises a ``ModelprintError``, each run is drawn alone, so only
+    the runs that fail are skipped.  A victim's distances stay one (drawn run, suspect)
+    array, which gives both the TPRs and the report's ``scores``.  ``workers`` and
+    ``compute_pair_stats`` change nothing: perfbench passes both and its tracer reads
+    ``workers``, and pair statistics come from ``pair_distance_report``.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -695,8 +694,10 @@ def evaluate(
     scheme = FingerprintScheme(spec)
 
     tasks = benchmark.tasks
+    ids = sorted(v.model.identity for v in benchmark.victims)
     scores: list[PairScore] = []
     skipped: list[dict] = []
+    pairs = []  # per victim, _tprs_at_cap's run, victim, task, positive and score arrays
     for vi, victim in enumerate(benchmark.victims):
         vid = victim.model.identity
         pool = victim.data(spec.seed_split)
@@ -714,17 +715,17 @@ def evaluate(
                 log.warning("skipping victim %s in run %d: %s", vid, run, err.code)
                 skipped.append({"run": run, "victim": vid, "error": err.code, "detail": str(err)})
         suspects = benchmark.stolen[vid] + benchmark.unrelated[vid]
-        dists = scheme.cell_distances(list(cells.values()), [m for m, _ in suspects])
-        for run, run_dists in zip(cells, dists):
-            scores += [PairScore(run, vid, model.identity, tag.method, tag.is_positive, -dist)
-                       for (model, tag), dist in zip(suspects, run_dists)]
+        runs = np.fromiter(cells, np.int64)
+        score = -scheme.cell_distances(list(cells.values()), [m for m, _ in suspects])
+        task = [tasks.index(tag.method) if tag.is_positive else 0 for _, tag in suspects]
+        positive = [tag.is_positive for _, tag in suspects]
+        pairs.append([np.broadcast_to(a, score.shape).ravel()
+                      for a in (runs[:, None], ids.index(vid), task, positive, score)])
+        scores += [PairScore(run, vid, m.identity, tag.method, tag.is_positive, s) for run, row
+                   in zip(runs.tolist(), score.tolist()) for (m, tag), s in zip(suspects, row)]
     scores.sort(key=lambda s: (s.run, s.victim, s.suspect))
     skipped.sort(key=lambda s: s["run"])
-    ids = sorted(v.model.identity for v in benchmark.victims)
-    cols = np.array([(s.run, ids.index(s.victim), s.positive and tasks.index(s.task), s.positive)
-                     for s in scores], dtype=np.int64).reshape(-1, 4).T
-    tprs = _tprs_at_cap(ids, *cols[:3], cols[3] == 1, np.array([s.score for s in scores]),
-                        n_runs, len(tasks), fpr_cap)
+    tprs = _tprs_at_cap(ids, *map(np.concatenate, zip(*pairs)), n_runs, len(tasks), fpr_cap)
 
     sample_victim = benchmark.victims[0]
     mlp = sample_victim.model if isinstance(sample_victim.model, MLPClassifier) else None

@@ -145,30 +145,30 @@ class FingerprintScheme:
             self.spec.inner_distance,
         )
 
-    def cell_distances(self, cells: list, models) -> list[list[float]]:
-        """``distances`` for each ``(fp, qs)`` cell, from the victim's fingerprint ``fp``.
+    def cell_distances(self, cells: list, models) -> np.ndarray:
+        """``distances`` for each ``(fp, qs)`` cell, as rows of an ``(n_cells, n_models)`` array.
 
-        The cells are of one query-set size, answered as one stack per model, as
-        ``blocks``, bit for bit as one cell at a time; the answers to every cell are
-        held at once.  Cells of unequal size raise ``ValueError``.
+        ``fp`` is the victim's fingerprint on ``qs``.  The cells are of one query-set size,
+        answered as one stack per model, as ``blocks``, bit for bit as one cell at a time; the
+        answers to every cell are held at once.  Cells of unequal size raise ``ValueError``.
         """
+        models = list(models)
         if not cells:
-            return []
+            return np.zeros((0, len(models)))
         sizes = sorted({qs.size for _, qs in cells})
         if len(sizes) > 1:
             raise ValueError(f"cells must share one query-set size, got sizes {sizes}")
         n, X = len(cells), np.concatenate([qs.points for _, qs in cells])
         stacks = [A.reshape(n, -1, *A.shape[1:]) for A in (self._answers(m, X, n) for m in models)]
-        return [fingerprint_distances(fp, qs, [A[i] for A in stacks], self.spec.representation,
-                                      self.spec.inner_distance)
-                for i, (fp, qs) in enumerate(cells)]
+        return np.array([fingerprint_distances(fp, qs, [A[i] for A in stacks],
+                                               self.spec.representation, self.spec.inner_distance)
+                         for i, (fp, qs) in enumerate(cells)])
 
-    def distances(self, victim: Classifier, models, qs: QuerySet) -> list[float]:
-        """Fingerprint distance from ``victim`` to each model on one query set.
+    def distances(self, victim: Classifier, models, qs: QuerySet) -> np.ndarray:
+        """Fingerprint distance from ``victim`` to each model on one query set, shape ``(K,)``.
 
-        This is ``cell_distances``' one-cell case: each model answers ``qs`` in
-        one query of its own, and each distance is bit-equal to
-        ``fingerprint_distance`` between the victim's and the model's fingerprints on ``qs``.
+        This is ``cell_distances``' one-cell case: each model answers ``qs`` in one query of its
+        own, and each distance is bit-equal to ``fingerprint_distance`` on their fingerprints.
         """
         return self.cell_distances([(self.fingerprint(victim, qs), qs)], models)[0]
 
@@ -181,7 +181,7 @@ class FingerprintScheme:
     ) -> float:
         """Fingerprint distance between victim and suspect; lower = more suspicious."""
         qs = self.query_set(victim, seed_set, seed)
-        return self.distances(victim, (suspect,), qs)[0]
+        return float(self.distances(victim, (suspect,), qs)[0])
 
     def flag(
         self,
@@ -199,7 +199,7 @@ class FingerprintScheme:
         qs = self.query_set(victim, seed_set, seed)
         majority = self.spec.detector.kind == "majority"
         pool_models = () if majority else tuple(calibration_models)
-        dist, *pool = self.distances(victim, (suspect, *pool_models), qs)
+        dist, *pool = self.distances(victim, (suspect, *pool_models), qs).tolist()
         threshold = 0.5 if majority else quantile_threshold(pool, self.spec.detector.target_fpr)
         return int(dist < threshold), dist, threshold
 
@@ -259,7 +259,7 @@ def mistake_match_test(
             )
             qs = NegativeSampler().sample(data, h, err.available, seed)
     scheme = FingerprintScheme(mistake_match_scheme(qs.size))
-    dist = scheme.distances(h, (h_sus,), qs)[0]
+    dist = float(scheme.distances(h, (h_sus,), qs)[0])
     return int(dist < 0.5), 1.0 - dist
 
 

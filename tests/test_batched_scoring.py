@@ -220,7 +220,9 @@ class TestMatchesOneModelAtATime:
     def test_distances_bit_equal(self, cell):
         scheme, victim, models, qs = cell
         want = reference_distances(scheme, victim, models, qs)
-        assert bits(scheme.distances(victim, models, qs)) == bits(want)
+        got = scheme.distances(victim, models, qs)
+        assert got.dtype == np.float64 and got.shape == (len(models),)
+        assert bits(got) == bits(want)
         assert bits(scheme.distances(victim, (m for m in models), qs)) == bits(want)
         fp_v = scheme.fingerprint(victim, qs)
         spec = scheme.spec
@@ -283,8 +285,9 @@ class TestMatchesOneModelAtATime:
         oracle = [reference_distance("listwise", reference_payload(qs, victim, "listwise", inner),
                                      reference_payload(qs, a, "listwise", inner))
                   for a in suspects]
+        assert got.dtype == np.float64 and got.shape == (len(suspects),)
         assert bits(got) == bits(want) == bits(oracle)
-        assert got.count(0.0) >= 1
+        assert (got == 0.0).sum() >= 1
 
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), s=st.integers(1, 120), C=st.integers(2, 9),
@@ -324,24 +327,29 @@ class TestAnswerRule:
         answers = P if given_probits else P.argmax(axis=1) + 1
         needed = fingerprints.needs_probits(kind, inner)
         assert needed == ((kind, inner) in PROBIT_READERS)
-        if needed == given_probits:
-            payload = represent(qs, answers, kind, inner).payload
-            assert payload.tobytes() == reference_payload(qs, answers, kind, inner).tobytes()
-            return
         error = AccessInsufficient if needed else ValueError
-        with pytest.raises(error) as raised:
-            represent(qs, answers, kind, inner)
-        assert type(raised.value) is error
+        # represent's default inner distance is cosine, so a call without one reads the same
+        for args in [(inner,), ()] if inner == "cosine" else [(inner,)]:
+            if needed == given_probits:
+                payload = represent(qs, answers, kind, *args).payload
+                assert payload.tobytes() == reference_payload(qs, answers, kind, inner).tobytes()
+                continue
+            with pytest.raises(error) as raised:
+                represent(qs, answers, kind, *args)
+            assert type(raised.value) is error
 
     def test_spec_reads_the_rule(self):
         specs = mp.standard_scheme_grid(100) + [
             SchemeSpec(sampler=Subsampler(k_variants=1), representation="pairwise",
                        inner_distance="labels"),
             SchemeSpec(sampler=UniformSampler(), representation="listwise",
-                       inner_distance="labels")]
+                       inner_distance="labels"),
+            SchemeSpec(sampler=UniformSampler(), representation="raw_probits"),  # cosine default
+            mistake_match_scheme()]
         for spec in specs:
             rule = fingerprints.needs_probits(spec.representation, spec.inner_distance)
             assert spec.needs_probits is rule, spec.label()
+            assert rule == ((spec.representation, spec.inner_distance) in PROBIT_READERS)
 
 
 PROBIT_SPEC = SchemeSpec(sampler=UniformSampler(), representation="raw_probits", budget=10)
@@ -487,33 +495,39 @@ def nan_cut(spec, model, pool, seeds, past):
 
 STOLEN_METHODS = ("same", "prune", "quantize", "finetune", "label_extraction")
 BENCH_SUSPECT_KINDS = ("mlp_a", "mlp_b", "linear", "lookup", "blockwise")
+ASCENT = AdversarialSampler(steps=3)
+BENCH_SAMPLERS = {
+    "uniform": UniformSampler(),
+    "negative": NegativeSampler(),
+    "adversarial": ASCENT,
+    "subsample": Subsampler(k_variants=1),
+    "uniform>adversarial": ChainSampler(UniformSampler(), ASCENT),
+    "negative>adversarial": ChainSampler(NegativeSampler(), ASCENT),
+}
+NAN_MODES = ("none", "everywhere", "partly")
+# every (sampler, representation, NaN mode) shape of a benchmark; pairwise needs a pairing
+BENCH_SHAPES = [(sampler, kind, nan) for sampler in BENCH_SAMPLERS for kind in KINDS
+                for nan in NAN_MODES
+                if kind != "pairwise" or sampler not in ("uniform", "negative")]
 
 
 @st.composite
-def benchmarks(draw):
+def benchmarks(draw, sampler, kind, nan):
     """A scheme, an untrained benchmark with mixed suspects, a run count and a root seed.
 
-    One victim may answer NaN, everywhere (``nan_past`` None) or only past a
-    cut in its first coordinate (``nan_cut``), so that some of its runs fail
-    to draw or to fingerprint and others do not.  Each victim misclassifies
-    its own number of pool points, so a negative-sampling budget can be out
-    of reach for some.
-
-    About half of the examples with more than one run are ``partly``: one
-    victim answers NaN past the cut that about half of its runs cross, and
-    the sampler ascends gradients there, so those runs fail to draw.
+    The sampler (a ``BENCH_SAMPLERS`` name), the representation ``kind`` and the
+    NaN mode are given; the rest is drawn.  In NaN mode ``everywhere`` one
+    victim answers NaN at every point.  In mode ``partly``, with 2-4 runs, it
+    answers NaN only past a cut in its first coordinate (``nan_cut``): past
+    the pool, or past the cut that about half of its runs cross, so that some
+    of its runs fail to draw (where the sampler ascends gradients there) or to
+    fingerprint, and others do not.  Each victim misclassifies its own number
+    of pool points, so a negative-sampling budget can be out of reach for some.
     """
-    n_runs, seed = draw(st.integers(1, 4)), draw(st.integers(0, 100))
-    kind = draw(st.sampled_from(KINDS))
+    n_runs = draw(st.integers(2 if nan == "partly" else 1, 4))
+    seed = draw(st.integers(0, 100))
     inner = draw(st.sampled_from(["cosine", "labels"]))
-    partly = n_runs > 1 and draw(st.booleans())
-    ascent = AdversarialSampler(steps=3)
-    samplers = [ascent, ChainSampler(UniformSampler(), ascent)]
-    if not partly:
-        samplers += [Subsampler(k_variants=1), ChainSampler(NegativeSampler(), ascent)]
-        if kind != "pairwise":
-            samplers += [UniformSampler(), NegativeSampler()]
-    sampler = draw(st.sampled_from(samplers))
+    sampler = BENCH_SAMPLERS[sampler]
     synthesizes = not isinstance(sampler, (UniformSampler, NegativeSampler))
     budget = draw(st.sampled_from([1, 2, 3, 5, 7, 8, 13]))
     if isinstance(sampler, Subsampler) or kind == "pairwise" or (synthesizes and budget > 1):
@@ -528,8 +542,8 @@ def benchmarks(draw):
     arch_a = ((d, draw(widths), C), draw(acts))
     arch_b = ((d, draw(widths), draw(widths), C), draw(acts))
     n_victims, n_stolen = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    nan_victim = draw(st.integers(0 if partly else -1, n_victims - 1))  # -1: all answer
-    nan_past = "runs" if partly else draw(st.sampled_from([None, "pool", "runs"]))
+    nan_victim = -1 if nan == "none" else draw(st.integers(0, n_victims - 1))  # -1: all answer
+    nan_past = None if nan == "everywhere" else draw(st.sampled_from(["pool", "runs"]))
     victims, stolen, unrelated = [], {}, {}
     for v in range(n_victims):
         model = random_mlp(rng, *arch_a, f"victim-{v}")
@@ -591,10 +605,11 @@ def partly_drawn(spec, bench, n_runs, seed) -> bool:
 
 
 class TestEvaluateAnswersPerVictim:
-    @settings(max_examples=150, deadline=None)
-    @given(case=benchmarks())
-    def test_report_bytes_equal_the_runs_first_loop(self, case):
-        spec, bench, n_runs, seed = case
+    @pytest.mark.parametrize("sampler, kind, nan", BENCH_SHAPES)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_report_bytes_equal_the_runs_first_loop(self, sampler, kind, nan, data):
+        spec, bench, n_runs, seed = data.draw(benchmarks(sampler, kind, nan))
         if partly_drawn(spec, bench, n_runs, seed):
             event("a victim's runs partly draw")
         got = evaluate(spec, bench, n_runs=n_runs, seed=seed)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelprint.errors import (
-    AccessInsufficient,
     EmptyCalibrationPool,
     IncomparableFingerprints,
     PairingRequired,
@@ -82,14 +81,6 @@ class TestShapes:
                       provenance={"sampler": "subsample"}, pairing=((0, 4), (1, 5), (2, 6)))
         with pytest.raises(PairingRequired, match="needs s/2 pairs, query set has 3 for s=8"):
             represent(qs, random_probits(np.random.default_rng(0), 8), "pairwise")
-
-    def test_probit_kinds_reject_label_answers(self):
-        qs = plain_query_set(4)
-        labels = np.array([1, 2, 1, 2])
-        with pytest.raises(AccessInsufficient):
-            represent(qs, labels, "raw_probits")
-        with pytest.raises(AccessInsufficient):
-            represent(qs, labels, "listwise", "cosine")
 
     def test_label_inner_distance_on_listwise(self):
         qs = plain_query_set(3)
@@ -227,6 +218,17 @@ class TestCosineMatchesScalarOracle:
         assert want[:3] == [0.0, 0.0, 1.0]
         assert cosine_rows(u[None], V).ravel().tolist() == want
         assert cosine_rows(np.zeros((1, 3)), V).ravel().tolist() == [1.0, 1.0, 0.0, 1.0]
+
+    def test_overflowing_rows_clamp_to_zero(self):
+        """Rows whose dot products overflow give ``1 - inf / inf``, a NaN, which clamps to 0
+        as the scalar formula's ``max(0.0, x)`` does."""
+        U = np.array([[1e200, 2e200, 3e200], [0.1, 0.2, 0.7]])
+        V = np.array([[3e200, 2e200, 1e200], [0.7, 0.2, 0.1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [reference_cosine_distance(u, v) for u, v in zip(U, V)]
+            got = cosine_rows(U, V).tolist()
+        assert want[0] == 0.0 < want[1]
+        assert got == want
 
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 99, 100, 2500, 10_000])
     def test_long_vectors_bit_equal(self, n):

@@ -192,7 +192,8 @@ class TestSchemeEquivalence:
 class TestCellDistances:
     def test_no_cells_no_distances(self, quick_model):
         scheme = assemble_scheme(mistake_match_scheme(budget=4))
-        assert scheme.cell_distances([], [quick_model]) == []
+        got = scheme.cell_distances([], [quick_model])
+        assert got.shape == (0, 1) and got.dtype == np.float64
 
     def test_cells_of_unequal_size_rejected(self, quick_model, quick_task):
         _, test = quick_task
@@ -258,10 +259,6 @@ class TestSchemeSpec:
     def test_omitted_keys_take_the_defaults(self):
         rec = {"sampler": {"kind": "uniform"}, "representation": "raw_labels"}
         assert SchemeSpec.from_record(rec) == SchemeSpec(UniformSampler(), "raw_labels")
-
-    def test_probit_requirement_derived(self):
-        assert SchemeSpec(sampler=UniformSampler(), representation="raw_probits").needs_probits
-        assert not mistake_match_scheme().needs_probits
 
 
 class TestEnumeration:
