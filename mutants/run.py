@@ -135,7 +135,49 @@ MUTANTS = (
          "tests/test_batched_scoring.py::TestEvaluateAnswersPerVictim"
          "::test_report_bytes_equal_the_runs_first_loop"),
     ),
+    Mutant(
+        "the cross-entropy gradient adds the one-hot labels instead of subtracting them",
+        "src/modelprint/core.py",
+        "D -= one_hot(labels.ravel(), self.num_classes).reshape(D.shape)",
+        "D += one_hot(labels.ravel(), self.num_classes).reshape(D.shape)",
+        ("tests/test_tinylearn.py::TestGradients::test_batched_xent_gradient_matches_composition",
+         "tests/test_samplers.py::TestAdversarial::test_label_flip_matches_closed_form_margin",
+         "tests/test_golden.py"),
+    ),
+    Mutant(
+        "the MLP pullback skips the activation derivative of the first hidden layer",
+        "src/modelprint/tinylearn.py",
+        "                if layer > 0:\n                    _act_grad(self.spec.activation,",
+        "                if layer > 1:\n                    _act_grad(self.spec.activation,",
+        ("tests/test_tinylearn.py::TestGradients::test_matches_central_finite_differences",
+         "tests/test_golden.py"),
+    ),
+    Mutant(
+        "quantile_threshold floors target_fpr * m without its epsilon",
+        "src/modelprint/fingerprints.py",
+        "allowed = int(target_fpr * m + 1e-9)",
+        "allowed = int(target_fpr * m)",
+        ("tests/test_fingerprints.py::TestCalibration"
+         "::test_target_of_whole_members_flags_that_many",),
+    ),
+    Mutant(
+        "ChainSampler seeds its second stage from a first stage that synthesized points",
+        "src/modelprint/samplers.py",
+        "if any(q1.source_indices is None or (q1.source_indices < 0).any() for q1 in firsts):",
+        "if False:",
+        ("tests/test_samplers.py::TestChain::test_point_synthesizing_first_stage_rejected",),
+    ),
 )
+if sys.version_info < (3, 13):  # from 3.13 csv.writer quotes a lone \r itself: no output changes
+    MUTANTS += (Mutant(
+        "write_csv leaves a lone \\r unquoted: the writer quotes only its \\n terminator",
+        "src/modelprint/core.py",
+        "    lf = SimpleNamespace(write=lambda line: fh.write(line[:-2] + \"\\n\"))\n"
+        "    csv.writer(lf, lineterminator=\"\\r\\n\").writerows(rows)\n",
+        "    csv.writer(fh, lineterminator=\"\\n\").writerows(rows)\n",
+        ("tests/test_harness.py::TestDistanceReport"
+         "::test_csv_round_trip_of_identities_with_commas_quotes_and_line_breaks",),
+    ),)
 
 
 def pytest_passes(tree: Path, tests) -> bool:

@@ -47,9 +47,10 @@ class Classifier(abc.ABC):
     """A queryable, deterministic classifier.
 
     Every public query is defined here: it checks the access level, shapes the batch,
-    checks labels against ``{1..C}``, calls a subclass hook (``_logits``, ``_probits``,
-    ``_predict``, ``_input_gradient``, ``_xent_input_gradient``) and raises
-    ``NonFiniteAnswer`` on a NaN or inf answer.  Top-k ties are broken by ascending
+    checks labels against ``{1..C}``, calls a subclass hook and raises
+    ``NonFiniteAnswer`` on a NaN or inf answer.  A handle implements ``_predict`` (labels
+    only), ``_probits`` (probit access) or ``_vjp`` (logits, probits and both input
+    gradients, each derived here from the one hook).  Top-k ties are broken by ascending
     label index.  Repeated queries on the same batch return identical answers, but a
     point answered in another batch may differ in its last bits: BLAS treats a row by
     where it falls in the batch, and numpy sends a one-row product through gemv.
@@ -109,7 +110,8 @@ class Classifier(abc.ABC):
         self._require(Access.TOP_K, "top-k queries")
         if not 1 <= k <= self.num_classes:
             raise BadClass(f"k must be in 1..{self.num_classes}, got {k}")
-        return self._top_k(self._as_batch(X), k)
+        P = self._finite(self._probits(self._as_batch(X)), "probits")
+        return np.argsort(-P, axis=1, kind="stable")[:, :k].astype(np.int64) + 1
 
     def probits(self, X, blocks: int = 1) -> np.ndarray:
         """Probability vectors, shape ``(n, C)``; rows are >= 0 and sum to 1.
@@ -122,22 +124,30 @@ class Classifier(abc.ABC):
     def logits(self, X) -> np.ndarray:
         """Raw logits, shape ``(n, C)``; same access level as probits."""
         self._require(Access.PROBITS, "logit queries")
-        return self._finite(self._logits(self._as_batch(X)), "logits")
+        return self._finite(self._vjp(self._as_batch(X))[0], "logits")
 
     def input_gradient(self, x, label: int) -> np.ndarray:
         """Gradient of the logit for ``label`` with respect to the input."""
         self._require(Access.GRADIENTS, "gradient queries")
-        x = self._as_batch(np.reshape(x, (1, -1)))[0]
+        x = self._as_batch(np.reshape(x, (1, -1)))
         (label,) = self._labels(label)
-        return self._finite(self._input_gradient(x, int(label)), "input gradients")
+        _, pullback = self._vjp(x)
+        return self._finite(pullback(one_hot([label], self.num_classes))[0], "input gradients")
 
     def xent_input_gradient(self, X, labels, blocks: int = 1) -> np.ndarray:
         """Per-point input gradient of cross-entropy against ``labels``, shape ``(n, d)``;
         ``blocks`` is as in ``predict``, with ``labels`` split alongside ``X``."""
         self._require(Access.GRADIENTS, "gradient queries")
         X, labels = self._as_batch(X), self._labels(labels)
-        grads = self._blocks(self._xent_input_gradient, X, blocks, labels)
+        grads = self._blocks(self._xent_gradient, X, blocks, labels)
         return self._finite(grads, "input gradients")
+
+    def _xent_gradient(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """Cross-entropy's input gradients: ``softmax(logits) - one_hot(labels)`` pulled back."""
+        logits, pullback = self._vjp(X)
+        D = softmax(logits)
+        D -= one_hot(labels.ravel(), self.num_classes).reshape(D.shape)
+        return pullback(D)
 
     def _labels(self, labels) -> np.ndarray:
         """``labels`` as an int64 vector; ``BadClass`` names the first outside 1..C."""
@@ -175,22 +185,13 @@ class Classifier(abc.ABC):
         # argmax picks the lowest index on ties, matching the top-k rule
         return np.argmax(self._finite(self._probits(X), "probits"), axis=-1).astype(np.int64) + 1
 
-    def _top_k(self, X: np.ndarray, k: int) -> np.ndarray:
-        P = self._finite(self._probits(X), "probits")
-        order = np.argsort(-P, axis=1, kind="stable")
-        return order[:, :k].astype(np.int64) + 1
-
     def _probits(self, X: np.ndarray) -> np.ndarray:
-        return softmax(self._logits(X))
+        return softmax(self._vjp(X)[0])
 
-    def _logits(self, X: np.ndarray) -> np.ndarray:
+    def _vjp(self, X: np.ndarray):
+        """The logits at ``X``, ``(..., n, C)``, and a pullback that maps a cotangent on them,
+        an array of their shape, to the input gradients ``(..., n, d)``."""
         raise AccessInsufficient(f"{self.identity}: handle answers no logit queries")
-
-    def _input_gradient(self, x: np.ndarray, label: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _xent_input_gradient(self, X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # noqa: D105
         return (

@@ -139,6 +139,8 @@ class BenchmarkConfig:
             raise ValueError(f"n_victims must be >= 1, got {self.n_victims}")
         if self.n_unrelated < 1:
             raise ValueError(f"n_unrelated must be >= 1, got {self.n_unrelated}")
+        if self.train.loss != "cross-entropy":  # victims and unrelated models fit labels
+            raise ValueError(f"train.loss must be 'cross-entropy', got {self.train.loss!r}")
         for tag in self.stolen:
             if tag.method not in TAG_PARAMS:
                 raise ValueError(f"no stolen model is built by method {tag.method!r}")

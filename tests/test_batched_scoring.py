@@ -142,7 +142,8 @@ class SparseProbits(mp.Classifier):
 class PartlyNonFinite(mp.Classifier):
     """An MLP's probits and gradients, NaN at points whose first coordinate exceeds ``cut``.
 
-    It answers block by block, so at ``cut=inf`` it is a finite suspect that does not stack.
+    Its logits are the MLP's own.  It answers block by block, so at ``cut=inf`` it is a
+    finite suspect that does not stack.
     """
 
     def __init__(self, inner, cut):
@@ -154,10 +155,15 @@ class PartlyNonFinite(mp.Classifier):
         P[X[:, 0] > self.cut] = np.nan
         return P
 
-    def _xent_input_gradient(self, X, labels):
-        G = self.inner.xent_input_gradient(X, labels)
-        G[X[:, 0] > self.cut] = np.nan
-        return G
+    def _vjp(self, X):
+        logits, pullback = self.inner._vjp(X)
+
+        def nan_past_cut(D):
+            G = pullback(D)
+            G[X[:, 0] > self.cut] = np.nan
+            return G
+
+        return logits, nan_past_cut
 
 
 SUSPECT_KINDS = ("victim", "mlp_a", "mlp_b", "linear", "lookup", "blockwise", "function",
@@ -479,18 +485,21 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
 
 
 def nan_cut(spec, model, pool, seeds, past):
-    """The first coordinate past which a victim answers NaN.
+    """The first coordinate past which a victim answers NaN, crossed by at least one run.
 
-    Past the ``"pool"``, only points that the gradient ascent moves answer NaN.  Past
-    the ``"runs"``, the median over runs of each run's largest first coordinate in its
-    query set, about half of the runs cross the cut.
+    Past the ``"pool"``, only points that the gradient ascent moves answer NaN; that
+    cut is kept only where some run's ascent crosses it.  Otherwise the cut lies past
+    the ``"runs"``: at the median over runs of each run's largest first coordinate in
+    its query set, which about half of the runs cross, or just below the largest of
+    them where the median is that largest (runs that share their top point).  If no
+    run draws, every cell skips whatever the cut.
     """
-    if past == "runs":
-        drawn = [outcome(FingerprintScheme(spec).query_set, model, pool, s) for s in seeds]
-        tops = [qs.points[:, 0].max() for qs in drawn if isinstance(qs, QuerySet)]
-        if tops:
-            return np.median(tops)
-    return pool.points[:, 0].max()
+    drawn = [outcome(FingerprintScheme(spec).query_set, model, pool, s) for s in seeds]
+    tops = [qs.points[:, 0].max() for qs in drawn if isinstance(qs, QuerySet)]
+    top = pool.points[:, 0].max()
+    if not tops or (past == "pool" and max(tops) > top):
+        return top
+    return min(np.median(tops), np.nextafter(max(tops), -np.inf))
 
 
 STOLEN_METHODS = ("same", "prune", "quantize", "finetune", "label_extraction")
@@ -519,10 +528,13 @@ def benchmarks(draw, sampler, kind, nan):
     NaN mode are given; the rest is drawn.  In NaN mode ``everywhere`` one
     victim answers NaN at every point.  In mode ``partly``, with 2-4 runs, it
     answers NaN only past a cut in its first coordinate (``nan_cut``): past
-    the pool, or past the cut that about half of its runs cross, so that some
-    of its runs fail to draw (where the sampler ascends gradients there) or to
-    fingerprint, and others do not.  Each victim misclassifies its own number
-    of pool points, so a negative-sampling budget can be out of reach for some.
+    the pool (only where the sampler ascends gradients), or past the cut that
+    about half of its runs cross, so that at least one of its runs fails to
+    draw or to fingerprint.  Past the runs' cut, a negative sampler (alone or
+    first in a chain) labels the whole pool, so it skips all of that victim's
+    runs; other shapes may keep some.  Each victim misclassifies its own
+    number of pool points, so a negative-sampling budget can be out of reach
+    for some.
     """
     n_runs = draw(st.integers(2 if nan == "partly" else 1, 4))
     seed = draw(st.integers(0, 100))
@@ -543,7 +555,9 @@ def benchmarks(draw, sampler, kind, nan):
     arch_b = ((d, draw(widths), draw(widths), C), draw(acts))
     n_victims, n_stolen = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     nan_victim = -1 if nan == "none" else draw(st.integers(0, n_victims - 1))  # -1: all answer
-    nan_past = None if nan == "everywhere" else draw(st.sampled_from(["pool", "runs"]))
+    # past the pool, only points that the gradient ascent moves can reach the cut
+    cuts = ["pool", "runs"] if isinstance(sampler, (AdversarialSampler, ChainSampler)) else ["runs"]
+    nan_past = None if nan == "everywhere" else draw(st.sampled_from(cuts))
     victims, stolen, unrelated = [], {}, {}
     for v in range(n_victims):
         model = random_mlp(rng, *arch_a, f"victim-{v}")
@@ -613,6 +627,12 @@ class TestEvaluateAnswersPerVictim:
         if partly_drawn(spec, bench, n_runs, seed):
             event("a victim's runs partly draw")
         got = evaluate(spec, bench, n_runs=n_runs, seed=seed)
+        if nan == "partly":  # at least one of the NaN victim's runs crosses its cut
+            (vid,) = [v.model.identity for v in bench.victims
+                      if isinstance(v.model, PartlyNonFinite)]
+            skipped = {s["run"] for s in got.skipped if s["victim"] == vid}
+            event(f"the NaN victim skips {len(skipped)} of its {n_runs} runs")
+            assert skipped
         assert got.to_json() == reference_evaluate(spec, bench, n_runs, seed).to_json()
 
     @pytest.mark.parametrize("budget", [10, 2, 1])

@@ -173,6 +173,10 @@ class TestGenerate:
              "invalid benchmark config: finetune tag: epochs must be >= 1"),
             ({"train": MICRO_CONFIG["train"] | {"epochs": 0}},
              "invalid benchmark config: train: epochs must be >= 1"),
+            # victims train on labels: a KL loss without soft targets died in a worker
+            ({"train": MICRO_CONFIG["train"] | {"loss": "distillation-kl"}},
+             "invalid benchmark config: train.loss must be 'cross-entropy', "
+             "got 'distillation-kl'"),
             # infinite floats, which used to pass and fail only in SGD with training-diverged
             ({"train": MICRO_CONFIG["train"] | {"learning_rate": INF}},
              "train.learning_rate must be finite, got inf"),
@@ -210,7 +214,7 @@ class TestGenerate:
              "fractional-n-train", "fractional-epochs", "fractional-batch-size",
              "unknown-key", "text-learning-rate", "unknown-task-key", "unknown-tag-key",
              "boolean-weight-decay", "list-arch", "task-too-large", "model-too-large",
-             "fractional-tag-epochs", "zero-tag-epochs", "zero-epochs",
+             "fractional-tag-epochs", "zero-tag-epochs", "zero-epochs", "distillation-loss",
              "infinite-learning-rate", "infinite-weight-decay", "infinite-noise-scale",
              "text-tag-learning-rate",
              "text-pool-size", "negative-pool-size", "unread-tag-key", "text-same-index",

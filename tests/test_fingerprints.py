@@ -305,6 +305,14 @@ class TestCalibration:
         fpr = np.mean([d < thr for d in distances])
         assert fpr <= target + 1e-9
 
+    @pytest.mark.parametrize("flagged, m", [(29, 50), (29, 100), (57, 100), (58, 100)])
+    def test_target_of_whole_members_flags_that_many(self, flagged, m):
+        """At ``target_fpr = flagged / m`` the threshold flags ``flagged`` of ``m`` distinct
+        distances, also where ``target_fpr * m`` rounds a hair below ``flagged``."""
+        distances = np.arange(m) / m
+        threshold = quantile_threshold(distances, flagged / m)
+        assert np.sum(distances < threshold) == flagged
+
 
 class TestSerialization:
     def test_shape_validation(self):

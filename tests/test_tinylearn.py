@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modelprint as mp
-from modelprint.core import Access
+from modelprint.core import Access, one_hot
 from modelprint.errors import (
     AccessInsufficient,
     BadClass,
@@ -160,10 +160,17 @@ class TestTraining:
         with pytest.raises(mp.errors.IncompatibleTask):
             train(train_ds, MLPSpec((5, 8, 3)), QUICK_CFG)
 
-    def test_distillation_needs_targets(self, quick_task):
+    @pytest.mark.parametrize("loss, soft, message", [
+        ("distillation-kl", False, "distillation-kl loss needs soft_targets"),
+        ("cross-entropy", True, "cross-entropy loss trains on labels and takes no soft_targets"),
+    ])
+    def test_soft_targets_come_with_the_distillation_loss_only(
+        self, quick_task, loss, soft, message
+    ):
         train_ds, _ = quick_task
-        with pytest.raises(ValueError):
-            train(train_ds, QUICK_ARCH, TrainConfig(loss="distillation-kl"))
+        targets = one_hot(train_ds.labels, train_ds.num_classes) if soft else None
+        with pytest.raises(ValueError, match=message):
+            train(train_ds, QUICK_ARCH, TrainConfig(loss=loss), soft_targets=targets)
 
 
 def reference_sgd_epochs(weights, activation, X, T, cfg, rng):
