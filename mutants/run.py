@@ -167,6 +167,65 @@ MUTANTS = (
         "if False:",
         ("tests/test_samplers.py::TestChain::test_point_synthesizing_first_stage_rejected",),
     ),
+    Mutant(
+        "cell_distances stacks cells of unequal query-set sizes",
+        "src/modelprint/schemes.py",
+        "        if len(sizes) > 1:\n",
+        "        if False:\n",
+        ("tests/test_schemes.py::TestCellDistances::test_cells_of_unequal_size_rejected",),
+    ),
+    Mutant(
+        "_rates reads each threshold's counts at the next lower threshold",
+        "src/modelprint/harness.py",
+        "np.compress(keep, total[:T], axis=-1)",
+        "np.compress(keep, total[1:], axis=-1)",
+        ("tests/test_harness.py::test_tprs_at_cap_equal_the_threshold_scan",),
+    ),
+    Mutant(
+        "_rates keeps the victims with pairs by a mask index, not np.compress",
+        "src/modelprint/harness.py",
+        "np.compress(keep, total[:T], axis=-1)",
+        "total[:T][..., keep]",
+        ("tests/test_harness.py::TestRocMatchesScanOracle::test_curve_and_rates_equal",),
+    ),
+    Mutant(
+        "pair_distance_report predicts the victim again for each suspect",
+        "src/modelprint/harness.py",
+        "label_pair_stats(yh, model.predict(data.points), data.labels)",
+        "label_pair_stats(victim.model.predict(data.points), model.predict(data.points), "
+        "data.labels)",
+        ("tests/test_harness.py::TestDistanceReport"
+         "::test_equals_the_oracle_predicting_each_model_once",),
+    ),
+    Mutant(
+        "_payloads refuses NaN answers but lets inf through",
+        "src/modelprint/fingerprints.py",
+        "if not np.isfinite(answers).all():",
+        "if np.isnan(answers).any():",
+        ("tests/test_fingerprints.py::TestNonFiniteAnswers"
+         "::test_represent_and_stacked_distances_refuse",),
+    ),
+    Mutant(
+        "Fingerprint refuses a NaN payload but not an inf one",
+        "src/modelprint/fingerprints.py",
+        "if not np.isfinite(payload).all():",
+        "if np.isnan(payload).any():",
+        ("tests/test_fingerprints.py::TestNonFiniteAnswers::test_hand_built_fingerprint_refused",),
+    ),
+    Mutant(
+        "quantile_threshold looks for NaN at the wrong end of the sorted distances",
+        "src/modelprint/fingerprints.py",
+        "if np.isnan(dists[-1]):",
+        "if np.isnan(dists[0]):",
+        ("tests/test_fingerprints.py::TestCalibration::test_nan_distance_refused",),
+    ),
+    Mutant(
+        "the CLI codes only a permission error as an unwritable output",
+        "src/modelprint/cli.py",
+        "except OSError as err:",
+        "except PermissionError as err:",
+        ("tests/test_cli.py::test_unwritable_output_is_an_error",),
+    ),
 )
 if sys.version_info < (3, 13):  # from 3.13 csv.writer quotes a lone \r itself: no output changes
     MUTANTS += (Mutant(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import read_json, write_csv
-from .errors import EmptyEvaluationSet, ModelprintError
+from .errors import EmptyEvaluationSet, ModelprintError, UnwritableOutput
 from .harness import (
     TPR_CSV_HEADER,
     BenchmarkConfig,
@@ -86,6 +86,7 @@ def cmd_generate(args) -> int:
     config = BenchmarkConfig.from_record(read_json(args.config, ModelprintError))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before training
     bench = build_benchmark(config)
     manifest = save_benchmark(bench, args.out)
     n_models = sum(
@@ -211,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except OSError as err:  # each input's loader raises its own error, so this is a write
+            raise UnwritableOutput(f"{err.filename}: {err.strerror}") from err
     except ModelprintError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -105,7 +105,7 @@ class EmptyPairSet(ModelprintError):
 
 
 class NonFiniteAnswer(ModelprintError):
-    """A model answered with NaN or infinite probits, which no verdict may use."""
+    """A model answered with NaN or inf, which no fingerprint or verdict may use."""
 
     code = "non-finite-answer"
 
@@ -116,6 +116,10 @@ class ManifestError(ModelprintError):
 
 class UnsavableModel(ModelprintError):
     code = "unsavable-model"
+
+
+class UnwritableOutput(ModelprintError):
+    code = "unwritable-output"
 
 
 class CorruptWeights(ModelprintError, ValueError):

@@ -18,6 +18,7 @@ from .errors import (
     AccessInsufficient,
     EmptyCalibrationPool,
     IncomparableFingerprints,
+    NonFiniteAnswer,
     PairingRequired,
 )
 from .samplers import QuerySet
@@ -87,6 +88,8 @@ class Fingerprint:
             raise ValueError(
                 f"{self.kind} payload shape {payload.shape} inconsistent with s={s}"
             )
+        if not np.isfinite(payload).all():
+            raise NonFiniteAnswer(f"{self.kind} payload holds NaN or inf")
         payload = payload.copy()
         payload.setflags(write=False)
         object.__setattr__(self, "payload", payload)
@@ -118,6 +121,8 @@ def _payloads(
         if probits:
             raise AccessInsufficient(f"{kind}/{inner_distance} needs probit answers, got labels")
         raise ValueError(f"{kind}/{inner_distance} needs label answers, got probits")
+    if not np.isfinite(answers).all():  # a NaN answer would otherwise score as a copy
+        raise NonFiniteAnswer(f"{kind} answers hold NaN or inf")
 
     if kind == "raw_labels":
         return answers.astype(np.int64)
@@ -246,6 +251,8 @@ def quantile_threshold(distances, target_fpr: float) -> float:
     if len(distances) == 0:
         raise EmptyCalibrationPool("cannot calibrate against an empty pool")
     dists = np.sort(distances)
+    if np.isnan(dists[-1]):  # sort puts NaN last
+        raise ValueError("calibration distances hold NaN")
     m = dists.size
     allowed = int(target_fpr * m + 1e-9)
     if allowed >= m:

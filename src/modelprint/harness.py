@@ -615,11 +615,7 @@ TPR_CSV_HEADER = ("task", "budget", "run", "seed", "tpr_at_cap")
 
 def _mean_std(values) -> dict:
     arr = np.asarray(list(values), dtype=np.float64)
-    return {
-        "mean": float(arr.mean()) if arr.size else None,
-        "std": float(arr.std()) if arr.size else None,
-        "runs": [float(v) for v in arr],
-    }
+    return {"mean": float(arr.mean()), "std": float(arr.std()), "runs": [float(v) for v in arr]}
 
 
 @dataclass
@@ -733,7 +729,7 @@ def evaluate(
     mlp = sample_victim.model if isinstance(sample_victim.model, MLPClassifier) else None
     model_scale = {
         "layer_widths": list(mlp.spec.layer_widths) if mlp else None,
-        "n_params": mlp.n_params if mlp else None,
+        "n_params": mlp.spec.n_params if mlp else None,
         "n_victims": len(benchmark.victims),
         "n_train": len(sample_victim.train_data),
         "n_test": len(sample_victim.test_data),

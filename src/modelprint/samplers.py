@@ -62,8 +62,6 @@ class QuerySet:
 class Sampler:
     """Base interface; subclasses are small frozen parameter records."""
 
-    name = "base"
-
     def sample(
         self, seed_set: LabeledDataset, model: Classifier | None, budget: int, seed: int
     ) -> QuerySet:

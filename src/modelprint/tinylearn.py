@@ -338,10 +338,6 @@ class MLPClassifier(Classifier):
         for array in (a for layer in self.weights for a in layer):
             array.setflags(write=False)
 
-    @property
-    def n_params(self) -> int:
-        return self.spec.n_params
-
     def clone(self, identity: str, weights=None, tag=None) -> "MLPClassifier":
         """New handle sharing this architecture, with fresh weight copies."""
         return MLPClassifier(

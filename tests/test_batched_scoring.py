@@ -475,7 +475,7 @@ def reference_evaluate(spec, bench, n_runs, seed, fpr_cap=0.05) -> EvalReport:
         skipped=tuple(skipped),
         model_scale={
             "layer_widths": list(mlp.spec.layer_widths) if mlp else None,
-            "n_params": mlp.n_params if mlp else None,
+            "n_params": mlp.spec.n_params if mlp else None,
             "n_victims": len(bench.victims),
             "n_train": len(first.train_data),
             "n_test": len(first.test_data),

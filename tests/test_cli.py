@@ -476,6 +476,34 @@ def test_unusable_input_file_is_an_error(case, workspace, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+UNWRITABLE_OUTPUTS = {
+    "generate": lambda ws: ["generate", "--config", str(ws / "config.json")],
+    "evaluate": lambda ws: ["evaluate", "--benchmark", str(ws / "bench"),
+                            "--scheme", str(ws / "baseline.json"), "--runs", "1"],
+    "sweep": lambda ws: ["sweep", "--benchmark", str(ws / "bench"),
+                         "--scheme", str(ws / "baseline.json"), "--budgets", "8", "--runs", "1"],
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_is_an_error(command, below, workspace, tmp_path, capsys,
+                                       monkeypatch):
+    """An ``--out`` that is a file or lies below one is refused with a code, where it used to
+    raise ``FileExistsError`` or ``NotADirectoryError``; ``generate`` refuses it untrained."""
+    def build_benchmark(config):
+        raise AssertionError("generate trained before making its --out directory")
+
+    monkeypatch.setattr("modelprint.cli.build_benchmark", build_benchmark)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below else blocker
+    assert main([*UNWRITABLE_OUTPUTS[command](workspace), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [unwritable-output] {blocker}") and err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
+
+
 class TestSweep:
     def test_grid_rows_per_scheme_budget_run(self, workspace, tmp_path, capsys):
         out = tmp_path / "sweep"

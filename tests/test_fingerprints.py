@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 from modelprint.errors import (
     EmptyCalibrationPool,
     IncomparableFingerprints,
+    NonFiniteAnswer,
     PairingRequired,
 )
 from modelprint.fingerprints import (
+    KINDS,
     Fingerprint,
     cosine_rows,
     fingerprint_distance,
+    fingerprint_distances,
+    needs_probits,
     quantile_threshold,
     represent,
 )
@@ -312,6 +316,52 @@ class TestCalibration:
         distances = np.arange(m) / m
         threshold = quantile_threshold(distances, flagged / m)
         assert np.sum(distances < threshold) == flagged
+
+    @pytest.mark.parametrize("distances, target", [([0.3, np.nan, 0.5, 0.7], 0.25),
+                                                   ([np.nan] * 4, 0.0)])
+    def test_nan_distance_refused(self, distances, target):
+        """Sorting puts a NaN last, so it used to shift the quantile or be returned."""
+        with pytest.raises(ValueError, match="NaN"):
+            quantile_threshold(distances, target)
+
+
+class TestNonFiniteAnswers:
+    """A NaN or inf answer raises ``NonFiniteAnswer`` and never becomes a distance: a NaN
+    probit fingerprint used to lie at distance 0.0, as close as an exact copy."""
+
+    @staticmethod
+    def answers(kind, inner_distance, bad=None, s=8):
+        """Finite answers for ``kind`` on ``s`` paired queries, with ``bad`` at one entry."""
+        rng = np.random.default_rng(0)
+        if needs_probits(kind, inner_distance):
+            answers = random_probits(rng, s)
+        else:
+            answers = rng.integers(0, 4, s).astype(np.float64)
+        if bad is not None:
+            answers.flat[5] = bad
+        return answers
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("inner_distance", ["cosine", "labels"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_represent_and_stacked_distances_refuse(self, kind, inner_distance, bad):
+        qs, good = paired_query_set(8), self.answers(kind, inner_distance)
+        answers = self.answers(kind, inner_distance, bad)
+        victim = represent(qs, good, kind, inner_distance)
+        assert fingerprint_distances(victim, qs, [good], kind, inner_distance).tolist() == [0.0]
+        with pytest.raises(NonFiniteAnswer):
+            represent(qs, answers, kind, inner_distance)
+        with pytest.raises(NonFiniteAnswer):  # the stacked path builds no Fingerprint
+            fingerprint_distances(victim, qs, [good, answers], kind, inner_distance)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind, shape", [("raw_labels", (8,)), ("raw_probits", (8, 3)),
+                                             ("pairwise", (4,)), ("listwise", (8, 8))])
+    def test_hand_built_fingerprint_refused(self, kind, shape, bad):
+        payload = np.zeros(shape)
+        payload.flat[1] = bad
+        with pytest.raises(NonFiniteAnswer):
+            Fingerprint(kind, payload, {"sampler": "x"}, 8)
 
 
 class TestSerialization:
